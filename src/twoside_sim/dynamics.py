@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import ScalarFn, fn_deriv, fn_eval
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    as_rows, eval_fn_grid, eval_fn_grid_deriv, validate_policy)
+                    as_rows, validate_policy)
 
 PolicyRule = Callable[[EnvironmentSpec, PopulationState], PolicyMatrix]
 
@@ -48,14 +47,6 @@ class ClosedFormDomainError(ValueError):
     """The closed-form spectrum does not apply to this environment."""
 
 
-def eval_fn_vec(fns: Sequence[ScalarFn], x: np.ndarray) -> np.ndarray:
-    return np.asarray([fn_eval(fn, xi) for fn, xi in zip(fns, x)], dtype=float)
-
-
-def eval_fn_vec_deriv(fns: Sequence[ScalarFn], x: np.ndarray) -> np.ndarray:
-    return np.asarray([fn_deriv(fn, xi) for fn, xi in zip(fns, x)], dtype=float)
-
-
 def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
     """Utilities q = B + f(provider pops), satisfaction s, exposure e."""
     rows = as_rows(pi)
@@ -63,7 +54,7 @@ def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
     if state.viewer.shape != (env.K,) or state.provider.shape != (env.L,):
         raise ValueError("state dimensions do not match the environment")
-    q = env.B + eval_fn_grid(env.f, state.provider)
+    q = env.B + env.f_grid.value(state.provider)
     s = (rows * q).sum(axis=1)
     e = rows.T @ state.viewer
     return Payoffs(s=s, e=e, q=q)
@@ -90,8 +81,8 @@ def step(env: EnvironmentSpec, state: PopulationState, pi,
     with np.errstate(over="ignore", invalid="ignore"):
         p = payoffs(env, state, pi)
         _require_finite(state, "payoffs", p.s, p.e)
-        ref_viewer = eval_fn_vec(env.lambda_bar_viewer, p.s)
-        ref_provider = eval_fn_vec(env.lambda_bar_provider, p.e)
+        ref_viewer = env.viewer_curves.value(p.s)
+        ref_provider = env.provider_curves.value(p.e)
         new_viewer = (1.0 - env.eta_viewer) * state.viewer + env.eta_viewer * ref_viewer
         new_provider = (1.0 - env.eta_provider) * state.provider + env.eta_provider * ref_provider
         if env.noise_active:
@@ -250,6 +241,45 @@ class StabilityReport:
     residual: float
 
 
+class _LinearizedMap:
+    """The curve slopes at `at` under `pi`, and the off-diagonal Jacobian
+    blocks (A12, A21) built from them: the one pass that assemble_jacobian,
+    closed_form_eigenvalues and derivative_bounds_at each need, and that
+    jacobian_eigenvalues shares among them."""
+
+    def __init__(self, env: EnvironmentSpec, pi, at: PopulationState):
+        self.env = env
+        rows = as_rows(pi)
+        p = payoffs(env, at, rows)
+        self.dv = env.viewer_curves.deriv(p.s)          # lambda_bar_k' at s_k
+        self.dc = env.provider_curves.deriv(p.e)        # lambda_bar_l' at e_l
+        self.df = env.f_grid.deriv(at.provider)         # f_{k,l}' at provider_l
+        self.A12 = (env.eta_viewer * self.dv)[:, None] * rows * self.df
+        self.A21 = (env.eta_provider * self.dc)[:, None] * rows.T
+
+    def jacobian(self) -> np.ndarray:
+        A11 = np.diag(1.0 - self.env.eta_viewer)
+        A22 = np.diag(1.0 - self.env.eta_provider)
+        return np.block([[A11, self.A12], [self.A21, A22]])
+
+    def closed_form_spectrum(self) -> np.ndarray:
+        """closed_form_eigenvalues; the caller checks one rate per side."""
+        env = self.env
+        K, L = env.K, env.L
+        a, b = 1.0 - env.eta_viewer[0], 1.0 - env.eta_provider[0]
+        coupling = self.A12 @ self.A21 if K <= L else self.A21 @ self.A12
+        sigma = np.linalg.eigvals(coupling).astype(complex)
+        root = np.sqrt(((a - b) / 2.0) ** 2 + sigma)
+        leftover = np.full(abs(K - L), b if L > K else a, dtype=complex)
+        eigs = np.concatenate([(a + b) / 2.0 + root, (a + b) / 2.0 - root, leftover])
+        return eigs.real if not np.any(eigs.imag) else eigs
+
+    def derivative_bounds(self) -> tuple[float, float]:
+        C1 = float(np.max(np.abs(self.dc) * np.max(np.abs(self.df), axis=0)))
+        C2 = float(np.max(np.abs(self.dv)))
+        return C1, C2
+
+
 def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
     """Jacobian of the noiseless one-step map at `at`, from the analytic blocks.
 
@@ -259,22 +289,12 @@ def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarr
         A21[l, k] = eta_l * lambda_bar_l'(e_l) * pi[k, l]
         A22 = diag(1 - eta_l)
     """
-    A12, A21 = _coupling_blocks(env, pi, at)
-    A11 = np.diag(1.0 - env.eta_viewer)
-    A22 = np.diag(1.0 - env.eta_provider)
-    return np.block([[A11, A12], [A21, A22]])
+    return _LinearizedMap(env, pi, at).jacobian()
 
 
-def _coupling_blocks(env: EnvironmentSpec, pi, at: PopulationState):
-    """The off-diagonal Jacobian blocks (A12, A21) at `at`."""
-    rows = as_rows(pi)
-    p = payoffs(env, at, rows)
-    dv = eval_fn_vec_deriv(env.lambda_bar_viewer, p.s)       # lambda_bar_k' at s_k
-    dc = eval_fn_vec_deriv(env.lambda_bar_provider, p.e)     # lambda_bar_l' at e_l
-    df = eval_fn_grid_deriv(env.f, at.provider)              # f_{k,l}' at provider_l
-    A12 = (env.eta_viewer * dv)[:, None] * rows * df
-    A21 = (env.eta_provider * dc)[:, None] * rows.T
-    return A12, A21
+def _one_rate_per_side(env: EnvironmentSpec) -> bool:
+    eta_v, eta_p = env.eta_viewer, env.eta_provider
+    return not (np.any(eta_v != eta_v[0]) or np.any(eta_p != eta_p[0]))
 
 
 def closed_form_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
@@ -294,19 +314,10 @@ def closed_form_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState) -> np
     Raises ClosedFormDomainError when the rates differ within a side: the
     characteristic polynomial then has degree K + L with no closed form.
     """
-    eta_v, eta_p = env.eta_viewer, env.eta_provider
-    if np.any(eta_v != eta_v[0]) or np.any(eta_p != eta_p[0]):
+    if not _one_rate_per_side(env):
         raise ClosedFormDomainError(
             "closed-form spectrum needs one reactiveness rate per side")
-    K, L = env.K, env.L
-    A12, A21 = _coupling_blocks(env, pi, at)
-    a, b = 1.0 - eta_v[0], 1.0 - eta_p[0]
-    coupling = A12 @ A21 if K <= L else A21 @ A12
-    sigma = np.linalg.eigvals(coupling).astype(complex)
-    root = np.sqrt(((a - b) / 2.0) ** 2 + sigma)
-    leftover = np.full(abs(K - L), b if L > K else a, dtype=complex)
-    eigs = np.concatenate([(a + b) / 2.0 + root, (a + b) / 2.0 - root, leftover])
-    return eigs.real if not np.any(eigs.imag) else eigs
+    return _LinearizedMap(env, pi, at).closed_form_spectrum()
 
 
 def check_sufficient_stability(env: EnvironmentSpec, pi, at: PopulationState,
@@ -330,14 +341,7 @@ def check_sufficient_stability(env: EnvironmentSpec, pi, at: PopulationState,
 def derivative_bounds_at(env: EnvironmentSpec, pi, at: PopulationState) -> tuple[float, float]:
     """(C1, C2) evaluated at `at`: the tightest constants the sufficient
     condition can be checked with at this fixed point."""
-    rows = as_rows(pi)
-    p = payoffs(env, at, rows)
-    dv = eval_fn_vec_deriv(env.lambda_bar_viewer, p.s)
-    dc = eval_fn_vec_deriv(env.lambda_bar_provider, p.e)
-    df = eval_fn_grid_deriv(env.f, at.provider)
-    C1 = float(np.max(np.abs(dc) * np.max(np.abs(df), axis=0)))
-    C2 = float(np.max(np.abs(dv)))
-    return C1, C2
+    return _LinearizedMap(env, pi, at).derivative_bounds()
 
 
 def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
@@ -354,14 +358,11 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     if residual > 10 * tol:
         raise FixedPointPreconditionError(
             f"state is not a fixed point: residual {residual:.3e} > {10 * tol:.1e}")
-    J = assemble_jacobian(env, pi, at)
-    eigs = np.linalg.eigvals(J)
-    try:
-        analytic = closed_form_eigenvalues(env, pi, at)
-    except ClosedFormDomainError:
-        analytic = None
+    linearized = _LinearizedMap(env, pi, at)
+    eigs = np.linalg.eigvals(linearized.jacobian())
+    analytic = linearized.closed_form_spectrum() if _one_rate_per_side(env) else None
     rho = float(np.max(np.abs(eigs)))
-    C1, C2 = derivative_bounds_at(env, pi, at)
+    C1, C2 = linearized.derivative_bounds()
     if C1 > 0 and C2 > 0:
         sufficient = check_sufficient_stability(env, pi, at, C1, C2)
     else:

@@ -15,6 +15,10 @@ Variants:
 
 The weighted sum of half-sigmoids exists so that feature-weighted quality
 curves can be represented with exact gradients instead of being tabulated.
+
+fn_eval / fn_deriv evaluate one function.  FnVector and FnGrid evaluate a
+whole side's curves, or the K x L population-effect grid, in a few array
+operations; every EnvironmentSpec builds them once, at construction.
 """
 
 from __future__ import annotations
@@ -230,7 +234,10 @@ def _table_arrays(fn: ScalarFn):
 
 def _table_deriv(fn: ScalarFn, x):
     xs, ys = _table_arrays(fn)
-    slopes = np.diff(ys) / np.diff(xs)
+    return _table_slope(xs, np.diff(ys) / np.diff(xs), x)
+
+
+def _table_slope(xs, slopes, x):
     # index of the segment whose left knot is <= x; right-hand slope at knots
     idx = np.searchsorted(xs, x, side="right") - 1
     idx = np.clip(idx, 0, len(slopes) - 1)
@@ -250,3 +257,212 @@ def _wss_arrays(fn: ScalarFn):
 def is_smooth(fn: ScalarFn) -> bool:
     """True when the variant has an everywhere-exact analytic derivative."""
     return fn.kind in _SMOOTH_KINDS
+
+
+# ---------------------------------------------------------------------------
+# array kernels: many functions evaluated at once
+
+
+class FnVector:
+    """A sequence of ScalarFn evaluated as one: entry i is fns[i](x[i]).
+
+    The parameters are grouped into arrays by kind once, at construction, so
+    value and deriv cost a few array operations per kind present instead of
+    one Python call per entry.  Each entry equals fn_eval / fn_deriv of its
+    function bit for bit: every kind runs the scalar formula elementwise,
+    tables go through np.interp one function at a time, and weighted sigmoid
+    sums (grouped by component count) take the same dot product.
+    """
+
+    def __init__(self, fns):
+        fns = tuple(fns)
+        self.size = len(fns)
+        self.smooth = all(is_smooth(fn) for fn in fns)
+        members: dict[tuple[str, int], list[int]] = {}
+        for i, fn in enumerate(fns):
+            d = len(fn.params["weights"]) if fn.kind == "weighted_sigmoid_sum" else 0
+            members.setdefault((fn.kind, d), []).append(i)
+        self._groups = tuple(
+            (slice(None) if len(idx) == self.size else np.asarray(idx),
+             _KERNELS[kind]([fns[i] for i in idx]))
+            for (kind, _), idx in members.items())
+
+    def value(self, x) -> np.ndarray:
+        """fns[i](x[i]) for every i; x must be finite and of length size."""
+        return self._apply("value", _finite_vector(x, self.size))
+
+    def deriv(self, x) -> np.ndarray:
+        """fns[i]'(x[i]) for every i (right-hand slope at table knots)."""
+        return self._apply("deriv", _finite_vector(x, self.size))
+
+    def _apply(self, method: str, x: np.ndarray) -> np.ndarray:
+        if len(self._groups) == 1:
+            return getattr(self._groups[0][1], method)(x)
+        out = np.empty(self.size)
+        for idx, kernel in self._groups:
+            out[idx] = getattr(kernel, method)(x[idx])
+        return out
+
+
+class FnGrid:
+    """A K x L ScalarFn grid evaluated column-wise: entry (k, l) is grid[k][l](x[l]).
+
+    When every entry is a weighted_sigmoid_sum whose weights depend only on k
+    and whose components depend only on l (the grids gen_synthetic builds),
+    the grid is one matrix product of the weights with the L columns'
+    components, equal to the entrywise values to round-off.  Any other grid
+    is one FnVector over its cells, exact entry by entry.
+    """
+
+    def __init__(self, grid):
+        grid = tuple(tuple(row) for row in grid)
+        self.shape = (len(grid), len(grid[0]))
+        shared = _shared_sigmoid_components(grid)
+        if shared is None:
+            self._cells = FnVector(fn for row in grid for fn in row)
+            self.smooth = self._cells.smooth
+        else:
+            self._cells = None
+            self.smooth = True
+            self._weights, self._max_values, self._taus = shared   # (K, d), (L, d), (L, d)
+            self._slopes = self._max_values / self._taus
+
+    def value(self, x) -> np.ndarray:
+        x = _finite_vector(x, self.shape[1])
+        if self._cells is not None:
+            return self._cells._apply("value", np.tile(x, self.shape[0])).reshape(self.shape)
+        comp = self._max_values * (expit(x[:, None] / self._taus) - 0.5)   # (L, d)
+        return self._weights @ comp.T
+
+    def deriv(self, x) -> np.ndarray:
+        x = _finite_vector(x, self.shape[1])
+        if self._cells is not None:
+            return self._cells._apply("deriv", np.tile(x, self.shape[0])).reshape(self.shape)
+        sig = expit(x[:, None] / self._taus)                              # (L, d)
+        return self._weights @ (self._slopes * sig * (1.0 - sig)).T
+
+
+def _finite_vector(x, n: int) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"expected {n} evaluation points, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise FunctionDomainError(f"non-finite evaluation point in {arr!r}")
+    return arr
+
+
+def _shared_sigmoid_components(grid):
+    """(weights (K, d), max_values (L, d), taus (L, d)) when every entry (k, l)
+    is a weighted_sigmoid_sum with row k's weights and column l's components;
+    None otherwise."""
+    if not all(fn.kind == "weighted_sigmoid_sum" for row in grid for fn in row):
+        return None
+    weights = [tuple(row[0].params["weights"]) for row in grid]
+    max_values = [tuple(fn.params["max_values"]) for fn in grid[0]]
+    taus = [tuple(fn.params["taus"]) for fn in grid[0]]
+    for k, row in enumerate(grid):
+        for l, fn in enumerate(row):
+            p = fn.params
+            if (tuple(p["weights"]) != weights[k] or tuple(p["max_values"]) != max_values[l]
+                    or tuple(p["taus"]) != taus[l]):
+                return None
+    return (np.asarray(weights, dtype=float), np.asarray(max_values, dtype=float),
+            np.asarray(taus, dtype=float))
+
+
+def _column(fns: list[ScalarFn], key: str) -> np.ndarray:
+    return np.asarray([fn.params[key] for fn in fns], dtype=float)
+
+
+def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """coef[i] @ comp[i] for every row i, through the same dot as a 1-d @."""
+    return np.matmul(coef[:, None, :], comp[:, :, None])[:, 0, 0]
+
+
+# One class per kind, built from that kind's functions: the parameters as
+# arrays, and the formulas of fn_eval / fn_deriv in the same operation order,
+# applied elementwise.
+
+
+class _Linear:
+    def __init__(self, fns):
+        self.slope, self.intercept = (_column(fns, k) for k in ("slope", "intercept"))
+
+    def value(self, x):
+        return self.slope * x + self.intercept
+
+    def deriv(self, x):
+        return self.slope.copy()
+
+
+class _SigmoidHalf:
+    def __init__(self, fns):
+        self.max, self.tau = (_column(fns, k) for k in ("max", "tau"))
+
+    def value(self, x):
+        return self.max * (expit(x / self.tau) - 0.5)
+
+    def deriv(self, x):
+        sig = expit(x / self.tau)
+        return self.max * sig * (1.0 - sig) / self.tau
+
+
+class _SaturatingExp:
+    def __init__(self, fns):
+        a0, a1, self.a2, self.a3 = (_column(fns, k) for k in ("a0", "a1", "a2", "a3"))
+        self.a0, self.neg_a1, self.a0_a1 = a0, -a1, a0 * a1
+
+    def value(self, x):
+        return self.a0 * (1.0 - np.exp(self.neg_a1 * (x - self.a2))) + self.a3
+
+    def deriv(self, x):
+        return self.a0_a1 * np.exp(self.neg_a1 * (x - self.a2))
+
+
+class _ScaledLogistic:
+    def __init__(self, fns):
+        self.gain, self.scale, self.shift = (_column(fns, k)
+                                             for k in ("gain", "scale", "shift"))
+        self.gain_scale = self.gain * self.scale
+
+    def value(self, x):
+        return self.gain * expit(self.scale * (x - self.shift))
+
+    def deriv(self, x):
+        sig = expit(self.scale * (x - self.shift))
+        return self.gain_scale * sig * (1.0 - sig)
+
+
+class _Table:
+    def __init__(self, fns):
+        self.knots = []
+        for fn in fns:
+            xs, ys = _table_arrays(fn)
+            self.knots.append((xs, ys, np.diff(ys) / np.diff(xs)))
+
+    def value(self, x):
+        return np.array([np.interp(xi, xs, ys) for (xs, ys, _), xi in zip(self.knots, x)])
+
+    def deriv(self, x):
+        return np.array([_table_slope(xs, slopes, xi)
+                         for (xs, _, slopes), xi in zip(self.knots, x)])
+
+
+class _WeightedSigmoidSum:
+    """Functions with equally many components, as (n, d) arrays."""
+
+    def __init__(self, fns):
+        w, m, t = (_column(fns, k) for k in ("weights", "max_values", "taus"))
+        self.coef, self.slope_coef, self.inv_tau = w * m, w * m / t, 1.0 / t
+
+    def value(self, x):
+        return _row_dots(self.coef, expit(self.inv_tau * x[:, None]) - 0.5)
+
+    def deriv(self, x):
+        sig = expit(self.inv_tau * x[:, None])
+        return _row_dots(self.slope_coef, sig * (1.0 - sig))
+
+
+_KERNELS = {"linear": _Linear, "sigmoid_half": _SigmoidHalf,
+            "saturating_exp": _SaturatingExp, "scaled_logistic": _ScaledLogistic,
+            "table": _Table, "weighted_sigmoid_sum": _WeightedSigmoidSum}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import ScalarFn, fn_eval
+from .functions import FnGrid, FnVector, ScalarFn
 
 ROW_SUM_TOL = 1e-9
 
@@ -61,6 +61,12 @@ class EnvironmentSpec:
     eta_provider: np.ndarray                     # length L, in [0, 1]
     noise: NoiseSpec | None = None
     seed: int = 0
+    # Array views of the curves, built once in __post_init__ and read by every
+    # evaluation; smooth is False when some curve is a table.
+    viewer_curves: FnVector = field(init=False, repr=False, compare=False)
+    provider_curves: FnVector = field(init=False, repr=False, compare=False)
+    f_grid: FnGrid = field(init=False, repr=False, compare=False)
+    smooth: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "B", _readonly(np.asarray(self.B, dtype=float)))
@@ -89,6 +95,11 @@ class EnvironmentSpec:
                 raise SpecValidationError(f"{name} entries must lie in [0, 1]")
         if self.seed < 0:
             raise SpecValidationError("seed must be a non-negative integer")
+        object.__setattr__(self, "viewer_curves", FnVector(self.lambda_bar_viewer))
+        object.__setattr__(self, "provider_curves", FnVector(self.lambda_bar_provider))
+        object.__setattr__(self, "f_grid", FnGrid(self.f))
+        object.__setattr__(self, "smooth", self.viewer_curves.smooth
+                           and self.provider_curves.smooth and self.f_grid.smooth)
 
     @property
     def noise_active(self) -> bool:
@@ -132,9 +143,16 @@ class EnvironmentSpec:
         return EnvironmentSpec.from_dict(json.loads(text))
 
     def digest(self) -> str:
-        """Stable content hash of the environment (used to pair trajectories)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        """Stable content hash of the environment (used to pair trajectories).
+
+        Computed on first use and kept on the instance, which never changes.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 @dataclass(frozen=True)
@@ -244,79 +262,14 @@ class Payoffs:
 
 
 def eval_fn_grid(grid, x: np.ndarray) -> np.ndarray:
-    """Evaluate a K x L ScalarFn grid column-wise at x (length L).
-
-    Entry (k, l) is grid[k][l](x[l]).  Grids whose entries are all
-    weighted_sigmoid_sum functions sharing per-column components evaluate via
-    one matrix product, which keeps the look-ahead optimizer fast at K=L=20.
-    """
-    x = np.asarray(x, dtype=float)
-    fast = _wss_grid_arrays(grid)
-    if fast is not None:
-        weights, max_values, taus = fast          # (K, d), (L, d), (L, d)
-        from scipy.special import expit
-        comp = max_values * (expit(x[:, None] / taus) - 0.5)   # (L, d)
-        return weights @ comp.T                                # (K, L)
-    K, L = len(grid), len(grid[0])
-    out = np.empty((K, L))
-    for k in range(K):
-        for l in range(L):
-            out[k, l] = fn_eval(grid[k][l], x[l])
-    return out
+    """Evaluate a K x L ScalarFn grid column-wise at x (length L): entry
+    (k, l) is grid[k][l](x[l]).  Environments hold their grid as env.f_grid."""
+    return FnGrid(grid).value(x)
 
 
 def eval_fn_grid_deriv(grid, x: np.ndarray) -> np.ndarray:
     """Column-wise analytic derivative of a K x L ScalarFn grid at x (length L)."""
-    from .functions import fn_deriv
-    x = np.asarray(x, dtype=float)
-    fast = _wss_grid_arrays(grid)
-    if fast is not None:
-        weights, max_values, taus = fast
-        from scipy.special import expit
-        sig = expit(x[:, None] / taus)                         # (L, d)
-        comp = max_values / taus * sig * (1.0 - sig)
-        return weights @ comp.T
-    K, L = len(grid), len(grid[0])
-    out = np.empty((K, L))
-    for k in range(K):
-        for l in range(L):
-            out[k, l] = fn_deriv(grid[k][l], x[l])
-    return out
-
-
-_WSS_GRID_CACHE: dict[int, tuple] = {}
-
-
-def _wss_grid_arrays(grid):
-    """Detect the shared weighted-sigmoid-sum structure of a function grid.
-
-    Returns (weights (K, d), max_values (L, d), taus (L, d)) when every entry
-    (k, l) is a weighted_sigmoid_sum whose components depend only on l and
-    whose weights depend only on k; None otherwise.
-    """
-    key = id(grid)
-    if key in _WSS_GRID_CACHE:
-        return _WSS_GRID_CACHE[key][1]
-    result = None
-    if all(fn.kind == "weighted_sigmoid_sum" for row in grid for fn in row):
-        K, L = len(grid), len(grid[0])
-        try:
-            weights = np.asarray([grid[k][0].params["weights"] for k in range(K)], dtype=float)
-            max_values = np.asarray([grid[0][l].params["max_values"] for l in range(L)], dtype=float)
-            taus = np.asarray([grid[0][l].params["taus"] for l in range(L)], dtype=float)
-            ok = all(
-                grid[k][l].params["weights"] == grid[k][0].params["weights"]
-                and grid[k][l].params["max_values"] == grid[0][l].params["max_values"]
-                and grid[k][l].params["taus"] == grid[0][l].params["taus"]
-                for k in range(K) for l in range(L))
-            if ok:
-                result = (weights, max_values, taus)
-        except (ValueError, KeyError):
-            result = None
-    if len(_WSS_GRID_CACHE) > 256:
-        _WSS_GRID_CACHE.clear()
-    _WSS_GRID_CACHE[key] = (grid, result)   # keep grid alive so id() stays unique
-    return result
+    return FnGrid(grid).deriv(x)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

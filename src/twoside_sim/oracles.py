@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import eval_fn_vec, payoffs
+from .dynamics import payoffs
 from .functions import linear_fn, scaled_logistic
 from .model import (EnvironmentSpec, PopulationState, as_rows, epsilon_greedy,
                     _readonly)
@@ -34,8 +34,8 @@ def game_utilities(env: EnvironmentSpec, pi, state: PopulationState) -> tuple[np
     v_l = provider_l * lambda_bar_l(e_l) - provider_l^2 / 2
     """
     p = payoffs(env, state, pi)
-    ref_viewer = eval_fn_vec(env.lambda_bar_viewer, p.s)
-    ref_provider = eval_fn_vec(env.lambda_bar_provider, p.e)
+    ref_viewer = env.viewer_curves.value(p.s)
+    ref_provider = env.provider_curves.value(p.e)
     u = state.viewer * ref_viewer - state.viewer ** 2 / 2.0
     v = state.provider * ref_provider - state.provider ** 2 / 2.0
     return u, v
@@ -52,8 +52,8 @@ def gradient_ascent_update(env: EnvironmentSpec, pi, state: PopulationState,
     result is clipped at zero like the dynamics.
     """
     p = payoffs(env, state, pi)
-    du = eval_fn_vec(env.lambda_bar_viewer, p.s) - state.viewer
-    dv = eval_fn_vec(env.lambda_bar_provider, p.e) - state.provider
+    du = env.viewer_curves.value(p.s) - state.viewer
+    dv = env.provider_curves.value(p.e) - state.provider
     if rates is None:
         rate_viewer, rate_provider = env.eta_viewer, env.eta_provider
     else:

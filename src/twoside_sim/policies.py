@@ -15,11 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import eval_fn_vec, eval_fn_vec_deriv
-from .functions import is_smooth
 from .model import (EnvironmentSpec, PolicyMatrix, PolicyValidationError,
-                    PopulationState, as_rows, eval_fn_grid,
-                    eval_fn_grid_deriv, greedy_rows, validate_policy)
+                    PopulationState, as_rows, greedy_rows, validate_policy)
 
 
 class OptimizationError(RuntimeError):
@@ -65,7 +62,7 @@ def uniform_policy(K: int, L: int) -> PolicyMatrix:
 
 def myopic_greedy(env: EnvironmentSpec, state: PopulationState) -> PolicyMatrix:
     """All mass on the best current utility q = b + f(provider pops) per row."""
-    q = env.B + eval_fn_grid(env.f, state.provider)
+    q = env.B + env.f_grid.value(state.provider)
     return validate_policy(greedy_rows(q))
 
 
@@ -87,8 +84,8 @@ def softmax_myopic(env: EnvironmentSpec, reference_exposure: np.ndarray,
     e = np.asarray(reference_exposure, dtype=float)
     if e.shape != (env.L,):
         raise ValueError(f"reference_exposure must have length L={env.L}")
-    ref_provider = eval_fn_vec(env.lambda_bar_provider, e)
-    w = env.B + eval_fn_grid(env.f, ref_provider)
+    ref_provider = env.provider_curves.value(e)
+    w = env.B + env.f_grid.value(ref_provider)
     return validate_policy(row_softmax(gamma * w))
 
 
@@ -111,15 +108,20 @@ def _lookahead_pieces(env: EnvironmentSpec, state: PopulationState, rows: np.nda
                       gamma: float):
     """Shared forward pass: payoffs under `rows`, reference populations,
     anticipated utilities w, softened policy, and per-row mean utility."""
-    q = env.B + eval_fn_grid(env.f, state.provider)
+    q = env.B + env.f_grid.value(state.provider)
     s = (rows * q).sum(axis=1)
     e = rows.T @ state.viewer
-    big_lambda = eval_fn_vec(env.lambda_bar_viewer, s)        # anticipated viewers
-    ref_provider = eval_fn_vec(env.lambda_bar_provider, e)    # anticipated providers
-    w = env.B + eval_fn_grid(env.f, ref_provider)
+    big_lambda = env.viewer_curves.value(s)              # anticipated viewers
+    ref_provider = env.provider_curves.value(e)          # anticipated providers
+    w = env.B + env.f_grid.value(ref_provider)
     pi_soft = row_softmax(gamma * w)
     w_mean = (pi_soft * w).sum(axis=1)
     return q, s, e, big_lambda, ref_provider, w, pi_soft, w_mean
+
+
+def _objective(pieces) -> float:
+    _, _, _, big_lambda, _, _, _, w_mean = pieces
+    return float(big_lambda @ w_mean)
 
 
 def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
@@ -132,14 +134,7 @@ def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
     rows = as_rows(pi)
     if rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    _, _, _, big_lambda, _, _, _, w_mean = _lookahead_pieces(env, state, rows, gamma)
-    return float(big_lambda @ w_mean)
-
-
-def _env_all_smooth(env: EnvironmentSpec) -> bool:
-    fns = list(env.lambda_bar_viewer) + list(env.lambda_bar_provider)
-    fns += [fn for row in env.f for fn in row]
-    return all(is_smooth(fn) for fn in fns)
+    return _objective(_lookahead_pieces(env, state, rows, gamma))
 
 
 def finite_difference_gradient(env: EnvironmentSpec, state: PopulationState, pi,
@@ -172,13 +167,18 @@ def lookahead_gradient(env: EnvironmentSpec, state: PopulationState, pi,
     rows = as_rows(pi)
     if rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    if not _env_all_smooth(env):
+    if not env.smooth:
         return finite_difference_gradient(env, state, rows, gamma)
-    q, s, e, big_lambda, ref_provider, w, pi_soft, w_mean = _lookahead_pieces(
-        env, state, rows, gamma)
-    d_viewer = eval_fn_vec_deriv(env.lambda_bar_viewer, s)       # dlambda_bar_k/ds
-    d_provider = eval_fn_vec_deriv(env.lambda_bar_provider, e)   # dlambda_bar_l/de
-    df = eval_fn_grid_deriv(env.f, ref_provider)                 # df_{k,l} at ref pops
+    return _analytic_gradient(env, state, gamma, _lookahead_pieces(env, state, rows, gamma))
+
+
+def _analytic_gradient(env: EnvironmentSpec, state: PopulationState, gamma: float,
+                       pieces) -> np.ndarray:
+    """lookahead_gradient from the forward pass made at the same policy."""
+    q, s, e, big_lambda, ref_provider, w, pi_soft, w_mean = pieces
+    d_viewer = env.viewer_curves.deriv(s)           # dlambda_bar_k/ds
+    d_provider = env.provider_curves.deriv(e)       # dlambda_bar_l/de
+    df = env.f_grid.deriv(ref_provider)             # df_{k,l} at ref pops
     # welfare response to exposure l: every row's softened mass and utility at l
     # move through lambda_bar_l; softmax reweighting contributes the gamma term.
     col = (big_lambda[:, None] * pi_soft * df
@@ -228,7 +228,8 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     best_obj = -np.inf
     for it in range(config.iterations + 1):
         pi = row_softmax(theta)
-        obj = lookahead_objective(env, state, pi, config.gamma)
+        pieces = _lookahead_pieces(env, state, pi, config.gamma)   # one forward pass
+        obj = _objective(pieces)
         if not np.isfinite(obj):
             raise OptimizationError(
                 f"non-finite objective {obj!r} at iteration {it}", iteration=it)
@@ -237,7 +238,8 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
             best_pi = pi
         if it == config.iterations:
             break
-        grad_pi = lookahead_gradient(env, state, pi, config.gamma)
+        grad_pi = (_analytic_gradient(env, state, config.gamma, pieces) if env.smooth
+                   else finite_difference_gradient(env, state, pi, config.gamma))
         # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
         grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
         theta = theta + config.learning_rate * grad_theta

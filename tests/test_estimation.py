@@ -56,9 +56,9 @@ def test_recover_reference_inverts_the_update(seed):
     state = random_state(seed, env)
     pi = random_policy(seed, env.K, env.L)
     nxt = step(env, state, pi)
-    from twoside_sim.dynamics import eval_fn_vec, payoffs
+    from twoside_sim.dynamics import payoffs
     p = payoffs(env, state, pi)
-    truth = eval_fn_vec(env.lambda_bar_viewer, p.s)
+    truth = env.viewer_curves.value(p.s)
     for k in range(env.K):
         eta = float(env.eta_viewer[k])
         if eta == 0 or nxt.viewer[k] == 0.0:   # clipped or unidentifiable steps excluded

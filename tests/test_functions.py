@@ -8,6 +8,7 @@ from twoside_sim import (FunctionConfigError, FunctionDomainError, ScalarFn,
                          fn_deriv, fn_eval, is_smooth, linear_fn,
                          saturating_exp, scaled_logistic, sigmoid_half,
                          table_fn, weighted_sigmoid_sum)
+from twoside_sim.functions import FnGrid, FnVector
 
 from conftest import random_smooth_fn
 
@@ -150,3 +151,80 @@ def test_table_round_trip():
     back = ScalarFn.from_dict(fn.to_dict())
     for x in (-1.0, 0.7, 3.3, 9.0):
         assert fn_eval(back, x) == fn_eval(fn, x)
+
+
+# --- array kernels ---
+
+
+def random_fn(rng: np.random.Generator):
+    """A function of any kind, tables included."""
+    if rng.random() < 0.25:
+        xs = np.cumsum(rng.uniform(0.5, 8.0, int(rng.integers(2, 6)))) - 10.0
+        ys = np.cumsum(rng.uniform(0.0, 3.0, len(xs)))
+        return table_fn(list(zip(xs, ys)))
+    return random_smooth_fn(rng)
+
+
+def evaluation_points(rng, fns):
+    """Uniform draws, with table entries sometimes placed exactly on a knot."""
+    x = rng.uniform(-20.0, 60.0, len(fns))
+    for i, fn in enumerate(fns):
+        if fn.kind == "table" and rng.random() < 0.5:
+            knots = fn.params["knots"]
+            x[i] = knots[int(rng.integers(len(knots)))][0]
+    return x
+
+
+def assert_entrywise_exact(got_value, got_deriv, fns, x):
+    np.testing.assert_array_equal(got_value, [fn_eval(fn, xi) for fn, xi in zip(fns, x)])
+    np.testing.assert_array_equal(got_deriv, [fn_deriv(fn, xi) for fn, xi in zip(fns, x)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12))
+def test_fn_vector_equals_scalar_evaluation_exactly(seed, n):
+    rng = np.random.default_rng(seed)
+    fns = [random_fn(rng) for _ in range(n)]
+    x = evaluation_points(rng, fns)
+    vec = FnVector(fns)
+    assert_entrywise_exact(vec.value(x), vec.deriv(x), fns, x)
+    assert vec.smooth == all(is_smooth(fn) for fn in fns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(2, 4), L=st.integers(1, 4),
+       sums_only=st.booleans())
+def test_fn_grid_equals_scalar_evaluation_exactly(seed, K, L, sums_only):
+    """Mixed kinds, or weighted sigmoid sums whose components differ per cell.
+    K >= 2 keeps a lone sum out of the shared structure, which is one matrix
+    product and matches only to round-off (see test_model)."""
+    rng = np.random.default_rng(seed)
+    if sums_only:
+        grid = [[weighted_sigmoid_sum(rng.uniform(0.0, 1.0, 3), rng.uniform(0.5, 5.0, 3),
+                                      rng.uniform(1.0, 30.0, 3)) for _ in range(L)]
+                for _ in range(K)]
+    else:
+        grid = [[random_fn(rng) for _ in range(L)] for _ in range(K)]
+    cells = [fn for row in grid for fn in row]
+    x = evaluation_points(rng, grid[0])
+    columns = np.tile(x, K)
+    fg = FnGrid(grid)
+    assert fg.value(x).shape == fg.deriv(x).shape == (K, L)
+    assert_entrywise_exact(fg.value(x).ravel(), fg.deriv(x).ravel(), cells, columns)
+    assert fg.smooth == all(is_smooth(fn) for fn in cells)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_non_finite_points(bad):
+    fns = [linear_fn(1.0), sigmoid_half(2.0, 3.0), table_fn([(0.0, 0.0), (1.0, 1.0)])]
+    # row k's weights, one set of components: the matrix-product case
+    shared = [[weighted_sigmoid_sum(w, [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]) for _ in range(2)]
+              for w in ([0.2, 0.5, 0.1], [0.9, 0.0, 0.4])]
+    mixed = [fns[:2], fns[1:]]
+    for kernel, n in ((FnVector(fns), 3), (FnGrid(shared), 2), (FnGrid(mixed), 2)):
+        x = np.ones(n)
+        x[-1] = bad
+        with pytest.raises(FunctionDomainError):
+            kernel.value(x)
+        with pytest.raises(FunctionDomainError):
+            kernel.deriv(x)

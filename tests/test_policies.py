@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from twoside_sim import (EnvironmentSpec, GradientCheckError, LookaheadConfig,
                          OptimizationError, PolicyValidationError,
-                         PopulationState, check_gradient, counterexample_env,
-                         find_fixed_point, finite_difference_gradient,
-                         fn_eval, interpolate, linear_fn, lookahead_gradient,
+                         PopulationState, SyntheticScenarioConfig,
+                         check_gradient, counterexample_env, find_fixed_point,
+                         finite_difference_gradient, fn_eval, gen_synthetic,
+                         interpolate, linear_fn, lookahead_gradient,
                          lookahead_objective, myopic_greedy, optimize_lookahead,
-                         softmax_myopic, table_fn, uniform_policy,
-                         validate_policy)
+                         sample_initial_state, softmax_myopic, table_fn,
+                         uniform_policy, validate_policy)
 from twoside_sim.policies import row_softmax
 
 from conftest import random_env, random_policy, random_state
@@ -206,6 +207,54 @@ def test_optimizer_grad_check_hook_runs():
     state = PopulationState(t=0, viewer=[0.9], provider=[0.5, 0.6])
     cfg = LookaheadConfig(iterations=5, grad_check={"h": 1e-6, "tol": 1e-4})
     optimize_lookahead(env, state, cfg)  # must not raise
+
+
+def ascent_through_public_functions(env, state, cfg):
+    """optimize_lookahead's ascent, rebuilt from lookahead_objective and
+    lookahead_gradient."""
+    pi = 0.9 * myopic_greedy(env, state).rows + 0.1 * uniform_policy(env.K, env.L).rows
+    theta = np.log(pi)
+    best, best_obj = None, -np.inf
+    for it in range(cfg.iterations + 1):
+        pi = row_softmax(theta)
+        obj = lookahead_objective(env, state, pi, cfg.gamma)
+        if obj > best_obj:
+            best, best_obj = pi, obj
+        if it == cfg.iterations:
+            break
+        grad = lookahead_gradient(env, state, pi, cfg.gamma)
+        grad_theta = pi * (grad - (pi * grad).sum(axis=1, keepdims=True))
+        theta = theta + cfg.learning_rate * grad_theta
+    return best
+
+
+def synthetic_instance():
+    scen = SyntheticScenarioConfig(K=3, L=4, d=5, seed=1)
+    return gen_synthetic(scen), sample_initial_state(scen)
+
+
+def random_instance():
+    env = random_env(7)
+    return env, random_state(7, env)
+
+
+def table_instance():
+    env = EnvironmentSpec(
+        K=1, L=2, B=[[0.5, 0.2]],
+        f=((table_fn([(0.0, 0.0), (1.0, 1.0), (3.0, 1.4)]), linear_fn(0.3)),),
+        lambda_bar_viewer=(linear_fn(0.5),),
+        lambda_bar_provider=(linear_fn(0.4), linear_fn(0.4)),
+        eta_viewer=[0.5], eta_provider=[0.5, 0.5],
+    )
+    return env, PopulationState(t=0, viewer=[1.0], provider=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("instance", [synthetic_instance, random_instance, table_instance])
+def test_optimizer_equals_ascent_through_public_functions(instance):
+    env, state = instance()
+    cfg = LookaheadConfig(iterations=40, learning_rate=0.1)
+    got = optimize_lookahead(env, state, cfg).rows
+    assert np.array_equal(got, ascent_through_public_functions(env, state, cfg))
 
 
 def test_optimizer_reports_overflow_with_iteration():
