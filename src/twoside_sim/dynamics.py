@@ -11,7 +11,6 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -80,6 +79,13 @@ def step(env: EnvironmentSpec, state: PopulationState, pi,
         raise ValueError("environment has noise configured; step needs an rng")
     with np.errstate(over="ignore", invalid="ignore"):
         p = payoffs(env, state, pi)
+    return _advance(env, state, p, rng)
+
+
+def _advance(env: EnvironmentSpec, state: PopulationState, p: Payoffs,
+             rng: np.random.Generator | None) -> PopulationState:
+    """The step from `state` given its payoffs `p` (see step)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(state, "payoffs", p.s, p.e)
         ref_viewer = env.viewer_curves.value(p.s)
         ref_provider = env.provider_curves.value(p.e)
@@ -158,7 +164,7 @@ def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
             w = welfare(state, p)
         _require_finite(state, "welfare", w)
         steps.append(TrajectoryStep(state=state, policy=pi, payoffs=p, welfare=w))
-        state = step(env, state, pi, rng)
+        state = _advance(env, state, p, rng)
     return Trajectory(steps=tuple(steps), env_digest=env.digest(), seed=recorded_seed)
 
 
@@ -394,17 +400,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         raise ValueError("cannot serialize an empty trajectory")
     K = traj.steps[0].state.viewer.shape[0]
     L = traj.steps[0].state.provider.shape[0]
-    buf = io.StringIO()
-    buf.write(",".join(trajectory_header(K, L)) + "\n")
-    for st in traj.steps:
-        fields = ([str(st.state.t)]
-                  + [_FLOAT_FMT % v for v in st.state.viewer]
-                  + [_FLOAT_FMT % v for v in st.state.provider]
-                  + [_FLOAT_FMT % v for v in st.payoffs.s]
-                  + [_FLOAT_FMT % v for v in st.payoffs.e]
-                  + [_FLOAT_FMT % st.welfare])
-        buf.write(",".join(fields) + "\n")
-    return buf.getvalue()
+    return _csv_text(trajectory_header(K, L), (
+        (st.state.t, st.state.viewer, st.state.provider, st.payoffs.s, st.payoffs.e,
+         st.welfare) for st in traj.steps))
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text of rows (t, float blocks...); each block's values are written in
+    ravel order.  Shared by the trajectory and interaction-log schemas."""
+    lines = [",".join(header)]
+    for t, *blocks in rows:
+        lines.append(",".join([str(t)] + [_FLOAT_FMT % v for block in blocks
+                                          for v in np.ravel(block)]))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -431,20 +439,28 @@ def trajectory_table(traj: Trajectory) -> TrajectoryTable:
 
 
 def parse_trajectory_csv(text: str) -> TrajectoryTable:
+    return _parse_csv(text, "trajectory", lambda K, L: [])[0]
+
+
+def _parse_csv(text: str, what: str, extra) -> tuple[TrajectoryTable, np.ndarray]:
+    """Parse a CSV with the trajectory columns followed by the columns named
+    extra(K, L); returns the trajectory table and the extra columns."""
     lines = [ln for ln in text.split("\n") if ln]
     header = lines[0].split(",")
     K = sum(1 for h in header if h.startswith("lambda_u_"))
     L = sum(1 for h in header if h.startswith("lambda_c_"))
     expected = trajectory_header(K, L)
-    if header != expected:
-        raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-    data = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.shape[1] != len(expected):
-        raise ValueError("trajectory CSV row width does not match header")
+    if header != expected + extra(K, L):
+        raise ValueError(f"unexpected {what} CSV header: {header!r}")
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{what} CSV row width does not match header")
+    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
     c = 1
     cols = {}
     for name, width in (("lambda_viewer", K), ("lambda_provider", L),
                         ("s", K), ("e", L)):
         cols[name] = data[:, c:c + width]
         c += width
-    return TrajectoryTable(t=data[:, 0].astype(int), welfare=data[:, c], **cols)
+    return (TrajectoryTable(t=data[:, 0].astype(int), welfare=data[:, c], **cols),
+            data[:, len(expected):])

@@ -10,17 +10,16 @@ policy of the fitted surrogate environment.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .dynamics import (Trajectory, TrajectoryStep, trajectory_header)
-from .functions import ScalarFn, saturating_exp
+from .dynamics import (Trajectory, TrajectoryStep, _advance, _csv_text, _parse_csv,
+                       payoffs, trajectory_header)
+from .functions import ScalarFn, fn_eval, saturating_exp
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    as_rows, epsilon_greedy, validate_policy, _readonly)
+                    epsilon_greedy, validate_policy, _readonly)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -54,6 +53,12 @@ def recover_reference(lambda_t, lambda_t1, eta: float):
 # ---------------------------------------------------------------------------
 # saturating-exponential curve fitting
 
+_MIN_RATE_SPAN = 1e-6   # r * (x range) at the low end: a straight line to 1e-6
+_MAX_RATE_GAP = 40.0    # r * (smallest x gap) at the high end: exp(-40) is below round-off
+_LOG_RATE_STEP = 0.1    # grid spacing in log r
+_GOLDEN_STEPS = 40      # shrink the two-cell bracket 0.618**40 = 4e-9 times
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
 class SaturatingExpFit:
@@ -74,8 +79,7 @@ class SaturatingExpFit:
         return saturating_exp(self.a0, self.a1, self.a2, self.a3)
 
     def predict(self, x):
-        expo = np.clip(-self.a1 * (np.asarray(x, dtype=float) - self.a2), -700.0, 700.0)
-        return self.a0 * (1.0 - np.exp(expo)) + self.a3
+        return fn_eval(self.fn, x)
 
     def to_dict(self) -> dict:
         return {"a0": self.a0, "a1": self.a1, "a2": self.a2, "a3": self.a3,
@@ -86,73 +90,91 @@ class SaturatingExpFit:
         return cls(a0=d["a0"], a1=d["a1"], a2=d["a2"], a3=d["a3"], rmse=d["rmse"])
 
 
-def _model(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = theta
-    expo = np.clip(-a1 * (x - a2), -700.0, 700.0)
-    return a0 * (1.0 - np.exp(expo)) + a3
+def fit_saturating_exp(points) -> SaturatingExpFit:
+    """Least-squares fit of a0*(1 - exp(-a1*(x - a2))) + a3 with a0, a1 >= 0.
 
-
-def _jacobian(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = theta
-    expo = np.clip(-a1 * (x - a2), -700.0, 700.0)
-    E = np.exp(expo)
-    return np.column_stack([1.0 - E, a0 * (x - a2) * E, -a0 * a1 * E, np.ones_like(x)])
-
-
-def _initial_guesses(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Five deterministic starts: data-range anchors plus a spread of rate
-    guesses, one of them from log-linearizing the residual toward the ceiling."""
-    x_min, x_range = float(x.min()), float(np.ptp(x))
-    y_min, y_range = float(y.min()), float(np.ptp(y))
-    a0 = y_range if y_range > 0 else 1.0
-    ceiling = y.max() + 0.05 * max(y_range, 1.0)
-    w = np.log(np.maximum(ceiling - y, 1e-12))
-    slope = np.polyfit(x, w, 1)[0]
-    a1_ll = -slope if slope < 0 else 1.0 / x_range
-    rates = [a1_ll] + [m / x_range for m in (0.5, 1.0, 2.0, 8.0)]
-    return [np.array([a0, max(r, 1e-12), x_min, y_min]) for r in rates]
-
-
-def fit_saturating_exp(points, init=None) -> SaturatingExpFit:
-    """Least-squares fit of the concave saturating-exponential family.
-
-    Trust-region-reflective (damped Gauss-Newton) descent from five
-    deterministic starts (or the given one), keeping the lowest SSE.  a0 and
-    a1 are constrained nonnegative so the fitted curve is concave and
-    non-decreasing.
+    The family has three free parameters, so a2 = min(x).  For each rate a1
+    the fit is linear in (a0, a3) and solved in closed form, and a1 alone is
+    searched (variable projection, Golub & Pereyra 1973).  Data that no
+    rising curve fits better than a constant give the flat member
+    a0 = a1 = 0.  The result does not depend on the order of the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an iterable of (x, y) pairs")
-    x, y = pts[:, 0], pts[:, 1]
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    if len(x) < 4:
-        raise InsufficientDataError(
-            f"need at least 4 points to fit 4 parameters, got {len(x)}")
-    if len(np.unique(x)) < 3:
-        raise DegenerateDesignError(
-            f"need at least 3 distinct x values, got {len(np.unique(x))}")
-    if np.ptp(y) == 0.0:
-        # constant data: the flat member of the family, exactly
-        theta = np.array([0.0, 1.0, float(x.min()), float(y[0])])
-        return SaturatingExpFit(*theta, rmse=0.0)
-    guesses = [np.asarray(init, dtype=float)] if init is not None else _initial_guesses(x, y)
-    best_theta, best_sse = None, np.inf
-    for guess in guesses:
-        try:
-            sol = least_squares(
-                lambda th: _model(th, x) - y, guess, jac=lambda th: _jacobian(th, x),
-                bounds=([0.0, 0.0, -np.inf, -np.inf], np.inf), method="trf")
-        except Exception:
-            continue
-        sse = float(np.sum(sol.fun ** 2))
-        if sse < best_sse:
-            best_sse, best_theta = sse, sol.x
-    if best_theta is None:
-        raise EstimationError("all fitting starts failed")
-    rmse = float(np.sqrt(best_sse / len(x)))
-    return SaturatingExpFit(*(float(v) for v in best_theta), rmse=rmse)
+    return _fit_curves([(pts[:, 0], pts[:, 1])])[0]
+
+
+def _fit_curves(curves) -> list[SaturatingExpFit]:
+    """Fit each (x, y) curve; curves with the same number of points form one batch."""
+    batches: dict[int, list] = {}
+    for i, (x, y) in enumerate(curves):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("points must be finite")
+        if len(x) < 4:
+            raise InsufficientDataError(f"need at least 4 points to fit a curve, got {len(x)}")
+        if len(np.unique(x)) < 3:
+            raise DegenerateDesignError(
+                f"need at least 3 distinct x values, got {len(np.unique(x))}")
+        order = np.lexsort((y, x))
+        batches.setdefault(len(x), []).append((i, x[order], y[order]))
+    fits: list = [None] * len(curves)
+    for batch in batches.values():
+        idx, X, Y = zip(*batch)
+        for i, fit in zip(idx, _fit_batch(np.array(X), np.array(Y))):
+            fits[i] = fit
+    return fits
+
+
+def _profile(t: np.ndarray, yc: np.ndarray, log_rate: np.ndarray):
+    """Best a0 >= 0, the SSE and mean(g) of curves (B, n) at rates (B, m)."""
+    g = -np.expm1(-np.exp(log_rate)[..., None] * t[:, None, :])
+    g_mean = g.mean(axis=-1)
+    gc = g - g_mean[..., None]
+    cov = np.sum(gc * yc[:, None, :], axis=-1)
+    a0 = np.where(cov > 0.0, cov / np.sum(gc * gc, axis=-1), 0.0)
+    resid = yc[:, None, :] - a0[..., None] * gc
+    return a0, np.sum(resid * resid, axis=-1), g_mean
+
+
+def _fit_batch(X: np.ndarray, Y: np.ndarray) -> list[SaturatingExpFit]:
+    """Fit B curves of n points sorted by x, X and Y of shape (B, n): a grid
+    over log r between bounds set by the x range and the smallest x gap, then
+    golden-section refinement between the best grid point's neighbours."""
+    B, n = X.shape
+    t = X - X[:, :1]
+    gaps = np.diff(X, axis=1)
+    lo = np.log(_MIN_RATE_SPAN / t[:, -1:])
+    hi = np.log(_MAX_RATE_GAP / np.where(gaps > 0.0, gaps, np.inf).min(axis=1, keepdims=True))
+    # each curve's grid stops at its own hi, so it does not depend on the batch
+    J = int(np.ceil(np.max((hi - lo) / _LOG_RATE_STEP)))
+    grid = np.minimum(lo + _LOG_RATE_STEP * np.arange(J + 1), hi)
+    y_off = Y - Y[:, :1]           # constant data centre to exact zeros
+    yc = y_off - y_off.mean(axis=1, keepdims=True)
+    sse = _profile(t, yc, grid)[1]
+    j = np.argmin(sse, axis=1)[:, None]
+    best, best_sse = np.take_along_axis(grid, j, 1), np.take_along_axis(sse, j, 1)
+    a = np.take_along_axis(grid, np.maximum(j - 1, 0), 1)
+    b = np.take_along_axis(grid, np.minimum(j + 1, J), 1)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = _profile(t, yc, c)[1], _profile(t, yc, d)[1]
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd          # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = _profile(t, yc, new)[1]
+        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
+                        np.where(left, f_new, fd), np.where(left, fc, f_new))
+    for point, f_point in ((c, fc), (d, fd)):
+        best = np.where(f_point < best_sse, point, best)
+        best_sse = np.minimum(f_point, best_sse)
+    a0, sse, g_mean = (v[:, 0] for v in _profile(t, yc, best))
+    rate = np.where(a0 > 0.0, np.exp(best[:, 0]), 0.0)
+    a3 = Y[:, 0] + y_off.mean(axis=1) - a0 * g_mean
+    return [SaturatingExpFit(a0=float(a0[i]), a1=float(rate[i]), a2=float(X[i, 0]),
+                             a3=float(a3[i]), rmse=float(np.sqrt(sse[i] / n)))
+            for i in range(B)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,52 +224,29 @@ class InteractionLog:
         return cls(records=records, eta_viewer=eta_viewer, eta_provider=eta_provider)
 
 
+def _q_header(K: int, L: int) -> list[str]:
+    return [f"q_{k + 1}_{l + 1}" for k in range(K) for l in range(L)]
+
+
 def interaction_log_to_csv(log: InteractionLog) -> str:
     """Trajectory CSV schema plus the per-pair utility columns q_k_l."""
     if not log.records:
         raise ValueError("cannot serialize an empty log")
-    K = log.records[0].s.shape[0]
-    L = log.records[0].e.shape[0]
-    header = trajectory_header(K, L) + [f"q_{k + 1}_{l + 1}"
-                                        for k in range(K) for l in range(L)]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for r in log.records:
-        welfare = float(r.lambda_viewer @ r.s)
-        fields = ([str(r.t)]
-                  + ["%.17g" % v for v in r.lambda_viewer]
-                  + ["%.17g" % v for v in r.lambda_provider]
-                  + ["%.17g" % v for v in r.s]
-                  + ["%.17g" % v for v in r.e]
-                  + ["%.17g" % welfare]
-                  + ["%.17g" % v for v in r.q.ravel()])
-        buf.write(",".join(fields) + "\n")
-    return buf.getvalue()
+    K, L = log.records[0].q.shape
+    return _csv_text(trajectory_header(K, L) + _q_header(K, L), (
+        (r.t, r.lambda_viewer, r.lambda_provider, r.s, r.e,
+         float(r.lambda_viewer @ r.s), r.q) for r in log.records))
 
 
 def parse_interaction_csv(text: str, eta_viewer, eta_provider) -> InteractionLog:
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    K = sum(1 for h in header if h.startswith("lambda_u_"))
-    L = sum(1 for h in header if h.startswith("lambda_c_"))
-    expected = trajectory_header(K, L) + [f"q_{k + 1}_{l + 1}"
-                                          for k in range(K) for l in range(L)]
-    if header != expected:
-        raise ValueError(f"unexpected interaction CSV header: {header!r}")
-    records = []
-    for ln in lines[1:]:
-        vals = [float(v) for v in ln.split(",")]
-        c = 1
-        lam_u = np.array(vals[c:c + K]); c += K
-        lam_c = np.array(vals[c:c + L]); c += L
-        s = np.array(vals[c:c + K]); c += K
-        e = np.array(vals[c:c + L]); c += L
-        c += 1  # welfare column is derivable
-        q = np.array(vals[c:c + K * L]).reshape(K, L)
-        records.append(LogRecord(t=int(vals[0]), s=s, e=e, q=q,
-                                 lambda_viewer=lam_u, lambda_provider=lam_c))
-    return InteractionLog(records=tuple(records), eta_viewer=eta_viewer,
-                          eta_provider=eta_provider)
+    """Inverse of interaction_log_to_csv; the welfare column is derivable and dropped."""
+    table, q = _parse_csv(text, "interaction", _q_header)
+    K, L = table.s.shape[1], table.e.shape[1]
+    records = tuple(
+        LogRecord(t=int(t), s=s, e=e, q=q_t.reshape(K, L), lambda_viewer=u, lambda_provider=c)
+        for t, u, c, s, e, q_t in zip(table.t, table.lambda_viewer, table.lambda_provider,
+                                      table.s, table.e, q))
+    return InteractionLog(records=records, eta_viewer=eta_viewer, eta_provider=eta_provider)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,8 @@ def fit_dynamics(log: InteractionLog, B: np.ndarray | None) -> FittedDynamics:
 
     Targets for the reference curves come from inverting consecutive
     population pairs; effects are fit on (provider population, q - b) pairs
-    (or raw q when B is unknown, absorbing b into the offset).
+    (or raw q when B is unknown, absorbing b into the offset).  All K + L + K*L
+    curves are fitted together; each fit equals fit_saturating_exp on its points.
     """
     if len(log) < 2:
         raise InsufficientDataError("need at least 2 records to recover references")
@@ -336,24 +336,18 @@ def fit_dynamics(log: InteractionLog, B: np.ndarray | None) -> FittedDynamics:
     e = np.array([r.e for r in log.records])
     q = np.array([r.q for r in log.records])                       # (T, K, L)
 
-    viewer_fits = []
-    for k in range(K):
-        target = recover_reference(lam_u[:-1, k], lam_u[1:, k], float(log.eta_viewer[k]))
-        viewer_fits.append(fit_saturating_exp(np.column_stack([s[:-1, k], target])))
-    provider_fits = []
-    for l in range(L):
-        target = recover_reference(lam_c[:-1, l], lam_c[1:, l], float(log.eta_provider[l]))
-        provider_fits.append(fit_saturating_exp(np.column_stack([e[:-1, l], target])))
-    effect_fits = []
-    for k in range(K):
-        row = []
-        for l in range(L):
-            y = q[:, k, l] if B is None else q[:, k, l] - B[k, l]
-            row.append(fit_saturating_exp(np.column_stack([lam_c[:, l], y])))
-        effect_fits.append(tuple(row))
-    return FittedDynamics(lambda_bar_viewer_hat=tuple(viewer_fits),
-                          lambda_bar_provider_hat=tuple(provider_fits),
-                          f_hat=tuple(effect_fits), b_known=B is not None)
+    curves = [(s[:-1, k], recover_reference(lam_u[:-1, k], lam_u[1:, k],
+                                            float(log.eta_viewer[k]))) for k in range(K)]
+    curves += [(e[:-1, l], recover_reference(lam_c[:-1, l], lam_c[1:, l],
+                                             float(log.eta_provider[l]))) for l in range(L)]
+    curves += [(lam_c[:, l], q[:, k, l] if B is None else q[:, k, l] - B[k, l])
+               for k in range(K) for l in range(L)]
+    fits = _fit_curves(curves)
+    return FittedDynamics(lambda_bar_viewer_hat=tuple(fits[:K]),
+                          lambda_bar_provider_hat=tuple(fits[K:K + L]),
+                          f_hat=tuple(tuple(fits[K + L + k * L:K + L + (k + 1) * L])
+                                      for k in range(K)),
+                          b_known=B is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +384,12 @@ class SimulatorBlackbox:
     def step(self, pi) -> LogRecord:
         """Deploy a policy for one step; returns the observation at the
         pre-step state, then advances the hidden state."""
-        from .dynamics import payoffs, step as dyn_step
         rows = validate_policy(pi)
         p = payoffs(self._env, self._state, rows)
         record = LogRecord(t=self._state.t, s=p.s, e=p.e, q=p.q,
                            lambda_viewer=self._state.viewer,
                            lambda_provider=self._state.provider)
-        self._state = dyn_step(self._env, self._state, rows, self._rng)
+        self._state = _advance(self._env, self._state, p, self._rng)
         return record
 
 

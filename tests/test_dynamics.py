@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
@@ -405,6 +406,7 @@ def test_closed_form_list_matches_dense_spectrum():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6))
+@example(seed=1419)   # four eigenvalues share one real part
 def test_closed_form_matches_dense_spectrum_with_one_rate_per_side(seed):
     # K != L included; the formula needs no fixed point, so any state will do
     env = random_env(seed)
@@ -414,11 +416,14 @@ def test_closed_form_matches_dense_spectrum_with_one_rate_per_side(seed):
     env = EnvironmentSpec.from_dict(d)
     state = random_state(seed, env)
     pi = random_policy(seed, env.K, env.L)
-    analytic = np.sort_complex(np.asarray(closed_form_eigenvalues(env, pi, state),
-                                          dtype=complex))
-    dense = np.sort_complex(np.linalg.eigvals(assemble_jacobian(env, pi, state)))
+    analytic = np.asarray(closed_form_eigenvalues(env, pi, state), dtype=complex)
+    dense = np.linalg.eigvals(assemble_jacobian(env, pi, state))
     assert analytic.shape == (env.K + env.L,)
-    assert np.max(np.abs(analytic - dense)) <= 1e-8
+    # pair the spectra by minimum-cost assignment: sorting mispairs eigenvalues
+    # whose real parts agree up to round-off
+    cost = np.abs(analytic[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-8
 
 
 def test_closed_form_refuses_per_group_rates():

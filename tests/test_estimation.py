@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from twoside_sim import (DegenerateDesignError, EnvironmentSpec,
                          EstimationError, EstimationWarning,
                          ExploreCommitConfig, FittedDynamics,
                          InsufficientDataError, InteractionLog, LookaheadConfig,
+                         NoiseSpec,
                          PopulationState, SimulatorBlackbox, epsilon_greedy,
                          explore_then_commit, fit_dynamics, fit_saturating_exp,
                          fn_eval, interaction_log_to_csv, myopic_greedy,
@@ -17,6 +23,8 @@ from twoside_sim import (DegenerateDesignError, EnvironmentSpec,
 import twoside_sim.estimation as estimation_module
 
 from conftest import random_env, random_policy, random_state
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sat_env(seed=0, eta=0.4, noise=None):
@@ -124,6 +132,99 @@ def test_fit_round_trips_through_dict():
     assert back == fit
 
 
+def trf_multistart_sse(x, y):
+    """Lowest SSE of a four-parameter trust-region-reflective fit from five
+    starts (the data-range anchors and a spread of rates), with a0, a1 >= 0."""
+    def model(th):
+        a0, a1, a2, a3 = th
+        return a0 * (1.0 - np.exp(np.clip(-a1 * (x - a2), -700.0, 700.0))) + a3
+
+    def jac(th):
+        a0, a1, a2, a3 = th
+        E = np.exp(np.clip(-a1 * (x - a2), -700.0, 700.0))
+        return np.column_stack([1.0 - E, a0 * (x - a2) * E, -a0 * a1 * E,
+                                np.ones_like(x)])
+
+    x_range, y_range = float(np.ptp(x)), float(np.ptp(y))
+    ceiling = y.max() + 0.05 * max(y_range, 1.0)
+    slope = np.polyfit(x, np.log(np.maximum(ceiling - y, 1e-12)), 1)[0]
+    rates = [-slope if slope < 0 else 1.0 / x_range] + [
+        m / x_range for m in (0.5, 1.0, 2.0, 8.0)]
+    best = np.inf
+    for rate in rates:
+        start = np.array([y_range or 1.0, max(rate, 1e-12), x.min(), y.min()])
+        sol = least_squares(lambda th: model(th) - y, start, jac=jac,
+                            bounds=([0.0, 0.0, -np.inf, -np.inf], np.inf), method="trf")
+        best = min(best, float(np.sum(sol.fun ** 2)))
+    return best
+
+
+def fit_sse(fit, x, y):
+    """SSE of a fit, with 1 - exp evaluated without cancellation."""
+    pred = fit.a3 + fit.a0 * -np.expm1(-fit.a1 * (x - fit.a2))
+    return float(np.sum((pred - y) ** 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(["family", "line", "noise"]))
+def test_fit_sse_never_above_multistart_trust_region(seed, shape):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    x = rng.uniform(-20.0, 50.0, n)
+    if shape == "family":
+        a0 = rng.uniform(0.5, 40.0)
+        y = (a0 * (1.0 - np.exp(-10 ** rng.uniform(-3, 0.5) * (x - x.min())))
+             + rng.uniform(-5, 5) + rng.normal(0.0, 10 ** rng.uniform(-3, -1) * a0, n))
+    elif shape == "line":
+        y = rng.uniform(-1, 1) * x + rng.normal(0.0, 0.5, n)
+    else:
+        y = rng.uniform(0.0, 20.0, n)
+    if len(np.unique(x)) < 3:
+        return
+    fit = fit_saturating_exp(np.column_stack([x, y]))
+    sse = fit_sse(fit, x, y)
+    assert sse <= trf_multistart_sse(x, y) * (1.0 + 1e-9)
+    assert np.sqrt(sse / n) == pytest.approx(fit.rmse, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_fit_is_canonical_and_order_free(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    x = np.round(rng.uniform(0.0, 30.0, n), 1)     # ties included
+    y = 3.0 * (1.0 - np.exp(-0.2 * x)) + rng.normal(0.0, 0.3, n)
+    if len(np.unique(x)) < 3:
+        return
+    fit = fit_saturating_exp(np.column_stack([x, y]))
+    assert fit.a2 == x.min()
+    perm = rng.permutation(n)
+    again = fit_saturating_exp(np.column_stack([x[perm], y[perm]]))
+    assert again.params == fit.params and again.rmse == fit.rmse
+
+
+def test_fit_of_decreasing_data_is_the_flat_member():
+    x = np.array([0.0, 1.0, 2.5, 4.0, 7.0, 9.0])
+    y = 10.0 - x ** 1.5
+    fit = fit_saturating_exp(np.column_stack([x, y]))
+    assert (fit.a0, fit.a1, fit.a2) == (0.0, 0.0, 0.0)
+    assert fit.a3 == pytest.approx(y.mean(), rel=1e-14)
+    assert fit.rmse == pytest.approx(np.std(y), rel=1e-12)
+
+
+def test_fit_takes_no_initial_guess():
+    with pytest.raises(TypeError):
+        fit_saturating_exp([(0.0, 1.0), (1.0, 1.5), (2.0, 1.9), (4.0, 2.4)],
+                           init=[1.0, 1.0, 0.0, 1.0])
+
+
+def test_package_does_not_import_scipy_optimize():
+    code = "import sys, twoside_sim; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
+
+
 # --- interaction logs ---
 
 
@@ -139,6 +240,18 @@ def test_log_from_trajectory_and_csv_round_trip():
         assert a.t == b.t
         np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.lambda_viewer, b.lambda_viewer)
+
+
+def test_interaction_csv_without_rows_and_with_a_short_row():
+    env = sat_env()
+    traj = rollout(env, epsilon_greedy(env.B, 0.3), 3, START)
+    text = interaction_log_to_csv(
+        InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider))
+    header, first = text.splitlines()[:2]
+    assert len(parse_interaction_csv(header + "\n", env.eta_viewer, env.eta_provider)) == 0
+    short = header + "\n" + first.rsplit(",", 1)[0] + "\n"
+    with pytest.raises(ValueError):
+        parse_interaction_csv(short, env.eta_viewer, env.eta_provider)
 
 
 def test_log_rejects_time_gaps():
@@ -178,6 +291,29 @@ def test_fit_dynamics_serde_and_surrogate():
     assert surrogate.K == env.K and surrogate.L == env.L
     blind = back.surrogate_env(None, env.eta_viewer, env.eta_provider)
     np.testing.assert_array_equal(blind.B, np.zeros((2, 2)))
+
+
+def test_fit_dynamics_curves_equal_single_fits():
+    env = sat_env(noise=NoiseSpec(relative_std=0.02))
+    traj = rollout(env, epsilon_greedy(env.B, 0.5), 25, START, seed=4)
+    log = InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider)
+    fitted = fit_dynamics(log, env.B)
+    lam_u = np.array([r.lambda_viewer for r in log.records])
+    lam_c = np.array([r.lambda_provider for r in log.records])
+    s = np.array([r.s for r in log.records])
+    e = np.array([r.e for r in log.records])
+    q = np.array([r.q for r in log.records])
+    for k in range(env.K):
+        target = recover_reference(lam_u[:-1, k], lam_u[1:, k], float(env.eta_viewer[k]))
+        assert fitted.lambda_bar_viewer_hat[k] == fit_saturating_exp(
+            np.column_stack([s[:-1, k], target]))
+    for l in range(env.L):
+        target = recover_reference(lam_c[:-1, l], lam_c[1:, l], float(env.eta_provider[l]))
+        assert fitted.lambda_bar_provider_hat[l] == fit_saturating_exp(
+            np.column_stack([e[:-1, l], target]))
+        for k in range(env.K):
+            assert fitted.f_hat[k][l] == fit_saturating_exp(
+                np.column_stack([lam_c[:, l], q[:, k, l] - env.B[k, l]]))
 
 
 def test_fit_dynamics_needs_two_records():
