@@ -14,8 +14,8 @@ from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        DivergenceError, FixedPointPreconditionError,
                        StabilityReport, Trajectory, TrajectoryStep,
                        TrajectoryTable, assemble_jacobian,
-                       check_sufficient_stability, closed_form_eigenvalues,
-                       enumerate_fixed_points, find_fixed_point,
+                       closed_form_eigenvalues, enumerate_fixed_points,
+                       find_fixed_point,
                        fixed_point_residual, jacobian_eigenvalues,
                        parse_trajectory_csv, payoffs, rollout, step,
                        trajectory_header, trajectory_table, trajectory_to_csv,

@@ -174,27 +174,131 @@ def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
 
 def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
                      tol: float = 1e-10, max_iter: int = 100000) -> PopulationState:
-    """Iterate the noiseless dynamics map until max-norm residual <= tol.
+    """The fixed point of the noiseless map F that iteration from `init` reaches.
+
+    The search runs in three stages.
+    - Plain iteration x <- F(x) until it is seen to contract: the max-norm
+      residual r = |F(x) - x| falls, by the ratio q < 1.
+    - Newton steps y = x - (J - I)^-1 (F(x) - x), with J the analytic
+      Jacobian and its rows zeroed where F clips a population to 0.  Newton
+      is drawn to repelling fixed points as readily as to attracting ones,
+      and from far off it can leave the basin plain iteration stays in, so a
+      step is kept only when
+        * the linearized map contracts at x and at y,
+        * |y - x| <= 2 r / (1 - q), twice the distance a map contracting at
+          the observed ratio could still carry x,
+        * it at least halves the residual, and
+        * the Newton step from y is at most half as long as this one.
+      Otherwise the plain step is taken, and the next trial waits 1, 2, 4, ...
+      plain steps.
+    - Once the residual is at most tol, one Newton polish, kept unless it
+      raises the residual, so that the returned point lies at the fixed
+      point and not merely within tol of it.
+    The returned residual is at most tol.  A map whose residual never falls
+    never reaches Newton, so it behaves as plain iteration does.
 
     The returned point depends on the initial condition when several fixed
     points exist.  The returned state carries t = 0 (an equilibrium has no
-    meaningful timestep index).  Raises ConvergenceError after max_iter
-    iterations, or its DivergenceError subclass as soon as an iterate
-    overflows.
+    meaningful timestep index).  max_iter bounds the evaluations of F, each
+    Newton trial counted as one.  Raises ConvergenceError when they run out,
+    or its DivergenceError subclass as soon as a plain iterate overflows.
     """
     if env.noise_active:
         raise ValueError("find_fixed_point requires noise to be disabled")
-    state = init
-    residual = np.inf
-    for _ in range(max_iter):
-        nxt = step(env, state, pi, rng=None)
-        residual = _state_distance(state, nxt)
-        if residual <= tol:
-            return PopulationState(t=0, viewer=state.viewer, provider=state.provider)
-        state = nxt
-    raise ConvergenceError(
-        f"no fixed point within {max_iter} iterations (last residual {residual:.3e})",
-        last_state=state, residual=float(residual))
+    x, fx = init, step(env, init, pi, rng=None)
+    evals, residual = 1, _state_distance(init, fx)
+    rate = None                     # the last residual ratio, while below 1
+    wait, backoff = 0, 1            # plain steps before the next Newton trial
+    linearized = None               # the map linearized at x, once a Newton step lands there
+    while residual > tol:
+        if evals >= max_iter:
+            raise ConvergenceError(
+                f"no fixed point within {max_iter} iterations "
+                f"(last residual {residual:.3e})", last_state=fx, residual=float(residual))
+        if rate is not None and wait == 0:
+            evals += 1
+            trial = _guarded_newton(env, pi, x, fx, residual, rate, linearized)
+            if trial is not None:
+                x, fx, residual, linearized = trial
+                continue
+            wait, backoff = backoff, 2 * backoff
+            if evals >= max_iter:
+                continue
+        wait = max(wait - 1, 0)
+        x, fx, linearized = fx, step(env, fx, pi, rng=None), None
+        evals += 1
+        previous, residual = residual, _state_distance(x, fx)
+        rate = residual / previous if residual < previous else None
+    if 0.0 < residual and evals < max_iter:
+        with np.errstate(all="ignore"):
+            y = _newton_point(linearized or _clipped_linearization(env, pi, x, fx), x, fx)
+        fy = None if y is None else _image(env, pi, y)
+        if fy is not None and _state_distance(y, fy) <= residual:
+            x = y
+    return PopulationState(t=0, viewer=x.viewer, provider=x.provider)
+
+
+def _guarded_newton(env: EnvironmentSpec, pi, x: PopulationState, fx: PopulationState,
+                    residual: float, rate: float, linearized: _LinearizedMap | None):
+    """(y, F(y), |F(y) - y|, the map linearized at y) for the Newton step y
+    from x when find_fixed_point keeps it, else None.  `linearized`, when
+    given, is the map linearized at x and already found attracting."""
+    with np.errstate(all="ignore"):
+        if linearized is None:
+            linearized = _clipped_linearization(env, pi, x, fx)
+            if not linearized.coupling_contracts():
+                return None
+        y = _newton_point(linearized, x, fx)
+        if y is None or _state_distance(x, y) > 2.0 * residual / (1.0 - rate):
+            return None
+        fy = _image(env, pi, y)
+        if fy is None:
+            return None
+        residual_y = _state_distance(y, fy)
+        if residual_y > residual / 2:
+            return None
+        at_y = _clipped_linearization(env, pi, y, fy)
+        if not at_y.coupling_contracts():
+            return None
+        z = _newton_point(at_y, y, fy)
+        if z is None or _state_distance(y, z) > _state_distance(x, y) / 2:
+            return None
+    return y, fy, residual_y, at_y
+
+
+def _clipped_linearization(env: EnvironmentSpec, pi, x: PopulationState,
+                           fx: PopulationState) -> _LinearizedMap:
+    """The map linearized at x, the groups where F(x) is 0 taken as clipped."""
+    return _LinearizedMap(env, pi, x, clipped=_stacked(fx) == 0.0)
+
+
+def _newton_point(linearized: _LinearizedMap, x: PopulationState,
+                  fx: PopulationState) -> PopulationState | None:
+    """x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J from
+    `linearized`; None when J - I is singular or the step is not finite."""
+    x_vec, fx_vec = _stacked(x), _stacked(fx)
+    jac = linearized.jacobian()
+    try:
+        delta = np.linalg.solve(jac - np.eye(len(jac)), fx_vec - x_vec)
+    except np.linalg.LinAlgError:
+        return None
+    y_vec = np.maximum(x_vec - delta, 0.0)
+    if not np.all(np.isfinite(y_vec)):
+        return None
+    K = linearized.env.K
+    return PopulationState(t=x.t + 1, viewer=y_vec[:K], provider=y_vec[K:])
+
+
+def _image(env: EnvironmentSpec, pi, y: PopulationState) -> PopulationState | None:
+    """F(y), or None when it overflows."""
+    try:
+        return step(env, y, pi, rng=None)
+    except DivergenceError:
+        return None
+
+
+def _stacked(state: PopulationState) -> np.ndarray:
+    return np.concatenate([state.viewer, state.provider])
 
 
 def fixed_point_residual(env: EnvironmentSpec, pi, at: PopulationState) -> float:
@@ -204,19 +308,27 @@ def fixed_point_residual(env: EnvironmentSpec, pi, at: PopulationState) -> float
 
 def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationState],
                            tol: float = 1e-10, max_iter: int = 100000) -> list[PopulationState]:
-    """Multi-start fixed-point search, deduplicated at 10*tol separation.
+    """Multi-start fixed-point search, one point per equilibrium found.
 
-    Starts that fail to converge are skipped.
+    Each point find_fixed_point returns has residual at most tol, so to first
+    order it lies within radius(x) = tol * ||(J - I)^+||_inf of its
+    equilibrium, with J - I as in the Newton steps and ^+ the pseudo-inverse
+    (a group with rate 0 makes J - I singular, and the search never moves
+    such a group).  Two points closer than the sum of their radii are one
+    equilibrium, and the first found is kept.  Starts that fail to converge
+    are skipped.
     """
-    found: list[PopulationState] = []
+    found: list[tuple[PopulationState, float]] = []
     for init in inits:
         try:
             fp = find_fixed_point(env, pi, init, tol=tol, max_iter=max_iter)
         except ConvergenceError:
             continue
-        if all(_state_distance(fp, other) > 10 * tol for other in found):
-            found.append(fp)
-    return found
+        jac = _clipped_linearization(env, pi, fp, step(env, fp, pi, rng=None)).jacobian()
+        radius = tol * float(np.linalg.norm(np.linalg.pinv(jac - np.eye(len(jac))), np.inf))
+        if all(_state_distance(fp, other) > radius + r for other, r in found):
+            found.append((fp, radius))
+    return [fp for fp, _ in found]
 
 
 def _state_distance(a: PopulationState, b: PopulationState) -> float:
@@ -236,6 +348,8 @@ class StabilityReport:
     Jacobian and is what ``stable`` is judged on.  ``analytic_eigenvalues``
     is the exact closed-form spectrum (see closed_form_eigenvalues), or None
     when the rates differ within a side and no closed form exists.
+    ``sufficient_condition_holds`` is the rate-free test rho(G12 G21) < 1 (see
+    jacobian_eigenvalues); it agrees with ``stable`` up to round-off.
     """
 
     fixed_point: PopulationState
@@ -250,22 +364,34 @@ class StabilityReport:
 class _LinearizedMap:
     """The curve slopes at `at` under `pi`, and the off-diagonal Jacobian
     blocks (A12, A21) built from them: the one pass that assemble_jacobian,
-    closed_form_eigenvalues and derivative_bounds_at each need, and that
-    jacobian_eigenvalues shares among them."""
+    closed_form_eigenvalues, the stability test and the Newton steps of
+    find_fixed_point each need, and that jacobian_eigenvalues shares among
+    them.
 
-    def __init__(self, env: EnvironmentSpec, pi, at: PopulationState):
+    `clipped` (viewer entries first) marks the groups whose update the map
+    clips to 0 at `at`.  The map is locally constant there, so their rows of
+    J are zeroed: they act as a rate of 1 and slopes of 0.
+    """
+
+    def __init__(self, env: EnvironmentSpec, pi, at: PopulationState,
+                 clipped: np.ndarray | None = None):
         self.env = env
-        rows = as_rows(pi)
+        self.rows = rows = as_rows(pi)
         p = payoffs(env, at, rows)
         self.dv = env.viewer_curves.deriv(p.s)          # lambda_bar_k' at s_k
         self.dc = env.provider_curves.deriv(p.e)        # lambda_bar_l' at e_l
         self.df = env.f_grid.deriv(at.provider)         # f_{k,l}' at provider_l
-        self.A12 = (env.eta_viewer * self.dv)[:, None] * rows * self.df
-        self.A21 = (env.eta_provider * self.dc)[:, None] * rows.T
+        self.eta_v, self.eta_p = env.eta_viewer, env.eta_provider
+        if clipped is not None:
+            cv, cp = clipped[:env.K], clipped[env.K:]
+            self.dv, self.dc = np.where(cv, 0.0, self.dv), np.where(cp, 0.0, self.dc)
+            self.eta_v, self.eta_p = np.where(cv, 1.0, self.eta_v), np.where(cp, 1.0, self.eta_p)
+        self.A12 = (self.eta_v * self.dv)[:, None] * rows * self.df
+        self.A21 = (self.eta_p * self.dc)[:, None] * rows.T
 
     def jacobian(self) -> np.ndarray:
-        A11 = np.diag(1.0 - self.env.eta_viewer)
-        A22 = np.diag(1.0 - self.env.eta_provider)
+        A11 = np.diag(1.0 - self.eta_v)
+        A22 = np.diag(1.0 - self.eta_p)
         return np.block([[A11, self.A12], [self.A21, A22]])
 
     def closed_form_spectrum(self) -> np.ndarray:
@@ -280,10 +406,14 @@ class _LinearizedMap:
         eigs = np.concatenate([(a + b) / 2.0 + root, (a + b) / 2.0 - root, leftover])
         return eigs.real if not np.any(eigs.imag) else eigs
 
-    def derivative_bounds(self) -> tuple[float, float]:
-        C1 = float(np.max(np.abs(self.dc) * np.max(np.abs(self.df), axis=0)))
-        C2 = float(np.max(np.abs(self.dv)))
-        return C1, C2
+    def coupling_contracts(self) -> bool:
+        """rho(J) < 1, decided as rho(G12 G21) < 1 (see jacobian_eigenvalues)."""
+        if np.any(self.eta_v == 0.0) or np.any(self.eta_p == 0.0):
+            return False        # a group that never moves: J has the eigenvalue 1
+        G12 = self.dv[:, None] * self.rows * self.df
+        G21 = self.dc[:, None] * self.rows.T
+        coupling = G12 @ G21 if self.env.K <= self.env.L else G21 @ G12
+        return bool(np.max(np.abs(np.linalg.eigvals(coupling))) < 1.0)
 
 
 def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
@@ -326,30 +456,6 @@ def closed_form_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState) -> np
     return _LinearizedMap(env, pi, at).closed_form_spectrum()
 
 
-def check_sufficient_stability(env: EnvironmentSpec, pi, at: PopulationState,
-                               C1: float, C2: float) -> bool:
-    """Column-sum sufficient condition for stability.
-
-    True iff every provider column satisfies sum_k pi[k, l] <= 4 / (eta*C1*C2)
-    with eta = max_k eta_k; C1 bounds |lambda_bar_l' * f_l'| and C2 bounds
-    |lambda_bar_k'| at the fixed point (caller-supplied).
-    """
-    if C1 <= 0 or C2 <= 0:
-        raise ValueError("C1 and C2 must be > 0")
-    eta = float(np.max(env.eta_viewer))
-    if eta == 0.0:
-        return True
-    bound = 4.0 / (eta * C1 * C2)
-    col_sums = as_rows(pi).sum(axis=0)
-    return bool(np.all(col_sums <= bound))
-
-
-def derivative_bounds_at(env: EnvironmentSpec, pi, at: PopulationState) -> tuple[float, float]:
-    """(C1, C2) evaluated at `at`: the tightest constants the sufficient
-    condition can be checked with at this fixed point."""
-    return _LinearizedMap(env, pi, at).derivative_bounds()
-
-
 def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
                          tol: float = 1e-10) -> StabilityReport:
     """Stability analysis at a fixed point.
@@ -357,8 +463,17 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     Returns both the dense numeric spectrum of the assembled Jacobian and,
     when one rate per side makes it available, the closed-form spectrum.
     `stable` means numeric spectral radius < 1.
-    The sufficient-condition flag is evaluated with the derivative bounds
-    measured at the fixed point itself.
+
+    `sufficient_condition_holds` is the exact, rate-free test
+    rho(G12 G21) < 1 with G12[k, l] = lambda_bar_k'(s_k) pi[k, l] f_{k,l}'
+    and G21[l, k] = lambda_bar_l'(e_l) pi[k, l], so that A12 = eta_viewer G12
+    and A21 = eta_provider G21.  Every curve of the family is non-decreasing,
+    so G >= 0, and I - J = E (I - G) with E = diag(eta) is a Z-matrix; with
+    every rate positive, rho(J) < 1 exactly when I - G is a nonsingular
+    M-matrix, that is when rho(G)^2 = rho(G12 G21) < 1 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6).  A group with
+    rate 0 gives J the eigenvalue 1, and the flag is false.  Only a
+    min(K, L)-square matrix goes through the eigensolver.
     """
     residual = fixed_point_residual(env, pi, at)
     if residual > 10 * tol:
@@ -368,14 +483,9 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     eigs = np.linalg.eigvals(linearized.jacobian())
     analytic = linearized.closed_form_spectrum() if _one_rate_per_side(env) else None
     rho = float(np.max(np.abs(eigs)))
-    C1, C2 = linearized.derivative_bounds()
-    if C1 > 0 and C2 > 0:
-        sufficient = check_sufficient_stability(env, pi, at, C1, C2)
-    else:
-        sufficient = True   # zero derivative bound: the condition is vacuous
     return StabilityReport(fixed_point=at, eigenvalues=eigs, analytic_eigenvalues=analytic,
                            spectral_radius=rho, stable=bool(rho < 1.0),
-                           sufficient_condition_holds=bool(sufficient),
+                           sufficient_condition_holds=linearized.coupling_contracts(),
                            residual=float(residual))
 
 

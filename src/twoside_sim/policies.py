@@ -226,21 +226,23 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     theta = np.log(init)
     best_pi: np.ndarray | None = None
     best_obj = -np.inf
-    for it in range(config.iterations + 1):
-        pi = row_softmax(theta)
-        pieces = _lookahead_pieces(env, state, pi, config.gamma)   # one forward pass
-        obj = _objective(pieces)
-        if not np.isfinite(obj):
-            raise OptimizationError(
-                f"non-finite objective {obj!r} at iteration {it}", iteration=it)
-        if obj > best_obj:
-            best_obj = obj
-            best_pi = pi
-        if it == config.iterations:
-            break
-        grad_pi = (_analytic_gradient(env, state, config.gamma, pieces) if env.smooth
-                   else finite_difference_gradient(env, state, pi, config.gamma))
-        # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
-        grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
-        theta = theta + config.learning_rate * grad_theta
+    # an overflow shows up as a non-finite objective, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.iterations + 1):
+            pi = row_softmax(theta)
+            pieces = _lookahead_pieces(env, state, pi, config.gamma)   # one forward pass
+            obj = _objective(pieces)
+            if not np.isfinite(obj):
+                raise OptimizationError(
+                    f"non-finite objective {obj!r} at iteration {it}", iteration=it)
+            if obj > best_obj:
+                best_obj = obj
+                best_pi = pi
+            if it == config.iterations:
+                break
+            grad_pi = (_analytic_gradient(env, state, config.gamma, pieces) if env.smooth
+                       else finite_difference_gradient(env, state, pi, config.gamma))
+            # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
+            grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
+            theta = theta + config.learning_rate * grad_theta
     return validate_policy(best_pi)

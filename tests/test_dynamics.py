@@ -4,15 +4,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import twoside_sim.dynamics as dynamics
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
                          FixedPointPreconditionError, NoiseSpec,
-                         PopulationState, assemble_jacobian,
-                         check_sufficient_stability, closed_form_eigenvalues,
-                         enumerate_fixed_points, find_fixed_point,
-                         fixed_point_residual, fn_deriv, fn_eval,
-                         jacobian_eigenvalues, linear_fn, parse_trajectory_csv,
-                         payoffs, rollout, step, table_fn, three_equilibria_env,
+                         PopulationState, SyntheticScenarioConfig,
+                         assemble_jacobian, closed_form_eigenvalues,
+                         enumerate_fixed_points, epsilon_greedy,
+                         find_fixed_point, fixed_point_residual, fn_deriv,
+                         fn_eval, gen_synthetic, jacobian_eigenvalues,
+                         linear_fn, parse_trajectory_csv, payoffs, rollout,
+                         saturating_exp, scaled_logistic, step, table_fn,
+                         three_equilibria_env,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
                          trajectory_to_csv, validate_policy, welfare)
 
@@ -312,6 +315,126 @@ def test_enumerate_skips_nonconvergent_starts():
     assert enumerate_fixed_points(env, [[1.0]], inits, tol=1e-10, max_iter=20) == []
 
 
+def plain_iteration(env, pi, init, tol=1e-13, max_iter=20000):
+    """The reference search: step until the residual is at most tol (None
+    when max_iter steps do not get there)."""
+    state = init
+    for _ in range(max_iter):
+        nxt = step(env, state, pi)
+        if max(np.max(np.abs(nxt.viewer - state.viewer)),
+               np.max(np.abs(nxt.provider - state.provider))) <= tol:
+            return state
+        state = nxt
+    return None
+
+
+def stacked(state):
+    return np.concatenate([state.viewer, state.provider])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), scale=st.sampled_from([2.0, 20.0, 50.0]))
+@example(seed=387, scale=20.0)   # unguarded Newton from here lands on another point
+@example(seed=450, scale=2.0)
+def test_search_reaches_the_point_plain_iteration_reaches(seed, scale):
+    env = random_env(seed, max_dim=4)
+    pi = random_policy(seed, env.K, env.L)
+    init = random_state(seed, env, scale=scale)
+    try:
+        want = plain_iteration(env, pi, init)
+    except DivergenceError:
+        want = None
+    assume(want is not None)
+    got = find_fixed_point(env, pi, init, tol=1e-10, max_iter=20000)
+    assert fixed_point_residual(env, pi, got) <= 1e-10
+    gap = np.max(np.abs(stacked(got) - stacked(want)))
+    assert gap <= 1e-8 * max(1.0, np.max(np.abs(stacked(want))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(eta=st.sampled_from([0.05, 0.2, 0.5]),
+       viewer=st.floats(0.0, 1.3), provider=st.floats(0.0, 1.3))
+# starts near the separatrix of the slow instance, each needing a guard on Newton steps
+@example(eta=0.05, viewer=0.873686705871161, provider=0.21324423968505288)   # contraction
+@example(eta=0.05, viewer=0.7740588634013635, provider=0.26511981277667956)  # step length
+@example(eta=0.05, viewer=1.0654040461016736, provider=0.0015300536169820522)  # halving
+@example(eta=0.05, viewer=0.9061171755686914, provider=0.14266492178269377)  # next step
+def test_search_keeps_the_basin_of_the_three_equilibria(eta, viewer, provider):
+    env = three_equilibria_env(eta)
+    init = PopulationState(t=0, viewer=[viewer], provider=[provider])
+    want = plain_iteration(env, [[1.0]], init)
+    assume(want is not None)
+    got = find_fixed_point(env, [[1.0]], init, tol=1e-10)
+    np.testing.assert_allclose(stacked(got), stacked(want), atol=1e-8)
+
+
+def test_search_lands_at_the_fixed_point_not_short_of_it():
+    # plain iteration stops about tol * rho / (1 - rho) short; rho = 0.968 here
+    env = gen_synthetic(SyntheticScenarioConfig(K=20, L=20, d=20, eta=0.05, seed=0))
+    pi = epsilon_greedy(env.B, 0.1)
+    zero = PopulationState(t=0, viewer=np.zeros(20), provider=np.zeros(20))
+    reference = stacked(plain_iteration(env, pi, zero, tol=1e-14, max_iter=100000))
+    short = plain_iteration(env, pi, zero, tol=1e-10)
+    assert np.max(np.abs(stacked(short) - reference)) > 1e-9
+    got = stacked(find_fixed_point(env, pi, zero, tol=1e-10))
+    assert np.max(np.abs(got - reference)) <= 1e-12
+    # a start already within tol is only polished
+    polished = stacked(find_fixed_point(env, pi, short, tol=1e-10))
+    assert np.max(np.abs(polished - reference)) <= 1e-12
+
+
+def count_steps(monkeypatch):
+    calls = []
+    plain_step = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or plain_step(*a, **k))
+    return calls
+
+
+def test_search_zeroes_the_rows_of_a_collapsed_group(monkeypatch):
+    # provider 2's reference curve is negative at every exposure it gets, so
+    # the map clips it to 0; plain iteration takes 328 steps
+    env = EnvironmentSpec(
+        K=2, L=2, B=[[1.0, 0.2], [0.5, 0.3]],
+        f=((saturating_exp(2.0, 0.5, 0.0, 0.0), saturating_exp(1.0, 0.5, 0.0, 0.0)),) * 2,
+        lambda_bar_viewer=(scaled_logistic(5.0, 1.0, 1.0), scaled_logistic(4.0, 1.0, 1.5)),
+        lambda_bar_provider=(linear_fn(0.8, 0.5), linear_fn(0.3, -2.0)),
+        eta_viewer=[0.1, 0.1], eta_provider=[0.1, 0.1])
+    pi = [[0.7, 0.3], [0.6, 0.4]]
+    calls = count_steps(monkeypatch)
+    fp = find_fixed_point(env, pi, PopulationState(t=0, viewer=[1.0, 1.0], provider=[1.0, 1.0]))
+    assert len(calls) <= 20
+    assert fp.provider[1] == 0.0
+    assert fixed_point_residual(env, pi, fp) <= 1e-10
+
+
+def test_search_counts_newton_trials_against_max_iter(monkeypatch):
+    env = gen_synthetic(SyntheticScenarioConfig(K=5, L=5, d=5, eta=0.1, seed=0))
+    pi = epsilon_greedy(env.B, 0.1)
+    zero = PopulationState(t=0, viewer=np.zeros(5), provider=np.zeros(5))
+    calls = count_steps(monkeypatch)
+    outcomes = set()
+    for max_iter in range(1, 80):
+        calls.clear()
+        try:
+            find_fixed_point(env, pi, zero, tol=1e-10, max_iter=max_iter)
+            outcomes.add("found")
+        except ConvergenceError:
+            outcomes.add("ran out")
+        assert len(calls) <= max_iter
+    assert outcomes == {"found", "ran out"}
+
+
+def test_enumerate_merges_one_equilibrium_reached_from_both_sides():
+    # the second start lies above the equilibrium, the first below it; with
+    # plain iteration the two searches stopped 6.1e-9 apart, outside 10 * tol
+    env = gen_synthetic(SyntheticScenarioConfig(K=20, L=20, d=20, eta=0.05, seed=0))
+    pi = epsilon_greedy(env.B, 0.1)
+    zero = PopulationState(t=0, viewer=np.zeros(20), provider=np.zeros(20))
+    fp = find_fixed_point(env, pi, zero, tol=1e-10)
+    above = PopulationState(t=0, viewer=2 * fp.viewer + 1, provider=2 * fp.provider + 1)
+    assert len(enumerate_fixed_points(env, pi, [zero, above], tol=1e-10)) == 1
+
+
 # --- stability analysis ---
 
 
@@ -439,35 +562,63 @@ def test_closed_form_refuses_per_group_rates():
     assert rep.eigenvalues.shape == (3,)
 
 
-# --- sufficient condition ---
+# --- stability flag: rho(G12 G21) < 1 ---
 
 
-def test_sufficient_condition_examples():
-    envK4 = linear_env(4, 2, [0.2] * 4, [0.2] * 2, [[0.1, 0.1]] * 4,
-                       B=np.ones((4, 2)), eta_v=[1.0] * 4, eta_p=[0.5] * 2)
-    at = PopulationState(t=0, viewer=[1.0] * 4, provider=[1.0] * 2)
-    concentrated = validate_policy([[1.0, 0.0]] * 4)       # column sum 4
-    assert not check_sufficient_stability(envK4, concentrated, at, C1=2.0, C2=2.0)
-
-    env44 = linear_env(4, 4, [0.2] * 4, [0.2] * 4, [[0.1] * 4] * 4,
-                       B=np.ones((4, 4)), eta_v=[1.0] * 4, eta_p=[0.5] * 4)
-    at44 = PopulationState(t=0, viewer=[1.0] * 4, provider=[1.0] * 4)
-    uniform = validate_policy(np.full((4, 4), 0.25))       # column sums 1 == bound
-    assert check_sufficient_stability(env44, uniform, at44, C1=2.0, C2=2.0)
+def test_stability_flag_rejects_the_unstable_middle_equilibrium():
+    # the middle point has spectral radius 1.366; the old column-sum bound admitted it
+    env = three_equilibria_env()
+    pi = validate_policy([[1.0]])
+    for name, init in THREE_EQUILIBRIA_INITS.items():
+        rep = jacobian_eigenvalues(env, pi, find_fixed_point(env, pi, init, 1e-12, 100000))
+        assert rep.sufficient_condition_holds == rep.stable == (name != "mid")
+        if name == "mid":
+            assert rep.spectral_radius == pytest.approx(1.3660254037844386)
 
 
-def test_sufficient_condition_vanishing_rate_always_holds():
-    env = linear_env(4, 2, [0.2] * 4, [0.2] * 2, [[0.1, 0.1]] * 4,
-                     B=np.ones((4, 2)), eta_v=[1e-9] * 4, eta_p=[0.5] * 2)
-    at = PopulationState(t=0, viewer=[1.0] * 4, provider=[1.0] * 2)
-    concentrated = validate_policy([[1.0, 0.0]] * 4)
-    assert check_sufficient_stability(env, concentrated, at, C1=2.0, C2=2.0)
+def test_stability_flag_is_false_when_a_rate_vanishes():
+    # a group with rate 0 never moves: J has the eigenvalue 1 whatever the slopes
+    env = linear_env(2, 1, [0.2, 0.2], [0.2], [[0.1], [0.1]], B=[[1.0], [1.0]],
+                     eta_v=[0.0, 0.5], eta_p=[0.5])
+    pi = validate_policy([[1.0], [1.0]])
+    fp = find_fixed_point(env, pi, PopulationState(t=0, viewer=[0.1, 0.1], provider=[0.1]),
+                          1e-12, 100000)
+    rep = jacobian_eigenvalues(env, pi, fp)
+    assert rep.spectral_radius >= 1.0 - 1e-12
+    assert not rep.stable and not rep.sufficient_condition_holds
 
 
-def test_sufficient_condition_requires_positive_bounds():
-    env, pi, fp = stable_env_and_fp()
-    with pytest.raises(ValueError):
-        check_sufficient_stability(env, pi, fp, C1=0.0, C2=1.0)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_stability_flag_matches_dense_spectrum_at_linear_equilibria(seed):
+    # linear curves whose intercepts put the equilibrium at a chosen positive
+    # point; steep slopes make most draws unstable
+    rng = np.random.default_rng(seed)
+    K, L = (int(n) for n in rng.integers(1, 5, 2))
+    slopes_v, slopes_p = rng.uniform(0.0, 3.0, K), rng.uniform(0.0, 3.0, L)
+    f_slopes, B = rng.uniform(0.0, 2.0, (K, L)), rng.uniform(0.0, 2.0, (K, L))
+    eta_v, eta_p = rng.uniform(0.05, 1.0, K), rng.uniform(0.05, 1.0, L)
+    fp = PopulationState(t=0, viewer=rng.uniform(0.5, 5.0, K), provider=rng.uniform(0.5, 5.0, L))
+    pi = random_policy(seed, K, L)
+    p = payoffs(linear_env(K, L, slopes_v, slopes_p, f_slopes, B, eta_v, eta_p), fp, pi)
+    env = linear_env(K, L, slopes_v, slopes_p, f_slopes, B, eta_v, eta_p,
+                     intercepts_v=fp.viewer - slopes_v * p.s,
+                     intercepts_p=fp.provider - slopes_p * p.e)
+    rep = jacobian_eigenvalues(env, pi, fp)
+    assume(abs(rep.spectral_radius - 1.0) > 1e-9)
+    assert rep.sufficient_condition_holds == (rep.spectral_radius < 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_stability_flag_matches_dense_spectrum_anywhere(seed):
+    # the test needs no fixed point, so any state of a nonlinear instance will do
+    env = random_env(seed)
+    state = random_state(seed, env, scale=float(np.random.default_rng(seed).uniform(0.5, 20)))
+    pi = random_policy(seed, env.K, env.L)
+    rho = float(np.max(np.abs(np.linalg.eigvals(assemble_jacobian(env, pi, state)))))
+    assume(abs(rho - 1.0) > 1e-9)
+    assert dynamics._LinearizedMap(env, pi, state).coupling_contracts() == (rho < 1.0)
 
 
 # --- perturbation-return behavior at stable points ---

@@ -278,6 +278,7 @@ def test_optimizer_equals_ascent_through_public_functions(instance):
     assert np.array_equal(got, ascent_through_public_functions(env, state, cfg))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimizer_reports_overflow_with_iteration():
     env = EnvironmentSpec(
         K=1, L=1, B=[[1e200]],
