@@ -1,8 +1,9 @@
 """Reduced-scale policy comparison: look-ahead vs uniform vs myopic-greedy.
 
 Runs the 10x10 synthetic scenario used in the release gate and writes
-per-policy trajectory CSVs, regret CSVs, and summary.json.  Takes ~30 s
-single-threaded (the look-ahead cell re-optimizes every step).
+per-policy trajectory CSVs, regret CSVs, and summary.json.  Takes a few
+seconds (about 3.5 s on a 2-core machine); nearly all of it is the look-ahead
+cell, which re-optimizes every step.
 """
 
 import argparse

@@ -2,9 +2,9 @@
 co-evolving viewer and provider populations."""
 
 from .functions import (FunctionConfigError, FunctionDomainError, ScalarFn,
-                        fn_deriv, fn_eval, is_smooth, linear_fn,
-                        saturating_exp, scaled_logistic, sigmoid_half,
-                        table_fn, weighted_sigmoid_sum)
+                        fn_deriv, fn_eval, linear_fn, saturating_exp,
+                        scaled_logistic, sigmoid_half, table_fn,
+                        weighted_sigmoid_sum)
 from .model import (EnvironmentSpec, NoiseSpec, Payoffs, PolicyMatrix,
                     PolicyValidationError, PopulationState,
                     SpecValidationError, as_rows, epsilon_greedy,
@@ -44,6 +44,6 @@ from .analytics import (PairingError, RegretReport, RegretSuite,
 from .synthetic import (SyntheticScenarioConfig, gen_synthetic,
                         sample_initial_state)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy_rule, max_workers, run_experiment)
+                         build_policy_rule, run_experiment)
 
 __version__ = "0.1.0"

@@ -209,7 +209,7 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     evals, residual = 1, _state_distance(init, fx)
     rate = None                     # the last residual ratio, while below 1
     wait, backoff = 0, 1            # plain steps before the next Newton trial
-    linearized = None               # the map linearized at x, once a Newton step lands there
+    successor = None                # the Newton step from x, once a Newton step lands there
     while residual > tol:
         if evals >= max_iter:
             raise ConvergenceError(
@@ -217,21 +217,21 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
                 f"(last residual {residual:.3e})", last_state=fx, residual=float(residual))
         if rate is not None and wait == 0:
             evals += 1
-            trial = _guarded_newton(env, pi, x, fx, residual, rate, linearized)
+            trial = _guarded_newton(env, pi, x, fx, residual, rate, successor)
             if trial is not None:
-                x, fx, residual, linearized = trial
+                x, fx, residual, successor = trial
                 continue
             wait, backoff = backoff, 2 * backoff
             if evals >= max_iter:
                 continue
         wait = max(wait - 1, 0)
-        x, fx, linearized = fx, step(env, fx, pi, rng=None), None
+        x, fx, successor = fx, step(env, fx, pi, rng=None), None
         evals += 1
         previous, residual = residual, _state_distance(x, fx)
         rate = residual / previous if residual < previous else None
     if 0.0 < residual and evals < max_iter:
         with np.errstate(all="ignore"):
-            y = _newton_point(linearized or _clipped_linearization(env, pi, x, fx), x, fx)
+            y = successor or _newton_point(_clipped_linearization(env, pi, x, fx), x, fx)
         fy = None if y is None else _image(env, pi, y)
         if fy is not None and _state_distance(y, fy) <= residual:
             x = y
@@ -239,16 +239,18 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
 
 
 def _guarded_newton(env: EnvironmentSpec, pi, x: PopulationState, fx: PopulationState,
-                    residual: float, rate: float, linearized: _LinearizedMap | None):
-    """(y, F(y), |F(y) - y|, the map linearized at y) for the Newton step y
-    from x when find_fixed_point keeps it, else None.  `linearized`, when
-    given, is the map linearized at x and already found attracting."""
+                    residual: float, rate: float, successor: PopulationState | None):
+    """(y, F(y), |F(y) - y|, the Newton step z from y) for the Newton step y
+    from x when find_fixed_point keeps it, else None.  `successor`, when
+    given, is that y: the kept step that landed at x already solved for it,
+    from a linearization at x found attracting."""
     with np.errstate(all="ignore"):
-        if linearized is None:
+        y = successor
+        if y is None:
             linearized = _clipped_linearization(env, pi, x, fx)
             if not linearized.coupling_contracts():
                 return None
-        y = _newton_point(linearized, x, fx)
+            y = _newton_point(linearized, x, fx)
         if y is None or _state_distance(x, y) > 2.0 * residual / (1.0 - rate):
             return None
         fy = _image(env, pi, y)
@@ -263,7 +265,7 @@ def _guarded_newton(env: EnvironmentSpec, pi, x: PopulationState, fx: Population
         z = _newton_point(at_y, y, fy)
         if z is None or _state_distance(y, z) > _state_distance(x, y) / 2:
             return None
-    return y, fy, residual_y, at_y
+    return y, fy, residual_y, z
 
 
 def _clipped_linearization(env: EnvironmentSpec, pi, x: PopulationState,

@@ -1,17 +1,15 @@
 """Batch experiment orchestration: run named policies across seeds, emit
 trajectory and regret CSVs plus a JSON summary.
 
-Each (policy, seed) cell is independent and writes only its own files, so
-cells may run in parallel; the summary is assembled after all cells finish.
-The TWOSIDE_SIM_THREADS environment variable caps the worker count.
+Cells run one after another, in config order (policies, then seeds).  Each
+(policy, seed) cell draws its noise from its own seed and writes only its
+own files; the summary is assembled after all cells finish.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -129,8 +127,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     outputs: str
     init: PopulationState | None = None     # required for an inline environment
-    emit_csv: bool = True
-    emit_json_summary: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
@@ -157,7 +153,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
         _reject_unknown(d, {"environment", "policies", "T", "seeds", "outputs",
-                            "init", "emit"}, "experiment config")
+                            "init"}, "experiment config")
         envd = d.get("environment")
         if not isinstance(envd, dict) or not ({"synthetic", "inline"} & set(envd)):
             raise ExperimentConfigError(
@@ -178,50 +174,27 @@ class ExperimentConfig:
         T = d.get("T", default_T)
         if T is None:
             raise ExperimentConfigError("T is required for inline environments")
-        emit = d.get("emit", {})
-        _reject_unknown(emit, {"csv", "json_summary"}, "emit block")
         return cls(environment=environment,
                    policies=tuple(PolicySpec.from_dict(p) for p in d.get("policies", [])),
                    T=int(T), seeds=tuple(d.get("seeds", [0])),
-                   outputs=d.get("outputs", "out"), init=init,
-                   emit_csv=bool(emit.get("csv", True)),
-                   emit_json_summary=bool(emit.get("json_summary", True)))
-
-
-def max_workers(n_cells: int) -> int:
-    cap = os.environ.get("TWOSIDE_SIM_THREADS")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError as err:
-            raise ExperimentConfigError(
-                f"TWOSIDE_SIM_THREADS must be an integer, got {cap!r}") from err
-        if cap_n < 1:
-            raise ExperimentConfigError("TWOSIDE_SIM_THREADS must be >= 1")
-        return max(1, min(cap_n, n_cells))
-    return max(1, min(os.cpu_count() or 1, n_cells))
+                   outputs=d.get("outputs", "out"), init=init)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
     """Run every (policy, seed) cell, write per-cell CSVs, and return the
-    summary (also written as summary.json unless disabled)."""
+    summary (also written as summary.json)."""
     env, init = config.resolve()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     rules = {spec.name: build_policy_rule(env, spec) for spec in config.policies}
 
-    cells = [(spec.name, seed) for spec in config.policies for seed in config.seeds]
-
-    def run_cell(cell: tuple[str, int]) -> tuple[tuple[str, int], Trajectory]:
-        name, seed = cell
-        traj = rollout(env, rules[name], config.T, init, seed=seed)
-        if config.emit_csv:
-            path = out_dir / f"trajectory_{name}_{seed}.csv"
+    results: dict[tuple[str, int], Trajectory] = {}
+    for spec in config.policies:
+        for seed in config.seeds:
+            traj = rollout(env, rules[spec.name], config.T, init, seed=seed)
+            path = out_dir / f"trajectory_{spec.name}_{seed}.csv"
             path.write_text(trajectory_to_csv(traj), newline="")
-        return cell, traj
-
-    with ThreadPoolExecutor(max_workers=max_workers(len(cells))) as pool:
-        results = dict(pool.map(run_cell, cells))
+            results[(spec.name, seed)] = traj
 
     summary: dict[str, Any] = {
         "environment_digest": env.digest(),
@@ -253,13 +226,11 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
             suite = empirical_regret_suite(
                 env, {spec.name: results[(spec.name, seed)] for spec in config.policies})
             regret[str(seed)] = suite_summary(suite)
-            if config.emit_csv:
-                for name, report in suite.reports.items():
-                    path = out_dir / f"regret_{name}_{seed}.csv"
-                    path.write_text(regret_report_to_csv(report), newline="")
+            for name, report in suite.reports.items():
+                path = out_dir / f"regret_{name}_{seed}.csv"
+                path.write_text(regret_report_to_csv(report), newline="")
         summary["regret"] = regret
 
-    if config.emit_json_summary:
-        (out_dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="")
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="")
     return summary

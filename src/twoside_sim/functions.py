@@ -38,9 +38,8 @@ class FunctionConfigError(ValueError):
     """The variant's parameters do not describe a valid monotone function."""
 
 
-_SMOOTH_KINDS = ("linear", "sigmoid_half", "saturating_exp", "scaled_logistic",
-                 "weighted_sigmoid_sum")
-_ALL_KINDS = _SMOOTH_KINDS + ("table",)
+_ALL_KINDS = ("linear", "sigmoid_half", "saturating_exp", "scaled_logistic",
+              "weighted_sigmoid_sum", "table")
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,6 @@ def _wss_arrays(fn: ScalarFn):
             np.asarray(p["taus"], dtype=float))
 
 
-def is_smooth(fn: ScalarFn) -> bool:
-    """True when the variant has an everywhere-exact analytic derivative."""
-    return fn.kind in _SMOOTH_KINDS
-
-
 # ---------------------------------------------------------------------------
 # array kernels: many functions evaluated at once
 
@@ -277,7 +271,6 @@ class FnVector:
     def __init__(self, fns):
         fns = tuple(fns)
         self.size = len(fns)
-        self.smooth = all(is_smooth(fn) for fn in fns)
         members: dict[tuple[str, int], list[int]] = {}
         for i, fn in enumerate(fns):
             d = len(fn.params["weights"]) if fn.kind == "weighted_sigmoid_sum" else 0
@@ -320,10 +313,8 @@ class FnGrid:
         shared = _shared_sigmoid_components(grid)
         if shared is None:
             self._cells = FnVector(fn for row in grid for fn in row)
-            self.smooth = self._cells.smooth
         else:
             self._cells = None
-            self.smooth = True
             self._weights, self._max_values, self._taus = shared   # (K, d), (L, d), (L, d)
             self._slopes = self._max_values / self._taus
 

@@ -1,8 +1,8 @@
 """Core domain types: environments, populations, policies, payoffs.
 
 All types are immutable value objects.  Arrays handed in are copied and the
-copies are treated as read-only, so instances are safe to share across
-threads.
+copies are treated as read-only, so a caller cannot change an instance after
+it is validated, and instances can be shared freely between rollouts.
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ class EnvironmentSpec:
     noise: NoiseSpec | None = None
     seed: int = 0
     # Array views of the curves, built once in __post_init__ and read by every
-    # evaluation; smooth is False when some curve is a table.
+    # evaluation.
     viewer_curves: FnVector = field(init=False, repr=False, compare=False)
     provider_curves: FnVector = field(init=False, repr=False, compare=False)
     f_grid: FnGrid = field(init=False, repr=False, compare=False)
-    smooth: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "B", _readonly(np.asarray(self.B, dtype=float)))
@@ -98,8 +97,6 @@ class EnvironmentSpec:
         object.__setattr__(self, "viewer_curves", FnVector(self.lambda_bar_viewer))
         object.__setattr__(self, "provider_curves", FnVector(self.lambda_bar_provider))
         object.__setattr__(self, "f_grid", FnGrid(self.f))
-        object.__setattr__(self, "smooth", self.viewer_curves.smooth
-                           and self.provider_curves.smooth and self.f_grid.smooth)
 
     @property
     def noise_active(self) -> bool:

@@ -11,7 +11,6 @@ simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -36,8 +35,6 @@ class LookaheadConfig:
     gamma: float = 1.0            # inverse temperature of the softmax myopic map
     iterations: int = 100
     learning_rate: float = 0.05
-    parameterization: str = "softmax-logits"
-    grad_check: dict[str, Any] | None = None   # {"h": ..., "tol": ...}
 
     def __post_init__(self):
         if not (self.gamma > 0):
@@ -46,12 +43,6 @@ class LookaheadConfig:
             raise ValueError("iterations must be >= 1")
         if not (self.learning_rate >= 0):
             raise ValueError("learning_rate must be >= 0")
-        if self.parameterization != "softmax-logits":
-            raise ValueError(f"unknown parameterization {self.parameterization!r}")
-        if self.grad_check is not None:
-            missing = {"h", "tol"} - set(self.grad_check)
-            if missing:
-                raise ValueError(f"grad_check needs keys {sorted(missing)}")
 
 
 def uniform_policy(K: int, L: int) -> PolicyMatrix:
@@ -161,14 +152,12 @@ def lookahead_gradient(env: EnvironmentSpec, state: PopulationState, pi,
     Chain rule through the three channels a policy entry affects: anticipated
     viewer populations (via satisfaction), anticipated utilities (via exposure
     and the provider reaction), and the softened myopic policy (via its
-    logits).  Environments containing the piecewise-linear table variant fall
-    back to finite differences.
+    logits).  Table curves enter through their right-hand slopes, so at a
+    table knot this is the one-sided derivative from the right.
     """
     rows = as_rows(pi)
     if rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    if not env.smooth:
-        return finite_difference_gradient(env, state, rows, gamma)
     return _analytic_gradient(env, state, gamma, _lookahead_pieces(env, state, rows, gamma))
 
 
@@ -219,10 +208,6 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
         config = LookaheadConfig()
     init = (0.9 * as_rows(myopic_greedy(env, state))
             + 0.1 * as_rows(uniform_policy(env.K, env.L)))
-    if config.grad_check is not None:
-        check_gradient(env, state, init, config.gamma,
-                       h=float(config.grad_check["h"]),
-                       tol=float(config.grad_check["tol"]))
     theta = np.log(init)
     best_pi: np.ndarray | None = None
     best_obj = -np.inf
@@ -240,8 +225,7 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
                 best_pi = pi
             if it == config.iterations:
                 break
-            grad_pi = (_analytic_gradient(env, state, config.gamma, pieces) if env.smooth
-                       else finite_difference_gradient(env, state, pi, config.gamma))
+            grad_pi = _analytic_gradient(env, state, config.gamma, pieces)
             # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
             grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
             theta = theta + config.learning_rate * grad_theta

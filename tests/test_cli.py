@@ -126,6 +126,44 @@ def test_run_with_misspelled_policy_field_is_config_error(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "_ConfigError"
 
 
+# look-ahead settings that no longer exist, with values the config once accepted
+REMOVED_LOOKAHEAD_KEYS = {"grad_check": {"h": 1e-6, "tol": 1e-4},
+                          "parameterization": "softmax-logits"}
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+@pytest.mark.parametrize("key", sorted(REMOVED_LOOKAHEAD_KEYS))
+def test_removed_lookahead_keys_are_config_errors(tmp_path, capsys, command, key):
+    lookahead = {"iterations": 2, key: REMOVED_LOOKAHEAD_KEYS[key]}
+    if command == "run":
+        payload = {"environment": {"synthetic": scenario_dict()}, "T": 2,
+                   "policies": [{"name": "la", "kind": "lookahead", "lookahead": lookahead}]}
+    else:
+        payload = {"environment": {"synthetic": scenario_dict(K=2, L=2, d=2)},
+                   "T_b": 2, "T": 3, "beta": 1.0, "lookahead": lookahead}
+    cfg = write_json(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert not out.exists()
+
+
+def test_emit_block_is_config_error(tmp_path, capsys):
+    cfg = write_json(tmp_path, "exp.json", {
+        "environment": {"synthetic": scenario_dict()}, "T": 2,
+        "policies": [{"name": "u", "kind": "uniform"}],
+        "emit": {"csv": False, "json_summary": True},
+    })
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and "emit" in record["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / regret / estimate
 

@@ -10,7 +10,7 @@ from conftest import random_env, random_state
 from twoside_sim import (ExperimentConfig, ExperimentConfigError,
                          LookaheadConfig, NoiseSpec, PolicySpec,
                          SyntheticScenarioConfig, build_policy_rule,
-                         gen_synthetic, max_workers, parse_trajectory_csv,
+                         gen_synthetic, parse_trajectory_csv,
                          run_experiment, sample_initial_state)
 
 
@@ -95,20 +95,6 @@ def test_config_from_dict_synthetic_defaults_horizon(tmp_path):
     }
     with pytest.raises(ExperimentConfigError, match="T"):
         ExperimentConfig.from_dict(inline)
-
-
-def test_max_workers_cap(monkeypatch):
-    monkeypatch.delenv("TWOSIDE_SIM_THREADS", raising=False)
-    assert max_workers(1) == 1
-    monkeypatch.setenv("TWOSIDE_SIM_THREADS", "2")
-    assert max_workers(8) == 2
-    assert max_workers(1) == 1
-    monkeypatch.setenv("TWOSIDE_SIM_THREADS", "zero")
-    with pytest.raises(ExperimentConfigError):
-        max_workers(4)
-    monkeypatch.setenv("TWOSIDE_SIM_THREADS", "0")
-    with pytest.raises(ExperimentConfigError):
-        max_workers(4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from twoside_sim import (FunctionConfigError, FunctionDomainError, ScalarFn,
-                         fn_deriv, fn_eval, is_smooth, linear_fn,
-                         saturating_exp, scaled_logistic, sigmoid_half,
-                         table_fn, weighted_sigmoid_sum)
+                         fn_deriv, fn_eval, linear_fn, saturating_exp,
+                         scaled_logistic, sigmoid_half, table_fn,
+                         weighted_sigmoid_sum)
 from twoside_sim.functions import FnGrid, FnVector
 
 from conftest import random_smooth_fn
@@ -83,7 +83,6 @@ def test_table_interpolates_and_extrapolates_flat():
     assert fn_eval(fn, 2.0) == pytest.approx(2.25)
     assert fn_eval(fn, -5.0) == 0.0     # flat below range
     assert fn_eval(fn, 10.0) == 2.5     # flat above range
-    assert not is_smooth(fn)
 
 
 def test_table_derivative_uses_right_segment_and_zero_outside():
@@ -188,7 +187,6 @@ def test_fn_vector_equals_scalar_evaluation_exactly(seed, n):
     x = evaluation_points(rng, fns)
     vec = FnVector(fns)
     assert_entrywise_exact(vec.value(x), vec.deriv(x), fns, x)
-    assert vec.smooth == all(is_smooth(fn) for fn in fns)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +209,6 @@ def test_fn_grid_equals_scalar_evaluation_exactly(seed, K, L, sums_only):
     fg = FnGrid(grid)
     assert fg.value(x).shape == fg.deriv(x).shape == (K, L)
     assert_entrywise_exact(fg.value(x).ravel(), fg.deriv(x).ravel(), cells, columns)
-    assert fg.smooth == all(is_smooth(fn) for fn in cells)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

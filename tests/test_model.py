@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twoside_sim import (EnvironmentSpec, NoiseSpec, PolicyValidationError,
                          PopulationState, SpecValidationError, epsilon_greedy,
                          eval_fn_grid, eval_fn_grid_deriv, fn_deriv, fn_eval,
-                         greedy_rows, linear_fn, sigmoid_half, table_fn,
+                         greedy_rows, linear_fn, sigmoid_half,
                          validate_policy, weighted_sigmoid_sum)
 
 from conftest import random_env
@@ -86,22 +86,6 @@ def test_digest_is_kept_and_equals_a_recomputation():
     assert env.digest() is env.digest()         # computed once
     noisy = dataclasses.replace(env, noise=NoiseSpec(0.05))
     assert noisy.digest() != want
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), where=st.sampled_from(["none", "viewer", "provider", "f"]))
-def test_smooth_is_false_exactly_when_a_curve_is_a_table(seed, where):
-    env = random_env(seed)
-    table = table_fn([(0.0, 0.0), (2.0, 1.0)])
-    if where == "viewer":
-        env = dataclasses.replace(env, lambda_bar_viewer=(table, *env.lambda_bar_viewer[1:]))
-    elif where == "provider":
-        env = dataclasses.replace(env, lambda_bar_provider=(*env.lambda_bar_provider[:-1], table))
-    elif where == "f":
-        f = [list(row) for row in env.f]
-        f[-1][0] = table
-        env = dataclasses.replace(env, f=f)
-    assert env.smooth == (where == "none")
 
 
 def test_noise_spec_validation():
