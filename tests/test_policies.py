@@ -214,6 +214,26 @@ def test_gradient_is_tight_on_smooth_instances():
     assert worst <= 1e-6
 
 
+def test_table_environments_fall_back_to_finite_differences():
+    """A table curve needs no finite-difference fallback: its slope enters the
+    chain rule and the result matches the central-difference probe. Both table
+    arguments (provider populations near 0.2 and 0.5) lie inside the sloped
+    piece [0, 1]."""
+    fn = table_fn([(0.0, 0.0), (1.0, 1.0), (3.0, 1.4)])
+    env = EnvironmentSpec(
+        K=1, L=2, B=[[0.5, 0.2]],
+        f=((fn, linear_fn(0.3)),),
+        lambda_bar_viewer=(linear_fn(0.5),),
+        lambda_bar_provider=(linear_fn(0.4), linear_fn(0.4)),
+        eta_viewer=[0.5], eta_provider=[0.5, 0.5],
+    )
+    state = PopulationState(t=0, viewer=[1.0], provider=[0.5, 0.5])
+    rows = np.array([[0.5, 0.5]])
+    got = lookahead_gradient(env, state, rows, 1.0)
+    np.testing.assert_allclose(got, finite_difference_gradient(env, state, rows, 1.0),
+                               rtol=1e-7)
+
+
 def test_gradient_checker_detects_discrepancies():
     env = counterexample_env()
     state = PopulationState(t=0, viewer=[0.8], provider=[0.4, 0.7])
