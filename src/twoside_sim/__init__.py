@@ -8,8 +8,7 @@ from .functions import (FunctionConfigError, FunctionDomainError, ScalarFn,
 from .model import (EnvironmentSpec, NoiseSpec, Payoffs, PolicyMatrix,
                     PolicyValidationError, PopulationState,
                     SpecValidationError, as_rows, epsilon_greedy,
-                    eval_fn_grid, eval_fn_grid_deriv, greedy_rows,
-                    validate_policy)
+                    greedy_rows, validate_policy)
 from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        DivergenceError, FixedPointPreconditionError,
                        StabilityReport, Trajectory, TrajectoryStep,
@@ -33,14 +32,13 @@ from .oracles import (LinearGameParams, OracleDomainError,
 from .estimation import (DegenerateDesignError, EstimationError,
                          EstimationWarning, ExploreCommitConfig,
                          FittedDynamics, InsufficientDataError,
-                         InteractionLog, LogRecord, SaturatingExpFit,
+                         InteractionLog, SaturatingExpFit,
                          SimulatorBlackbox, explore_then_commit, fit_dynamics,
                          fit_saturating_exp, interaction_log_to_csv,
                          parse_interaction_csv, recover_reference)
 from .analytics import (PairingError, RegretReport, RegretSuite,
                         decompose_regret, empirical_regret_suite,
-                        regret_report_to_csv, suite_summary,
-                        suite_summary_json)
+                        regret_report_to_csv, suite_summary)
 from .synthetic import (SyntheticScenarioConfig, gen_synthetic,
                         sample_initial_state)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,

@@ -11,13 +11,11 @@ populations).  The three sum to the total by construction.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, payoffs, welfare
+from .dynamics import Trajectory, _csv_text, payoffs, welfare
 from .model import EnvironmentSpec, PopulationState, _readonly
 from .policies import myopic_greedy
 
@@ -116,17 +114,9 @@ def empirical_regret_suite(env: EnvironmentSpec,
 
 
 def regret_report_to_csv(report: RegretReport) -> str:
-    buf = io.StringIO()
-    buf.write("t,total,population,policy,const,cumulative\n")
-    for i in range(len(report.t)):
-        buf.write(",".join([str(int(report.t[i]))]
-                           + ["%.17g" % v for v in (report.per_step_total[i],
-                                                    report.per_step_population[i],
-                                                    report.per_step_policy[i],
-                                                    report.per_step_const[i],
-                                                    report.cumulative_total[i])])
-                  + "\n")
-    return buf.getvalue()
+    return _csv_text(["t", "total", "population", "policy", "const", "cumulative"],
+                     report.t, report.per_step_total, report.per_step_population,
+                     report.per_step_policy, report.per_step_const, report.cumulative_total)
 
 
 def suite_summary(suite: RegretSuite) -> dict:
@@ -143,6 +133,3 @@ def suite_summary(suite: RegretSuite) -> dict:
         },
     }
 
-
-def suite_summary_json(suite: RegretSuite) -> str:
-    return json.dumps(suite_summary(suite), indent=2, sort_keys=True)

@@ -23,14 +23,15 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy_rule, run_experiment)
+                         build_policy_rule, load_environment, resolve_environment,
+                         run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
                       linear_welfare, epsilon_welfare_bounds,
                       three_equilibria_env, welfare_from_ne)
 from .policies import LookaheadConfig
-from .synthetic import SyntheticScenarioConfig, gen_synthetic, sample_initial_state
+from .synthetic import SyntheticScenarioConfig, gen_synthetic
 
 
 class _ConfigError(ValueError):
@@ -91,27 +92,21 @@ def _from_config(build, payload, what: str):
 
 
 def _env_and_init(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
-    envd = _require(cfg, "environment")
-    init = None
-    if isinstance(envd, dict) and "synthetic" in envd:
-        scen = _from_config(SyntheticScenarioConfig.from_dict, envd["synthetic"],
-                            "synthetic scenario")
-        env = gen_synthetic(scen)
-        init = sample_initial_state(scen)
-    elif isinstance(envd, dict) and "inline" in envd:
-        env = _from_config(EnvironmentSpec.from_dict, envd["inline"],
-                           "inline environment")
-    else:
-        raise _ConfigError("environment must be {'synthetic': {...}} or {'inline': {...}}")
-    if cfg.get("init") is not None:
-        init = _from_config(
-            lambda d: PopulationState(t=0,
-                                      viewer=np.asarray(d["viewer"], dtype=float),
-                                      provider=np.asarray(d["provider"], dtype=float)),
-            cfg["init"], "init block")
-    if init is None:
-        raise _ConfigError("inline environments need an explicit 'init'")
-    return env, init
+    return _from_config(lambda d: resolve_environment(*load_environment(d)), cfg,
+                        "environment")
+
+
+def _command_config(args, allowed: set[str]) -> dict:
+    """The --config JSON of a subcommand whose top-level keys must be `allowed`."""
+    if not args.config:
+        raise _ConfigError(f"{args.command} requires --config")
+    cfg = _load_json(args.config)
+    if not isinstance(cfg, dict):
+        raise _ConfigError(f"{args.command} config must be a JSON object")
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise _ConfigError(f"{args.command} config: unknown key(s) {unknown}")
+    return cfg
 
 
 def _state_record(state: PopulationState) -> dict:
@@ -155,8 +150,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _preset_cases(args, cfg):
+def _preset_cases(args):
     """(env, policy, named inits, tol, max_iter) for fixed-point/stability."""
+    cfg = (_command_config(args, {"environment", "init", "policy", "tol", "max_iter"})
+           if args.config else None)
     if args.preset is not None:
         if args.preset != "sigmoid-triple":
             raise _ConfigError(f"unknown preset {args.preset!r}")
@@ -176,8 +173,7 @@ def _preset_cases(args, cfg):
 
 
 def cmd_fixed_point(args) -> int:
-    cfg = _load_json(args.config) if args.config else None
-    env, policy, inits, tol, max_iter = _preset_cases(args, cfg)
+    env, policy, inits, tol, max_iter = _preset_cases(args)
     records = []
     for name, init in inits.items():
         fp = find_fixed_point(env, policy, init, tol=tol, max_iter=max_iter)
@@ -194,8 +190,7 @@ def _complex_pairs(values) -> list[list[float]]:
 
 
 def cmd_stability(args) -> int:
-    cfg = _load_json(args.config) if args.config else None
-    env, policy, inits, tol, max_iter = _preset_cases(args, cfg)
+    env, policy, inits, tol, max_iter = _preset_cases(args)
     records = []
     for name, init in inits.items():
         fp = find_fixed_point(env, policy, init, tol=tol, max_iter=max_iter)
@@ -216,9 +211,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_regret(args) -> int:
-    if not args.config:
-        raise _ConfigError("regret requires --config")
-    cfg = _load_json(args.config)
+    cfg = _command_config(args, {"environment", "init", "T", "policies", "seed"})
     env, init = _env_and_init(cfg)
     T = int(_require(cfg, "T"))
     if T < 1:
@@ -243,9 +236,8 @@ def cmd_regret(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if not args.config:
-        raise _ConfigError("estimate requires --config")
-    cfg = _load_json(args.config)
+    cfg = _command_config(args, {"environment", "init", "T_b", "T", "beta", "refit_every",
+                                 "lookahead", "seed", "b_known"})
     env, init = _env_and_init(cfg)
     try:
         etc = ExploreCommitConfig(

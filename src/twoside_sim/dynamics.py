@@ -11,13 +11,13 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    as_rows, validate_policy)
+                    _readonly, as_rows, validate_policy)
 
 PolicyRule = Callable[[EnvironmentSpec, PopulationState], PolicyMatrix]
 
@@ -510,26 +510,26 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory: one row per step, LF line endings, '.' decimals."""
     if not traj.steps:
         raise ValueError("cannot serialize an empty trajectory")
-    K = traj.steps[0].state.viewer.shape[0]
-    L = traj.steps[0].state.provider.shape[0]
-    return _csv_text(trajectory_header(K, L), (
-        (st.state.t, st.state.viewer, st.state.provider, st.payoffs.s, st.payoffs.e,
-         st.welfare) for st in traj.steps))
+    tab = trajectory_table(traj)
+    return _csv_text(trajectory_header(tab.s.shape[1], tab.e.shape[1]), tab.t,
+                     tab.lambda_viewer, tab.lambda_provider, tab.s, tab.e, tab.welfare)
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text of rows (t, float blocks...); each block's values are written in
-    ravel order.  Shared by the trajectory and interaction-log schemas."""
+def _csv_text(header: list[str], t, *columns) -> str:
+    """CSV text of an integer t column followed by float columns.  Each
+    column block has one leading entry per row, shape (T,) or (T, width).
+    Shared by the trajectory, interaction-log and regret schemas."""
+    rows = np.column_stack(columns).tolist()
     lines = [",".join(header)]
-    for t, *blocks in rows:
-        lines.append(",".join([str(t)] + [_FLOAT_FMT % v for block in blocks
-                                          for v in np.ravel(block)]))
+    lines += [",".join([str(ti)] + [_FLOAT_FMT % v for v in row])
+              for ti, row in zip(np.asarray(t).tolist(), rows)]
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class TrajectoryTable:
-    """The CSV-schema view of a trajectory (the columns the CSV carries)."""
+    """The CSV-schema view of a trajectory (the columns the CSV carries).
+    The arrays are read-only copies."""
 
     t: np.ndarray
     lambda_viewer: np.ndarray    # (T, K)
@@ -537,6 +537,10 @@ class TrajectoryTable:
     s: np.ndarray                # (T, K)
     e: np.ndarray                # (T, L)
     welfare: np.ndarray          # (T,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
 
 
 def trajectory_table(traj: Trajectory) -> TrajectoryTable:

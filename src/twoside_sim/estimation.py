@@ -1,7 +1,8 @@
 """Learning unknown dynamics from rollout logs.
 
-The platform observes per-step satisfaction, exposure, and utilities, knows
-the reactiveness rates, and recovers each group's reference-population curve
+The platform observes per-step satisfaction, exposure, and utilities (an
+InteractionLog: the trajectory table plus the utilities), knows the
+reactiveness rates, and recovers each group's reference-population curve
 by inverting the update rule, then fits a concave saturating-exponential
 model to the recovered targets.  An explore-then-commit loop burns in with an
 exploratory policy, then alternates refitting with deploying the optimized
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, TrajectoryStep, _advance, _csv_text, _parse_csv,
-                       payoffs, trajectory_header)
+from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _advance, _csv_text,
+                       _parse_csv, payoffs, trajectory_header, trajectory_table, welfare)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    epsilon_greedy, validate_policy, _readonly)
+from .model import (EnvironmentSpec, PolicyMatrix, PopulationState, epsilon_greedy,
+                    validate_policy, _readonly)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -182,46 +183,33 @@ def _fit_batch(X: np.ndarray, Y: np.ndarray) -> list[SaturatingExpFit]:
 
 
 @dataclass(frozen=True)
-class LogRecord:
-    """One observed step: the populations the platform saw and the payoffs
-    realized under the deployed policy."""
-
-    t: int
-    s: np.ndarray
-    e: np.ndarray
-    q: np.ndarray
-    lambda_viewer: np.ndarray
-    lambda_provider: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s", "e", "q", "lambda_viewer", "lambda_provider"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-
-
-@dataclass(frozen=True)
 class InteractionLog:
-    records: tuple[LogRecord, ...]
+    """Logged steps: the trajectory columns the platform observed (t, both
+    populations, s, e, welfare), the realized utilities q of shape (T, K, L),
+    and the known reactiveness rates.  The arrays are read-only copies."""
+
+    table: TrajectoryTable
+    q: np.ndarray
     eta_viewer: np.ndarray
     eta_provider: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "eta_viewer", _readonly(np.asarray(self.eta_viewer, dtype=float)))
-        object.__setattr__(self, "eta_provider", _readonly(np.asarray(self.eta_provider, dtype=float)))
-        ts = [r.t for r in self.records]
-        if ts and ts != list(range(ts[0], ts[0] + len(ts))):
-            raise ValueError("records must be consecutive in t with no gaps")
+        for name in ("q", "eta_viewer", "eta_provider"):
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
+        t = self.table.t
+        if len(t) and not np.array_equal(t, np.arange(t[0], t[0] + len(t))):
+            raise ValueError("steps must be consecutive in t with no gaps")
+        if self.q.shape != (len(t), *self.table.s.shape[1:], *self.table.e.shape[1:]):
+            raise ValueError(f"q has shape {self.q.shape}, expected (T, K, L)")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table.t)
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, eta_viewer, eta_provider) -> "InteractionLog":
-        records = tuple(
-            LogRecord(t=st.state.t, s=st.payoffs.s, e=st.payoffs.e, q=st.payoffs.q,
-                      lambda_viewer=st.state.viewer, lambda_provider=st.state.provider)
-            for st in traj.steps)
-        return cls(records=records, eta_viewer=eta_viewer, eta_provider=eta_provider)
+        return cls(table=trajectory_table(traj),
+                   q=np.asarray([st.payoffs.q for st in traj.steps]),
+                   eta_viewer=eta_viewer, eta_provider=eta_provider)
 
 
 def _q_header(K: int, L: int) -> list[str]:
@@ -230,23 +218,20 @@ def _q_header(K: int, L: int) -> list[str]:
 
 def interaction_log_to_csv(log: InteractionLog) -> str:
     """Trajectory CSV schema plus the per-pair utility columns q_k_l."""
-    if not log.records:
+    if not len(log):
         raise ValueError("cannot serialize an empty log")
-    K, L = log.records[0].q.shape
-    return _csv_text(trajectory_header(K, L) + _q_header(K, L), (
-        (r.t, r.lambda_viewer, r.lambda_provider, r.s, r.e,
-         float(r.lambda_viewer @ r.s), r.q) for r in log.records))
+    T, K, L = log.q.shape
+    tab = log.table
+    return _csv_text(trajectory_header(K, L) + _q_header(K, L), tab.t,
+                     tab.lambda_viewer, tab.lambda_provider, tab.s, tab.e, tab.welfare,
+                     log.q.reshape(T, K * L))
 
 
 def parse_interaction_csv(text: str, eta_viewer, eta_provider) -> InteractionLog:
-    """Inverse of interaction_log_to_csv; the welfare column is derivable and dropped."""
+    """Inverse of interaction_log_to_csv."""
     table, q = _parse_csv(text, "interaction", _q_header)
-    K, L = table.s.shape[1], table.e.shape[1]
-    records = tuple(
-        LogRecord(t=int(t), s=s, e=e, q=q_t.reshape(K, L), lambda_viewer=u, lambda_provider=c)
-        for t, u, c, s, e, q_t in zip(table.t, table.lambda_viewer, table.lambda_provider,
-                                      table.s, table.e, q))
-    return InteractionLog(records=records, eta_viewer=eta_viewer, eta_provider=eta_provider)
+    return InteractionLog(table=table, q=q.reshape(len(q), table.s.shape[1], table.e.shape[1]),
+                          eta_viewer=eta_viewer, eta_provider=eta_provider)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +252,6 @@ class FittedDynamics:
         object.__setattr__(self, "lambda_bar_viewer_hat", tuple(self.lambda_bar_viewer_hat))
         object.__setattr__(self, "lambda_bar_provider_hat", tuple(self.lambda_bar_provider_hat))
         object.__setattr__(self, "f_hat", tuple(tuple(row) for row in self.f_hat))
-
-    @property
-    def fit_rmse(self) -> dict:
-        return {
-            "lambda_bar_viewer": [f.rmse for f in self.lambda_bar_viewer_hat],
-            "lambda_bar_provider": [f.rmse for f in self.lambda_bar_provider_hat],
-            "f": [[f.rmse for f in row] for row in self.f_hat],
-        }
 
     def to_dict(self) -> dict:
         return {
@@ -327,14 +304,10 @@ def fit_dynamics(log: InteractionLog, B: np.ndarray | None) -> FittedDynamics:
     curves are fitted together; each fit equals fit_saturating_exp on its points.
     """
     if len(log) < 2:
-        raise InsufficientDataError("need at least 2 records to recover references")
-    K = log.records[0].s.shape[0]
-    L = log.records[0].e.shape[0]
-    lam_u = np.array([r.lambda_viewer for r in log.records])       # (T, K)
-    lam_c = np.array([r.lambda_provider for r in log.records])     # (T, L)
-    s = np.array([r.s for r in log.records])
-    e = np.array([r.e for r in log.records])
-    q = np.array([r.q for r in log.records])                       # (T, K, L)
+        raise InsufficientDataError("need at least 2 logged steps to recover references")
+    tab, q = log.table, log.q                                     # q: (T, K, L)
+    lam_u, lam_c, s, e = tab.lambda_viewer, tab.lambda_provider, tab.s, tab.e
+    K, L = s.shape[1], e.shape[1]
 
     curves = [(s[:-1, k], recover_reference(lam_u[:-1, k], lam_u[1:, k],
                                             float(log.eta_viewer[k]))) for k in range(K)]
@@ -381,16 +354,15 @@ class SimulatorBlackbox:
     def state(self) -> PopulationState:
         return self._state
 
-    def step(self, pi) -> LogRecord:
-        """Deploy a policy for one step; returns the observation at the
+    def step(self, pi) -> TrajectoryStep:
+        """Deploy a policy for one step; returns the step observed at the
         pre-step state, then advances the hidden state."""
-        rows = validate_policy(pi)
-        p = payoffs(self._env, self._state, rows)
-        record = LogRecord(t=self._state.t, s=p.s, e=p.e, q=p.q,
-                           lambda_viewer=self._state.viewer,
-                           lambda_provider=self._state.provider)
+        policy = validate_policy(pi)
+        p = payoffs(self._env, self._state, policy)
+        observed = TrajectoryStep(state=self._state, policy=policy, payoffs=p,
+                                  welfare=welfare(self._state, p))
         self._state = _advance(self._env, self._state, p, self._rng)
-        return record
+        return observed
 
 
 @dataclass(frozen=True)
@@ -424,7 +396,6 @@ def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig
         lookahead = LookaheadConfig()
     blackbox.reset()
     explore_pi = epsilon_greedy(blackbox.B, config.beta)
-    records: list[LogRecord] = []
     steps: list[TrajectoryStep] = []
     fitted: FittedDynamics | None = None
     committed: PolicyMatrix | None = None
@@ -434,9 +405,9 @@ def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig
             pi = explore_pi
         else:
             if (i - config.T_b) % config.refit_every == 0:
-                log = InteractionLog(records=tuple(records),
-                                     eta_viewer=blackbox.eta_viewer,
-                                     eta_provider=blackbox.eta_provider)
+                log = InteractionLog.from_trajectory(
+                    Trajectory(steps=steps, env_digest=blackbox.env_digest, seed=blackbox.seed),
+                    blackbox.eta_viewer, blackbox.eta_provider)
                 try:
                     fitted = fit_dynamics(log, B_for_fit)
                 except EstimationError as err:
@@ -453,14 +424,7 @@ def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig
                 pi_m = myopic_greedy(surrogate, here)
                 committed = interpolate(pi_d, pi_m, config.beta)
             pi = committed
-        rec = blackbox.step(pi)
-        records.append(rec)
-        state = PopulationState(t=rec.t, viewer=rec.lambda_viewer,
-                                provider=rec.lambda_provider)
-        p = Payoffs(s=rec.s, e=rec.e, q=rec.q)
-        steps.append(TrajectoryStep(state=state, policy=validate_policy(pi),
-                                    payoffs=p, welfare=float(rec.lambda_viewer @ rec.s)))
-    traj = Trajectory(steps=tuple(steps), env_digest=blackbox.env_digest,
-                      seed=blackbox.seed)
+        steps.append(blackbox.step(pi))
+    traj = Trajectory(steps=steps, env_digest=blackbox.env_digest, seed=blackbox.seed)
     assert fitted is not None
     return traj, fitted

@@ -119,6 +119,45 @@ def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
     raise ExperimentConfigError(f"policy {spec.name!r}: unknown kind {spec.kind!r}")
 
 
+def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScenarioConfig,
+                                                  PopulationState | None]:
+    """Parse a config's 'environment' block, {'synthetic': {...}} or
+    {'inline': {...}}, and its optional 'init' block, which must have K viewer
+    and L provider entries."""
+    envd = d.get("environment")
+    if not isinstance(envd, dict) or not ({"synthetic", "inline"} & set(envd)):
+        raise ExperimentConfigError(
+            "environment must be {'synthetic': {...}} or {'inline': {...}}")
+    _reject_unknown(envd, {"synthetic", "inline"}, "environment block")
+    if "synthetic" in envd:
+        environment: EnvironmentSpec | SyntheticScenarioConfig = (
+            SyntheticScenarioConfig.from_dict(envd["synthetic"]))
+    else:
+        environment = EnvironmentSpec.from_dict(envd["inline"])
+    init = None
+    if d.get("init") is not None:
+        init = PopulationState(t=0, viewer=np.asarray(d["init"]["viewer"], dtype=float),
+                               provider=np.asarray(d["init"]["provider"], dtype=float))
+        if init.viewer.shape != (environment.K,) or init.provider.shape != (environment.L,):
+            raise ExperimentConfigError(
+                f"init has {len(init.viewer)} viewer and {len(init.provider)} provider "
+                f"entries; the environment has K={environment.K}, L={environment.L}")
+    return environment, init
+
+
+def resolve_environment(environment: EnvironmentSpec | SyntheticScenarioConfig,
+                        init: PopulationState | None
+                        ) -> tuple[EnvironmentSpec, PopulationState]:
+    """Generate a synthetic environment and, without an explicit init, sample
+    the scenario's initial state; an inline environment needs an init."""
+    if isinstance(environment, SyntheticScenarioConfig):
+        return (gen_synthetic(environment),
+                init if init is not None else sample_initial_state(environment))
+    if init is None:
+        raise ExperimentConfigError("inline environments need an explicit init")
+    return environment, init
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: EnvironmentSpec | SyntheticScenarioConfig
@@ -144,33 +183,14 @@ class ExperimentConfig:
             raise ExperimentConfigError("inline environments need an explicit init")
 
     def resolve(self) -> tuple[EnvironmentSpec, PopulationState]:
-        if isinstance(self.environment, SyntheticScenarioConfig):
-            env = gen_synthetic(self.environment)
-            init = self.init if self.init is not None else sample_initial_state(self.environment)
-            return env, init
-        return self.environment, self.init
+        return resolve_environment(self.environment, self.init)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
         _reject_unknown(d, {"environment", "policies", "T", "seeds", "outputs",
                             "init"}, "experiment config")
-        envd = d.get("environment")
-        if not isinstance(envd, dict) or not ({"synthetic", "inline"} & set(envd)):
-            raise ExperimentConfigError(
-                "environment must be {'synthetic': {...}} or {'inline': {...}}")
-        _reject_unknown(envd, {"synthetic", "inline"}, "environment block")
-        if "synthetic" in envd:
-            environment: EnvironmentSpec | SyntheticScenarioConfig = (
-                SyntheticScenarioConfig.from_dict(envd["synthetic"]))
-            default_T = environment.T
-        else:
-            environment = EnvironmentSpec.from_dict(envd["inline"])
-            default_T = None
-        init = None
-        if d.get("init") is not None:
-            init = PopulationState(t=0,
-                                   viewer=np.asarray(d["init"]["viewer"], dtype=float),
-                                   provider=np.asarray(d["init"]["provider"], dtype=float))
+        environment, init = load_environment(d)
+        default_T = environment.T if isinstance(environment, SyntheticScenarioConfig) else None
         T = d.get("T", default_T)
         if T is None:
             raise ExperimentConfigError("T is required for inline environments")

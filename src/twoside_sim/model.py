@@ -258,17 +258,6 @@ class Payoffs:
         object.__setattr__(self, "q", _readonly(np.asarray(self.q, dtype=float)))
 
 
-def eval_fn_grid(grid, x: np.ndarray) -> np.ndarray:
-    """Evaluate a K x L ScalarFn grid column-wise at x (length L): entry
-    (k, l) is grid[k][l](x[l]).  Environments hold their grid as env.f_grid."""
-    return FnGrid(grid).value(x)
-
-
-def eval_fn_grid_deriv(grid, x: np.ndarray) -> np.ndarray:
-    """Column-wise analytic derivative of a K x L ScalarFn grid at x (length L)."""
-    return FnGrid(grid).deriv(x)
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)

@@ -11,7 +11,7 @@ from twoside_sim import (EnvironmentSpec, LookaheadConfig, PairingError,
                          decompose_regret, empirical_regret_suite, gen_synthetic,
                          linear_fn, myopic_greedy, optimize_lookahead, payoffs,
                          regret_report_to_csv, rollout, sample_initial_state,
-                         suite_summary, suite_summary_json, uniform_policy,
+                         suite_summary, uniform_policy,
                          welfare)
 
 
@@ -219,4 +219,4 @@ def test_suite_summary_contents():
         assert entry["final_cumulative_total"] == rep.cumulative_total[-1]
     import json
 
-    assert json.loads(suite_summary_json(suite)) == summary
+    assert json.loads(json.dumps(summary)) == summary

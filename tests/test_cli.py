@@ -164,6 +164,56 @@ def test_emit_block_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _two_group_inline():
+    return {"inline": EnvironmentSpec(
+        K=2, L=1, B=[[1.0], [1.0]],
+        f=[[linear_fn(0.1)], [linear_fn(0.1)]],
+        lambda_bar_viewer=(linear_fn(0.2), linear_fn(0.2)),
+        lambda_bar_provider=(linear_fn(0.2),),
+        eta_viewer=[0.5, 0.5], eta_provider=[0.5], seed=0).to_dict()}
+
+
+# one misspelled optional key per command, each of which the command once ignored
+MISSPELLED_KEYS = {
+    "regret": ("polcies", {"environment": {"synthetic": scenario_dict()}, "T": 3,
+                           "policies": [{"name": "u", "kind": "uniform"},
+                                        {"name": "g", "kind": "myopic"}]}),
+    "estimate": ("refit_evry", {"environment": {"synthetic": scenario_dict(K=2, L=2, d=2)},
+                                "T_b": 6, "T": 8, "beta": 0.5,
+                                "lookahead": {"iterations": 2}}),
+    "fixed-point": ("max_iters", {"environment": {"synthetic": scenario_dict()},
+                                  "policy": np.full((3, 3), 1 / 3).tolist()}),
+    "stability": ("tolerance", {"environment": {"synthetic": scenario_dict()},
+                                "policy": np.full((3, 3), 1 / 3).tolist()}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSPELLED_KEYS))
+def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command):
+    key, payload = MISSPELLED_KEYS[command]
+    cfg = write_json(tmp_path, "cfg.json", {**payload, key: 1})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "regret"])
+def test_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
+    cfg = write_json(tmp_path, "cfg.json", {
+        "environment": _two_group_inline(), "T": 2,
+        "init": {"viewer": [1.0], "provider": [1.0]},
+        "policies": [{"name": "u", "kind": "uniform"}, {"name": "g", "kind": "myopic"}]})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and "K=2" in record["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / regret / estimate
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,11 +16,12 @@ from twoside_sim import (DegenerateDesignError, EnvironmentSpec,
                          ExploreCommitConfig, FittedDynamics,
                          InsufficientDataError, InteractionLog, LookaheadConfig,
                          NoiseSpec,
-                         PopulationState, SimulatorBlackbox, epsilon_greedy,
+                         PopulationState, SimulatorBlackbox, TrajectoryTable,
+                         epsilon_greedy,
                          explore_then_commit, fit_dynamics, fit_saturating_exp,
                          fn_eval, interaction_log_to_csv, myopic_greedy,
                          parse_interaction_csv, recover_reference, rollout,
-                         saturating_exp, step)
+                         saturating_exp, step, trajectory_table)
 import twoside_sim.estimation as estimation_module
 
 from conftest import random_env, random_policy, random_state
@@ -236,10 +238,12 @@ def test_log_from_trajectory_and_csv_round_trip():
     text = interaction_log_to_csv(log)
     assert "q_1_1" in text.splitlines()[0]
     back = parse_interaction_csv(text, env.eta_viewer, env.eta_provider)
-    for a, b in zip(log.records, back.records):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.q, b.q)
-        np.testing.assert_array_equal(a.lambda_viewer, b.lambda_viewer)
+    for name in ("t", "lambda_viewer", "lambda_provider", "s", "e", "welfare"):
+        np.testing.assert_array_equal(getattr(back.table, name), getattr(log.table, name))
+    np.testing.assert_array_equal(back.q, log.q)
+    assert back.q.shape == (8, env.K, env.L)
+    assert not (back.q.flags.writeable or back.table.s.flags.writeable)
+    assert fit_dynamics(back, env.B) == fit_dynamics(log, env.B)
 
 
 def test_interaction_csv_without_rows_and_with_a_short_row():
@@ -257,9 +261,12 @@ def test_interaction_csv_without_rows_and_with_a_short_row():
 def test_log_rejects_time_gaps():
     env = sat_env()
     traj = rollout(env, epsilon_greedy(env.B, 0.3), 5, START)
-    log = InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider)
+    table = trajectory_table(traj)
+    gapped = TrajectoryTable(**{f.name: getattr(table, f.name)[::2]
+                                for f in dataclasses.fields(table)})
+    q = np.array([st.payoffs.q for st in traj.steps])
     with pytest.raises(ValueError):
-        InteractionLog(records=log.records[::2], eta_viewer=env.eta_viewer,
+        InteractionLog(table=gapped, q=q[::2], eta_viewer=env.eta_viewer,
                        eta_provider=env.eta_provider)
 
 
@@ -271,7 +278,7 @@ def test_fit_dynamics_recovers_noiseless_truth():
     traj = rollout(env, epsilon_greedy(env.B, 0.5), 30, START)
     log = InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider)
     fitted = fit_dynamics(log, env.B)
-    s_obs = np.array([r.s for r in log.records])
+    s_obs = log.table.s
     for k in range(env.K):
         grid = np.linspace(s_obs[:, k].min(), s_obs[:, k].max(), 50)
         truth = np.array([fn_eval(env.lambda_bar_viewer[k], v) for v in grid])
@@ -298,11 +305,11 @@ def test_fit_dynamics_curves_equal_single_fits():
     traj = rollout(env, epsilon_greedy(env.B, 0.5), 25, START, seed=4)
     log = InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider)
     fitted = fit_dynamics(log, env.B)
-    lam_u = np.array([r.lambda_viewer for r in log.records])
-    lam_c = np.array([r.lambda_provider for r in log.records])
-    s = np.array([r.s for r in log.records])
-    e = np.array([r.e for r in log.records])
-    q = np.array([r.q for r in log.records])
+    lam_u = np.array([st.state.viewer for st in traj.steps])
+    lam_c = np.array([st.state.provider for st in traj.steps])
+    s = np.array([st.payoffs.s for st in traj.steps])
+    e = np.array([st.payoffs.e for st in traj.steps])
+    q = np.array([st.payoffs.q for st in traj.steps])
     for k in range(env.K):
         target = recover_reference(lam_u[:-1, k], lam_u[1:, k], float(env.eta_viewer[k]))
         assert fitted.lambda_bar_viewer_hat[k] == fit_saturating_exp(
@@ -332,14 +339,14 @@ def test_blackbox_observes_before_advancing():
     box = SimulatorBlackbox(env, START, seed=0)
     pi = epsilon_greedy(env.B, 0.2)
     rec = box.step(pi)
-    assert rec.t == 0
-    np.testing.assert_array_equal(rec.lambda_viewer, START.viewer)
+    assert rec.state.t == 0
+    np.testing.assert_array_equal(rec.state.viewer, START.viewer)
     assert box.state.t == 1
     rec2 = box.step(pi)
-    assert rec2.t == 1
+    assert rec2.state.t == 1
     box.reset()
     again = box.step(pi)
-    np.testing.assert_array_equal(again.s, rec.s)
+    np.testing.assert_array_equal(again.payoffs.s, rec.payoffs.s)
 
 
 def test_blackbox_reset_reproduces_noisy_runs():
@@ -351,8 +358,8 @@ def test_blackbox_reset_reproduces_noisy_runs():
     box.reset()
     second = [box.step(pi) for _ in range(5)]
     for a, b in zip(first, second):
-        np.testing.assert_array_equal(a.lambda_viewer, b.lambda_viewer)
-        np.testing.assert_array_equal(a.q, b.q)
+        np.testing.assert_array_equal(a.state.viewer, b.state.viewer)
+        np.testing.assert_array_equal(a.payoffs.q, b.payoffs.q)
 
 
 # --- explore-then-commit ---

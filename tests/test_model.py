@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from twoside_sim import (EnvironmentSpec, NoiseSpec, PolicyValidationError,
                          PopulationState, SpecValidationError, epsilon_greedy,
-                         eval_fn_grid, eval_fn_grid_deriv, fn_deriv, fn_eval,
+                         fn_deriv, fn_eval,
                          greedy_rows, linear_fn, sigmoid_half,
                          validate_policy, weighted_sigmoid_sum)
+
+from twoside_sim.functions import FnGrid
 
 from conftest import random_env
 
@@ -153,8 +155,8 @@ def test_epsilon_greedy_is_exact_convex_combination():
 def test_fn_grid_matches_entrywise_eval(seed):
     env = random_env(seed)
     x = np.random.default_rng(seed + 1).uniform(0, 30, size=env.L)
-    grid_val = eval_fn_grid(env.f, x)
-    grid_der = eval_fn_grid_deriv(env.f, x)
+    grid_val = FnGrid(env.f).value(x)
+    grid_der = FnGrid(env.f).deriv(x)
     for k in range(env.K):
         for l in range(env.L):
             assert grid_val[k, l] == pytest.approx(fn_eval(env.f[k][l], x[l]), abs=1e-12)
@@ -170,8 +172,8 @@ def test_shared_sigmoid_grid_fast_path_matches_entrywise():
     grid = tuple(tuple(weighted_sigmoid_sum(U[k], maxes[l], taus[l]) for l in range(L))
                  for k in range(K))
     x = rng.uniform(0, 100, L)
-    val = eval_fn_grid(grid, x)
-    der = eval_fn_grid_deriv(grid, x)
+    val = FnGrid(grid).value(x)
+    der = FnGrid(grid).deriv(x)
     for k in range(K):
         for l in range(L):
             assert val[k, l] == pytest.approx(fn_eval(grid[k][l], x[l]), abs=1e-10)
