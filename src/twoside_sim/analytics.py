@@ -7,6 +7,11 @@ apart), a policy term (gap between the best-response and the deployed policy
 at the subject's own populations), and a constant term (gap between the
 baseline's deployed policy and the best response at the baseline's
 populations).  The three sum to the total by construction.
+
+The best response sends each viewer group to its highest current utility
+q = B + f(provider pops), so its welfare is sum_k v_k max_l q_kl.  That sum
+is evaluated for a whole trajectory at once, from one batched grid
+evaluation.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _csv_text, payoffs, welfare
-from .model import EnvironmentSpec, PopulationState, _readonly
-from .policies import myopic_greedy
+from .dynamics import Trajectory, _csv_text
+from .functions import _row_dots
+from .model import EnvironmentSpec, _readonly
 
 
 class PairingError(ValueError):
@@ -46,16 +51,25 @@ class RegretSuite:
     reports: dict[str, RegretReport]
 
 
-def _welfare_at(env: EnvironmentSpec, state: PopulationState, pi) -> float:
-    return welfare(state, payoffs(env, state, pi))
+def _best_response_welfare(env: EnvironmentSpec, traj: Trajectory) -> np.ndarray:
+    """sum_k v_k max_l q_kl at every step of `traj`, with q = B + f(provider).
+
+    Equal bit for bit to the welfare of the one-hot greedy policy: its row k
+    gathers q[k, argmax] plus exact zeros, and the final sum is the same dot.
+    """
+    viewers = np.stack([st.state.viewer for st in traj.steps])       # (T, K)
+    providers = np.stack([st.state.provider for st in traj.steps])   # (T, L)
+    q = env.B + env.f_grid.value(providers)                           # (T, K, L)
+    return _row_dots(viewers, q.max(axis=2))
 
 
 def decompose_regret(env: EnvironmentSpec, baseline: Trajectory,
                      subject: Trajectory) -> RegretReport:
     """Per-step regret of `subject` against `baseline`, exactly decomposed.
 
-    At each step, with the per-step best response pi1 = myopic_greedy at the
-    respective populations:
+    At each step, with the per-step best response pi1 (all of viewer group
+    k's exposure on argmax_l q_kl at the respective populations, so that
+    R(pi1) = sum_k v_k max_l q_kl):
 
         total      = R(baseline policy; baseline pops) - R(subject policy; subject pops)
         population = R(pi1 at baseline pops) - R(pi1 at subject pops)
@@ -71,22 +85,16 @@ def decompose_regret(env: EnvironmentSpec, baseline: Trajectory,
     if len(baseline) != len(subject):
         raise PairingError(
             f"horizon mismatch: baseline {len(baseline)} vs subject {len(subject)}")
-    T = len(baseline)
-    total = np.empty(T)
-    population = np.empty(T)
-    policy = np.empty(T)
-    const = np.empty(T)
-    ts = np.empty(T, dtype=int)
-    for i, (b, s) in enumerate(zip(baseline.steps, subject.steps)):
-        best_at_subject = _welfare_at(env, s.state, myopic_greedy(env, s.state))
-        best_at_baseline = _welfare_at(env, b.state, myopic_greedy(env, b.state))
-        total[i] = b.welfare - s.welfare
-        population[i] = best_at_baseline - best_at_subject
-        policy[i] = best_at_subject - s.welfare
-        const[i] = b.welfare - best_at_baseline
-        ts[i] = s.state.t
-    return RegretReport(t=ts, per_step_total=total, per_step_population=population,
-                        per_step_policy=policy, per_step_const=const,
+    base_welfare = baseline.welfare_series()
+    subject_welfare = subject.welfare_series()
+    best_at_baseline = _best_response_welfare(env, baseline)
+    best_at_subject = _best_response_welfare(env, subject)
+    total = base_welfare - subject_welfare
+    return RegretReport(t=np.asarray([s.state.t for s in subject.steps]),
+                        per_step_total=total,
+                        per_step_population=best_at_baseline - best_at_subject,
+                        per_step_policy=best_at_subject - subject_welfare,
+                        per_step_const=base_welfare - best_at_baseline,
                         cumulative_total=np.cumsum(total),
                         mean_total=float(total.mean()))
 

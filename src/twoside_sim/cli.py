@@ -98,14 +98,15 @@ def _env_and_init(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
 
 def _command_config(args, allowed: set[str]) -> dict:
     """The --config JSON of a subcommand whose top-level keys must be `allowed`."""
+    command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
     if not args.config:
-        raise _ConfigError(f"{args.command} requires --config")
+        raise _ConfigError(f"{command} requires --config")
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
-        raise _ConfigError(f"{args.command} config must be a JSON object")
+        raise _ConfigError(f"{command} config must be a JSON object")
     unknown = sorted(set(cfg) - allowed)
     if unknown:
-        raise _ConfigError(f"{args.command} config: unknown key(s) {unknown}")
+        raise _ConfigError(f"{command} config: unknown key(s) {unknown}")
     return cfg
 
 
@@ -269,8 +270,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+_LINEAR_PARAM_KEYS = {"a0", "a1", "a2", "b2", "B"}
+
+# top-level config keys of each oracle subcommand that reads a config
+_ORACLE_KEYS = {"linear-ne": {"params", "pi"}, "linear-welfare": {"params", "pi"},
+                "epsilon-bounds": {"params", "epsilon_grid"}}
+
+
 def _linear_params_from(cfg: dict) -> tuple[LinearGameParams, np.ndarray]:
     p = _require(cfg, "params")
+    if not isinstance(p, dict):
+        raise _ConfigError("linear params must be a JSON object")
+    unknown = sorted(set(p) - _LINEAR_PARAM_KEYS)
+    if unknown:
+        raise _ConfigError(f"invalid linear params: unknown key(s) {unknown}")
     try:
         params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]),
                                   a2=float(p["a2"]), b2=float(p["b2"]),
@@ -286,9 +299,7 @@ def cmd_oracle(args) -> int:
         value = counterexample_welfare(args.pi11)
         _emit({"pi11": args.pi11, "r_tilde": value}, args, "counterexample.json")
         return 0
-    cfg = _load_json(args.config) if args.config else None
-    if cfg is None:
-        raise _ConfigError(f"oracle {args.oracle_cmd} requires --config")
+    cfg = _command_config(args, _ORACLE_KEYS[args.oracle_cmd])
     if args.oracle_cmd == "linear-ne":
         params, pi = _linear_params_from(cfg)
         if pi is None:
@@ -313,19 +324,18 @@ def cmd_oracle(args) -> int:
                "welfare_via_equilibrium": R_ne, "difference": abs(R - R_ne)},
               args, "linear_welfare.json")
         return 0
-    if args.oracle_cmd == "epsilon-bounds":
-        params, _ = _linear_params_from(cfg)
-        grid = [float(v) for v in cfg.get("epsilon_grid",
-                                          np.round(np.linspace(0, 1, 21), 10))]
-        rows = []
-        for eps in grid:
-            g, h = epsilon_welfare_bounds(params, params.B, eps)
-            R = linear_welfare(params, epsilon_greedy(params.B, eps))
-            rows.append({"epsilon": eps, "g": g, "h": h, "welfare": R,
-                         "upper": g * h})
-        _emit({"params": cfg["params"], "grid": rows}, args, "epsilon_bounds.json")
-        return 0
-    raise _ConfigError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    # epsilon-bounds: argparse admits no other subcommand
+    params, _ = _linear_params_from(cfg)
+    grid = [float(v) for v in cfg.get("epsilon_grid",
+                                      np.round(np.linspace(0, 1, 21), 10))]
+    rows = []
+    for eps in grid:
+        g, h = epsilon_welfare_bounds(params, params.B, eps)
+        R = linear_welfare(params, epsilon_greedy(params.B, eps))
+        rows.append({"epsilon": eps, "g": g, "h": h, "welfare": R,
+                     "upper": g * h})
+    _emit({"params": cfg["params"], "grid": rows}, args, "epsilon_bounds.json")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ curves can be represented with exact gradients instead of being tabulated.
 
 fn_eval / fn_deriv evaluate one function.  FnVector and FnGrid evaluate a
 whole side's curves, or the K x L population-effect grid, in a few array
-operations; every EnvironmentSpec builds them once, at construction.
+operations; every EnvironmentSpec builds them once, at construction.  Both
+take leading batch axes: row i of a batched call equals the unbatched call
+on row i bit for bit.
 """
 
 from __future__ import annotations
@@ -258,14 +260,16 @@ def _wss_arrays(fn: ScalarFn):
 
 
 class FnVector:
-    """A sequence of ScalarFn evaluated as one: entry i is fns[i](x[i]).
+    """A sequence of ScalarFn evaluated as one: entry i is fns[i](x[..., i]).
 
     The parameters are grouped into arrays by kind once, at construction, so
     value and deriv cost a few array operations per kind present instead of
     one Python call per entry.  Each entry equals fn_eval / fn_deriv of its
     function bit for bit: every kind runs the scalar formula elementwise,
     tables go through np.interp one function at a time, and weighted sigmoid
-    sums (grouped by component count) take the same dot product.
+    sums (grouped by component count) take the same dot product.  Any
+    leading axes of x are batch axes, and the parameters broadcast over the
+    last one.
     """
 
     def __init__(self, fns):
@@ -281,24 +285,26 @@ class FnVector:
             for (kind, _), idx in members.items())
 
     def value(self, x) -> np.ndarray:
-        """fns[i](x[i]) for every i; x must be finite and of length size."""
+        """fns[i](x[..., i]) for every i; x must be finite, with a last axis
+        of length size.  The result has the shape of x."""
         return self._apply("value", _finite_vector(x, self.size))
 
     def deriv(self, x) -> np.ndarray:
-        """fns[i]'(x[i]) for every i (right-hand slope at table knots)."""
+        """fns[i]'(x[..., i]) for every i (right-hand slope at table knots)."""
         return self._apply("deriv", _finite_vector(x, self.size))
 
     def _apply(self, method: str, x: np.ndarray) -> np.ndarray:
         if len(self._groups) == 1:
             return getattr(self._groups[0][1], method)(x)
-        out = np.empty(self.size)
+        out = np.empty(x.shape)
         for idx, kernel in self._groups:
-            out[idx] = getattr(kernel, method)(x[idx])
+            out[..., idx] = getattr(kernel, method)(x[..., idx])
         return out
 
 
 class FnGrid:
-    """A K x L ScalarFn grid evaluated column-wise: entry (k, l) is grid[k][l](x[l]).
+    """A K x L ScalarFn grid evaluated column-wise: entry (k, l) is
+    grid[k][l](x[..., l]), so x of shape (..., L) gives (..., K, L).
 
     When every entry is a weighted_sigmoid_sum whose weights depend only on k
     and whose components depend only on l (the grids gen_synthetic builds),
@@ -321,22 +327,25 @@ class FnGrid:
     def value(self, x) -> np.ndarray:
         x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
-            return self._cells._apply("value", np.tile(x, self.shape[0])).reshape(self.shape)
-        comp = self._max_values * (expit(x[:, None] / self._taus) - 0.5)   # (L, d)
-        return self._weights @ comp.T
+            return self._cells._apply("value", np.tile(x, self.shape[0])).reshape(
+                x.shape[:-1] + self.shape)
+        comp = self._max_values * (expit(x[..., None] / self._taus) - 0.5)   # (..., L, d)
+        return self._weights @ comp.swapaxes(-1, -2)
 
     def deriv(self, x) -> np.ndarray:
         x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
-            return self._cells._apply("deriv", np.tile(x, self.shape[0])).reshape(self.shape)
-        sig = expit(x[:, None] / self._taus)                              # (L, d)
-        return self._weights @ (self._slopes * sig * (1.0 - sig)).T
+            return self._cells._apply("deriv", np.tile(x, self.shape[0])).reshape(
+                x.shape[:-1] + self.shape)
+        sig = expit(x[..., None] / self._taus)                              # (..., L, d)
+        return self._weights @ (self._slopes * sig * (1.0 - sig)).swapaxes(-1, -2)
 
 
 def _finite_vector(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"expected {n} evaluation points, got shape {arr.shape}")
+    if arr.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} evaluation points along the last axis, "
+                         f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise FunctionDomainError(f"non-finite evaluation point in {arr!r}")
     return arr
@@ -366,8 +375,9 @@ def _column(fns: list[ScalarFn], key: str) -> np.ndarray:
 
 
 def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """coef[i] @ comp[i] for every row i, through the same dot as a 1-d @."""
-    return np.matmul(coef[:, None, :], comp[:, :, None])[:, 0, 0]
+    """coef[..., i, :] @ comp[..., i, :] for every row i, through the same dot
+    as a 1-d @; leading axes broadcast."""
+    return np.matmul(coef[..., None, :], comp[..., None])[..., 0, 0]
 
 
 # One class per kind, built from that kind's functions: the parameters as
@@ -383,7 +393,9 @@ class _Linear:
         return self.slope * x + self.intercept
 
     def deriv(self, x):
-        return self.slope.copy()
+        out = np.empty(x.shape)
+        out[...] = self.slope
+        return out
 
 
 class _SigmoidHalf:
@@ -432,11 +444,16 @@ class _Table:
             self.knots.append((xs, ys, np.diff(ys) / np.diff(xs)))
 
     def value(self, x):
-        return np.array([np.interp(xi, xs, ys) for (xs, ys, _), xi in zip(self.knots, x)])
+        out = np.empty(x.shape)
+        for i, (xs, ys, _) in enumerate(self.knots):
+            out[..., i] = np.interp(x[..., i], xs, ys)
+        return out
 
     def deriv(self, x):
-        return np.array([_table_slope(xs, slopes, xi)
-                         for (xs, _, slopes), xi in zip(self.knots, x)])
+        out = np.empty(x.shape)
+        for i, (xs, _, slopes) in enumerate(self.knots):
+            out[..., i] = _table_slope(xs, slopes, x[..., i])
+        return out
 
 
 class _WeightedSigmoidSum:
@@ -447,10 +464,10 @@ class _WeightedSigmoidSum:
         self.coef, self.slope_coef, self.inv_tau = w * m, w * m / t, 1.0 / t
 
     def value(self, x):
-        return _row_dots(self.coef, expit(self.inv_tau * x[:, None]) - 0.5)
+        return _row_dots(self.coef, expit(self.inv_tau * x[..., None]) - 0.5)
 
     def deriv(self, x):
-        sig = expit(self.inv_tau * x[:, None])
+        sig = expit(self.inv_tau * x[..., None])
         return _row_dots(self.slope_coef, sig * (1.0 - sig))
 
 

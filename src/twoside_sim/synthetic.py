@@ -59,6 +59,11 @@ class SyntheticScenarioConfig:
                 raise ValueError("custom init requires init_viewer and init_provider")
             object.__setattr__(self, "init_viewer", tuple(float(v) for v in self.init_viewer))
             object.__setattr__(self, "init_provider", tuple(float(v) for v in self.init_provider))
+            if len(self.init_viewer) != self.K or len(self.init_provider) != self.L:
+                raise ValueError(
+                    f"custom init has {len(self.init_viewer)} viewer and "
+                    f"{len(self.init_provider)} provider entries; the scenario has "
+                    f"K={self.K}, L={self.L}")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must be in [0, 1]")
         if self.T < 1:

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_env, random_policy, random_state
-from twoside_sim import (EnvironmentSpec, LookaheadConfig, PairingError,
+from twoside_sim import (EnvironmentSpec, LookaheadConfig, NoiseSpec, PairingError,
                          PopulationState, SyntheticScenarioConfig,
                          decompose_regret, empirical_regret_suite, gen_synthetic,
                          linear_fn, myopic_greedy, optimize_lookahead, payoffs,
                          regret_report_to_csv, rollout, sample_initial_state,
-                         suite_summary, uniform_policy,
+                         suite_summary, table_fn, uniform_policy,
                          welfare)
 
 
@@ -110,6 +110,37 @@ def test_two_by_two_terms_match_direct_recomputation():
             best_s - R(s.state, s.policy), abs=1e-10)
         assert rep.per_step_const[i] == pytest.approx(
             R(b.state, b.policy) - best_b, abs=1e-10)
+
+
+def test_terms_equal_the_greedy_policy_welfare_exactly():
+    # Tables in the grid send it through the per-cell path.  Providers 1 and 2
+    # stay above 9, on the tables' flat top, so rows 1 and 2 tie between
+    # columns 1 and 2 at every step.  Each term must equal, bit for bit, the
+    # welfare of the greedy policy built explicitly.
+    table = table_fn([(0.0, 0.0), (3.0, 1.0), (9.0, 1.5)])
+    env = EnvironmentSpec(
+        K=3, L=3,
+        B=[[1.0, 0.6, 0.6], [0.2, 0.9, 0.9], [0.5, 0.5, 0.5]],
+        f=[[table, linear_fn(0.1), linear_fn(0.1)],
+           [linear_fn(0.3), table, table],
+           [table, table, table]],
+        lambda_bar_viewer=(linear_fn(0.8, 1.0), linear_fn(0.5, 2.0), linear_fn(0.6, 1.5)),
+        lambda_bar_provider=(linear_fn(0.6, 0.5), linear_fn(0.9, 12.0), linear_fn(0.9, 12.0)),
+        eta_viewer=[0.4, 0.7, 0.5], eta_provider=[0.5, 0.3, 0.3],
+        noise=NoiseSpec(relative_std=0.05), seed=11)
+    init = PopulationState(t=0, viewer=[3.0, 4.0, 2.0], provider=[2.0, 12.0, 15.0])
+    base = rollout(env, uniform_policy(3, 3), 8, init)
+    subj = rollout(env, random_policy(2, 3, 3), 8, init)
+    rep = decompose_regret(env, base, subj)
+
+    def best(state):
+        return welfare(state, payoffs(env, state, myopic_greedy(env, state)))
+
+    for i, (b, s) in enumerate(zip(base.steps, subj.steps)):
+        assert rep.per_step_total[i] == b.welfare - s.welfare
+        assert rep.per_step_population[i] == best(b.state) - best(s.state)
+        assert rep.per_step_policy[i] == best(s.state) - s.welfare
+        assert rep.per_step_const[i] == b.welfare - best(b.state)
 
 
 def test_pairing_rejects_foreign_environment():

@@ -214,6 +214,21 @@ def test_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "regret"])
+def test_custom_synthetic_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
+    scenario = scenario_dict(K=2, L=2, d=2, init="custom", init_viewer=[1.0],
+                             init_provider=[1.0, 1.0])
+    cfg = write_json(tmp_path, "cfg.json", {
+        "environment": {"synthetic": scenario}, "T": 2,
+        "policies": [{"name": "u", "kind": "uniform"}, {"name": "g", "kind": "myopic"}]})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and "K=2" in record["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / regret / estimate
 
@@ -424,6 +439,30 @@ def test_oracle_epsilon_bounds_single_viewer_curve(tmp_path, capsys):
     assert all(a > b for a, b in zip(welf, welf[1:]))  # single viewer: strict decay
     for r in rows:
         assert r["welfare"] == pytest.approx(r["upper"], rel=1e-9)
+
+
+LINEAR_PARAMS = {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0, "B": [[1.0, 0.5]]}
+
+# (subcommand, misspelled key, config with it); the params typos sit inside 'params'
+MISSPELLED_ORACLE_KEYS = [
+    ("linear-ne", "pi_init", {"params": LINEAR_PARAMS, "pi": [[0.5, 0.5]], "pi_init": 1}),
+    ("linear-welfare", "b1", {"params": {**LINEAR_PARAMS, "b1": 0.3}, "pi": [[0.5, 0.5]]}),
+    ("epsilon-bounds", "epsilon_gird", {"params": LINEAR_PARAMS, "epsilon_gird": [0.0, 0.5]}),
+    ("epsilon-bounds", "a_2", {"params": {**LINEAR_PARAMS, "a_2": 0.5}}),
+]
+
+
+@pytest.mark.parametrize("oracle_cmd, key, payload", MISSPELLED_ORACLE_KEYS,
+                         ids=[f"{cmd}-{key}" for cmd, key, _ in MISSPELLED_ORACLE_KEYS])
+def test_oracle_unknown_key_is_config_error(tmp_path, capsys, oracle_cmd, key, payload):
+    cfg = write_json(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, ["oracle", oracle_cmd, "--config", cfg,
+                                         "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert not out.exists()
 
 
 def test_oracle_missing_config_exits_2(capsys):

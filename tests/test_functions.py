@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from twoside_sim import (FunctionConfigError, FunctionDomainError, ScalarFn,
-                         fn_deriv, fn_eval, linear_fn, saturating_exp,
+                         SyntheticScenarioConfig, fn_deriv, fn_eval, gen_synthetic,
+                         linear_fn, saturating_exp,
                          scaled_logistic, sigmoid_half, table_fn,
                          weighted_sigmoid_sum)
 from twoside_sim.functions import FnGrid, FnVector
 
-from conftest import random_smooth_fn
+from conftest import random_env, random_smooth_fn
 
 
 def central_diff(fn, x, h=1e-5):
@@ -225,3 +226,34 @@ def test_kernels_reject_non_finite_points(bad):
             kernel.value(x)
         with pytest.raises(FunctionDomainError):
             kernel.deriv(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       batch=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple))
+def test_batched_rows_equal_unbatched_calls(seed, batch):
+    """Leading axes are batch axes: every row of a batched call equals the
+    unbatched call bit for bit, a non-finite entry anywhere in the batch
+    raises, and a wrong last-axis length is a shape error."""
+    rng = np.random.default_rng(seed)
+    env = random_env(seed)
+    mixed = [random_fn(rng) for _ in range(3)] + [table_fn([(0.0, 0.0), (5.0, 2.0)])]
+    mixed_grid = [mixed, mixed[::-1]]     # a table in every row: the cell path
+    synthetic = gen_synthetic(SyntheticScenarioConfig(K=3, L=4, d=3, seed=seed % 97))
+    kernels = [(env.viewer_curves, env.K), (env.provider_curves, env.L),
+               (env.f_grid, env.L), (FnVector(mixed), 4), (FnGrid(mixed_grid), 4),
+               (synthetic.f_grid, 4)]
+    for kernel, n in kernels:
+        x = rng.uniform(-20.0, 60.0, batch + (n,))
+        for method in (kernel.value, kernel.deriv):
+            got = method(x)
+            assert got.shape == batch + method(x[(0,) * len(batch)]).shape
+            for idx in np.ndindex(*batch):
+                np.testing.assert_array_equal(got[idx], method(x[idx]))
+            bad = x.copy()
+            bad[tuple(int(rng.integers(m)) for m in bad.shape)] = (np.nan, np.inf)[seed % 2]
+            with pytest.raises(FunctionDomainError):
+                method(bad)
+            with pytest.raises(ValueError) as err:
+                method(np.ones(batch + (n + 1,)))
+            assert err.type is ValueError
