@@ -17,7 +17,7 @@ from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        find_fixed_point,
                        fixed_point_residual, jacobian_eigenvalues,
                        parse_trajectory_csv, payoffs, rollout, step,
-                       trajectory_header, trajectory_table, trajectory_to_csv,
+                       trajectory_header, trajectory_to_csv,
                        welfare)
 from .policies import (GradientCheckError, LookaheadConfig, OptimizationError,
                        check_gradient, finite_difference_gradient, interpolate,

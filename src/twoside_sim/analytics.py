@@ -10,8 +10,7 @@ populations).  The three sum to the total by construction.
 
 The best response sends each viewer group to its highest current utility
 q = B + f(provider pops), so its welfare is sum_k v_k max_l q_kl.  That sum
-is evaluated for a whole trajectory at once, from one batched grid
-evaluation.
+is evaluated for a whole trajectory at once, from the utilities it recorded.
 """
 
 from __future__ import annotations
@@ -51,16 +50,13 @@ class RegretSuite:
     reports: dict[str, RegretReport]
 
 
-def _best_response_welfare(env: EnvironmentSpec, traj: Trajectory) -> np.ndarray:
-    """sum_k v_k max_l q_kl at every step of `traj`, with q = B + f(provider).
+def _best_response_welfare(traj: Trajectory) -> np.ndarray:
+    """sum_k v_k max_l q_kl at every step of `traj`, from its recorded q.
 
     Equal bit for bit to the welfare of the one-hot greedy policy: its row k
     gathers q[k, argmax] plus exact zeros, and the final sum is the same dot.
     """
-    viewers = np.stack([st.state.viewer for st in traj.steps])       # (T, K)
-    providers = np.stack([st.state.provider for st in traj.steps])   # (T, L)
-    q = env.B + env.f_grid.value(providers)                           # (T, K, L)
-    return _row_dots(viewers, q.max(axis=2))
+    return _row_dots(traj.table.lambda_viewer, traj.q.max(axis=2))
 
 
 def decompose_regret(env: EnvironmentSpec, baseline: Trajectory,
@@ -87,10 +83,10 @@ def decompose_regret(env: EnvironmentSpec, baseline: Trajectory,
             f"horizon mismatch: baseline {len(baseline)} vs subject {len(subject)}")
     base_welfare = baseline.welfare_series()
     subject_welfare = subject.welfare_series()
-    best_at_baseline = _best_response_welfare(env, baseline)
-    best_at_subject = _best_response_welfare(env, subject)
+    best_at_baseline = _best_response_welfare(baseline)
+    best_at_subject = _best_response_welfare(subject)
     total = base_welfare - subject_welfare
-    return RegretReport(t=np.asarray([s.state.t for s in subject.steps]),
+    return RegretReport(t=subject.table.t,
                         per_step_total=total,
                         per_step_population=best_at_baseline - best_at_subject,
                         per_step_policy=best_at_subject - subject_welfare,

@@ -263,7 +263,7 @@ def cmd_estimate(args) -> int:
             interaction_log_to_csv(log), newline="")
     record = {
         "fitted": fitted.to_dict(),
-        "final_welfare": traj.steps[-1].welfare,
+        "final_welfare": float(traj.table.welfare[-1]),
         "cumulative_welfare": traj.cumulative_welfare(),
     }
     _emit(record, args, "fitted.json")

@@ -11,7 +11,7 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,22 +116,53 @@ class TrajectoryStep:
 
 
 @dataclass(frozen=True)
+class TrajectoryTable:
+    """The CSV-schema view of a trajectory (the columns the CSV carries).
+    The arrays are read-only copies."""
+
+    t: np.ndarray
+    lambda_viewer: np.ndarray    # (T, K)
+    lambda_provider: np.ndarray  # (T, L)
+    s: np.ndarray                # (T, K)
+    e: np.ndarray                # (T, L)
+    welfare: np.ndarray          # (T,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
+
+
+@dataclass(frozen=True)
 class Trajectory:
+    """A run: its steps, plus their columns stacked once when it is made, read-only:
+    `table` (the CSV columns) and the utilities `q` of shape (T, K, L)."""
+
     steps: tuple[TrajectoryStep, ...]
     env_digest: str
     seed: int
+    table: TrajectoryTable = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "table", TrajectoryTable(
+            t=np.asarray([st.state.t for st in steps], dtype=int),
+            lambda_viewer=np.asarray([st.state.viewer for st in steps]),
+            lambda_provider=np.asarray([st.state.provider for st in steps]),
+            s=np.asarray([st.payoffs.s for st in steps]),
+            e=np.asarray([st.payoffs.e for st in steps]),
+            welfare=np.asarray([st.welfare for st in steps])))
+        object.__setattr__(self, "q", _readonly(np.asarray([st.payoffs.q for st in steps])))
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def welfare_series(self) -> np.ndarray:
-        return np.asarray([st.welfare for st in self.steps])
+        return self.table.welfare
 
     def cumulative_welfare(self) -> float:
-        return float(self.welfare_series().sum())
+        return float(self.table.welfare.sum())
 
 
 def as_policy_rule(policy) -> PolicyRule:
@@ -158,14 +189,23 @@ def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
     state = init
     steps = []
     for _ in range(T):
-        pi = validate_policy(rule(env, state))
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = payoffs(env, state, pi)
-            w = welfare(state, p)
-        _require_finite(state, "welfare", w)
-        steps.append(TrajectoryStep(state=state, policy=pi, payoffs=p, welfare=w))
-        state = _advance(env, state, p, rng)
+        recorded, state = _record_step(env, state, rule(env, state), rng)
+        steps.append(recorded)
     return Trajectory(steps=tuple(steps), env_digest=env.digest(), seed=recorded_seed)
+
+
+def _record_step(env: EnvironmentSpec, state: PopulationState, pi,
+                 rng: np.random.Generator | None) -> tuple[TrajectoryStep, PopulationState]:
+    """Deploy `pi` at `state`: the step observed there (payoffs before the
+    update) and the next state.  Raises DivergenceError, carrying `state`,
+    when the welfare, payoffs or new populations are not finite."""
+    pi = validate_policy(pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = payoffs(env, state, pi)
+        w = welfare(state, p)
+    _require_finite(state, "welfare", w)
+    return (TrajectoryStep(state=state, policy=pi, payoffs=p, welfare=w),
+            _advance(env, state, p, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +550,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory: one row per step, LF line endings, '.' decimals."""
     if not traj.steps:
         raise ValueError("cannot serialize an empty trajectory")
-    tab = trajectory_table(traj)
+    tab = traj.table
     return _csv_text(trajectory_header(tab.s.shape[1], tab.e.shape[1]), tab.t,
                      tab.lambda_viewer, tab.lambda_provider, tab.s, tab.e, tab.welfare)
 
@@ -524,34 +564,6 @@ def _csv_text(header: list[str], t, *columns) -> str:
     lines += [",".join([str(ti)] + [_FLOAT_FMT % v for v in row])
               for ti, row in zip(np.asarray(t).tolist(), rows)]
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TrajectoryTable:
-    """The CSV-schema view of a trajectory (the columns the CSV carries).
-    The arrays are read-only copies."""
-
-    t: np.ndarray
-    lambda_viewer: np.ndarray    # (T, K)
-    lambda_provider: np.ndarray  # (T, L)
-    s: np.ndarray                # (T, K)
-    e: np.ndarray                # (T, L)
-    welfare: np.ndarray          # (T,)
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
-
-
-def trajectory_table(traj: Trajectory) -> TrajectoryTable:
-    return TrajectoryTable(
-        t=np.asarray([st.state.t for st in traj.steps], dtype=int),
-        lambda_viewer=np.asarray([st.state.viewer for st in traj.steps]),
-        lambda_provider=np.asarray([st.state.provider for st in traj.steps]),
-        s=np.asarray([st.payoffs.s for st in traj.steps]),
-        e=np.asarray([st.payoffs.e for st in traj.steps]),
-        welfare=np.asarray([st.welfare for st in traj.steps]),
-    )
 
 
 def parse_trajectory_csv(text: str) -> TrajectoryTable:

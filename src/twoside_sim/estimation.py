@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _advance, _csv_text,
-                       _parse_csv, payoffs, trajectory_header, trajectory_table, welfare)
+from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _csv_text, _parse_csv,
+                       _record_step, trajectory_header)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .model import (EnvironmentSpec, PolicyMatrix, PopulationState, epsilon_greedy,
-                    validate_policy, _readonly)
+from .model import EnvironmentSpec, PolicyMatrix, PopulationState, epsilon_greedy, _readonly
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -207,9 +206,7 @@ class InteractionLog:
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, eta_viewer, eta_provider) -> "InteractionLog":
-        return cls(table=trajectory_table(traj),
-                   q=np.asarray([st.payoffs.q for st in traj.steps]),
-                   eta_viewer=eta_viewer, eta_provider=eta_provider)
+        return cls(table=traj.table, q=traj.q, eta_viewer=eta_viewer, eta_provider=eta_provider)
 
 
 def _q_header(K: int, L: int) -> list[str]:
@@ -356,12 +353,8 @@ class SimulatorBlackbox:
 
     def step(self, pi) -> TrajectoryStep:
         """Deploy a policy for one step; returns the step observed at the
-        pre-step state, then advances the hidden state."""
-        policy = validate_policy(pi)
-        p = payoffs(self._env, self._state, policy)
-        observed = TrajectoryStep(state=self._state, policy=policy, payoffs=p,
-                                  welfare=welfare(self._state, p))
-        self._state = _advance(self._env, self._state, p, self._rng)
+        pre-step state, then advances the hidden state (as rollout does)."""
+        observed, self._state = _record_step(self._env, self._state, pi, self._rng)
         return observed
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
 from .dynamics import Trajectory, rollout, trajectory_to_csv
-from .model import EnvironmentSpec, PopulationState, epsilon_greedy, validate_policy
+from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .policies import (LookaheadConfig, interpolate, myopic_greedy,
                        optimize_lookahead, uniform_policy)
 from .synthetic import SyntheticScenarioConfig, gen_synthetic, sample_initial_state
@@ -102,7 +102,7 @@ def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
         if spec.kind == "myopic":
             return lambda e, s: myopic_greedy(e, s)
         if spec.kind == "epsilon_greedy":
-            fixed = validate_policy(epsilon_greedy(env.B, spec.epsilon))
+            fixed = epsilon_greedy(env.B, spec.epsilon)
             return lambda e, s: fixed
         if spec.kind == "lookahead":
             cfg, beta = spec.lookahead, spec.beta
@@ -227,11 +227,11 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
         welfare_means = []
         for seed in config.seeds:
             traj = results[(spec.name, seed)]
-            last = traj.steps[-1]
+            tab = traj.table
             per_seed[str(seed)] = {
-                "final_welfare": last.welfare,
-                "final_viewer_total": float(last.state.viewer.sum()),
-                "final_provider_total": float(last.state.provider.sum()),
+                "final_welfare": float(tab.welfare[-1]),
+                "final_viewer_total": float(tab.lambda_viewer[-1].sum()),
+                "final_provider_total": float(tab.lambda_provider[-1].sum()),
                 "cumulative_welfare": traj.cumulative_welfare(),
             }
             welfare_means.append(traj.welfare_series().mean())

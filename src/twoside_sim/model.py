@@ -178,14 +178,32 @@ class PopulationState:
 class PolicyMatrix:
     """A K x L row-stochastic allocation of provider groups to viewer groups.
 
-    Construct through validate_policy (or the policy constructors), which
-    enforce entries in [0, 1] and row sums of 1 within ROW_SUM_TOL.
+    Valid by construction: entries must be finite, non-negative and at most 1,
+    and each row must sum to 1 within ROW_SUM_TOL, else PolicyValidationError.
+    Entries are kept bit-for-bit as given (no renormalizing division): several
+    policy constructors guarantee exact algebraic identities — e.g. the
+    epsilon-greedy convex combination and interpolation endpoints — that a
+    renormalization would silently break.
     """
 
     rows: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _readonly(np.asarray(self.rows, dtype=float)))
+        rows = _readonly(np.asarray(self.rows, dtype=float))
+        if rows.ndim != 2:
+            raise PolicyValidationError(f"policy must be a 2-d matrix, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise PolicyValidationError("policy entries must be finite")
+        if np.any(rows < 0):
+            raise PolicyValidationError("policy entries must be >= 0")
+        if np.any(rows > 1 + ROW_SUM_TOL):
+            raise PolicyValidationError("policy entries must be <= 1")
+        sums = rows.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+            bad = int(np.argmax(np.abs(sums - 1.0)))
+            raise PolicyValidationError(
+                f"policy row {bad} sums to {sums[bad]!r}, expected 1 within {ROW_SUM_TOL}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,29 +216,9 @@ def as_rows(pi) -> np.ndarray:
 
 
 def validate_policy(m) -> PolicyMatrix:
-    """Validate a K x L matrix as an allocation policy.
-
-    Rows must be non-negative and sum to 1 within ROW_SUM_TOL.  Entries are
-    kept bit-for-bit as given (no renormalizing division): several policy
-    constructors guarantee exact algebraic identities — e.g. the epsilon-greedy
-    convex combination and interpolation endpoints — that a renormalization
-    would silently break.
-    """
-    rows = np.array(as_rows(m), dtype=float)
-    if rows.ndim != 2:
-        raise PolicyValidationError(f"policy must be a 2-d matrix, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise PolicyValidationError("policy entries must be finite")
-    if np.any(rows < 0):
-        raise PolicyValidationError("policy entries must be >= 0")
-    if np.any(rows > 1 + ROW_SUM_TOL):
-        raise PolicyValidationError("policy entries must be <= 1")
-    sums = rows.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise PolicyValidationError(
-            f"policy row {bad} sums to {sums[bad]!r}, expected 1 within {ROW_SUM_TOL}")
-    return PolicyMatrix(rows)
+    """`m` as an allocation policy: a PolicyMatrix as it is (it was checked
+    when made), anything else checked by the PolicyMatrix constructor."""
+    return m if isinstance(m, PolicyMatrix) else PolicyMatrix(m)
 
 
 def greedy_rows(B) -> np.ndarray:

@@ -8,9 +8,11 @@ x >= 0 so welfare stays nonnegative.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from twoside_sim import (EnvironmentSpec, NoiseSpec, PopulationState, linear_fn,
+from twoside_sim import (EnvironmentSpec, InteractionLog, NoiseSpec, PopulationState, linear_fn,
                          saturating_exp, scaled_logistic, sigmoid_half,
                          weighted_sigmoid_sum)
 
@@ -64,6 +66,31 @@ def random_policy(seed: int, K: int, L: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 7])
     raw = rng.uniform(0.05, 1.0, (K, L))
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def assert_columns_stack_steps(traj, env: EnvironmentSpec) -> None:
+    """A trajectory's columns are its steps stacked, read-only, and an
+    interaction log built from it carries the same values."""
+    steps = traj.steps
+    stacked = {"t": [st.state.t for st in steps],
+               "lambda_viewer": [st.state.viewer for st in steps],
+               "lambda_provider": [st.state.provider for st in steps],
+               "s": [st.payoffs.s for st in steps],
+               "e": [st.payoffs.e for st in steps],
+               "welfare": [st.welfare for st in steps]}
+    assert set(stacked) == {f.name for f in dataclasses.fields(traj.table)}
+    for name, column in stacked.items():
+        got = getattr(traj.table, name)
+        assert np.array_equal(got, np.asarray(column)), name
+        assert not got.flags.writeable, name
+    assert traj.table.t.dtype.kind == "i"
+    assert traj.q.shape == (len(steps), env.K, env.L)
+    assert np.array_equal(traj.q, np.asarray([st.payoffs.q for st in steps]))
+    assert not traj.q.flags.writeable
+    log = InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider)
+    for name in stacked:
+        assert np.array_equal(getattr(log.table, name), getattr(traj.table, name)), name
+    assert np.array_equal(log.q, traj.q)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

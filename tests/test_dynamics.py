@@ -8,7 +8,7 @@ import twoside_sim.dynamics as dynamics
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
                          FixedPointPreconditionError, NoiseSpec,
-                         PopulationState, SyntheticScenarioConfig,
+                         PolicyValidationError, PopulationState, SyntheticScenarioConfig,
                          assemble_jacobian, closed_form_eigenvalues,
                          enumerate_fixed_points, epsilon_greedy,
                          find_fixed_point, fixed_point_residual, fn_deriv,
@@ -19,7 +19,7 @@ from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
                          trajectory_to_csv, validate_policy, welfare)
 
-from conftest import random_env, random_policy, random_state
+from conftest import assert_columns_stack_steps, random_env, random_policy, random_state
 
 
 def linear_env(K, L, slopes_v, slopes_p, f_slopes, B, eta_v, eta_p,
@@ -207,6 +207,14 @@ def test_rollout_is_bit_deterministic(seed):
     assert a.env_digest == b.env_digest == env.digest()
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), T=st.integers(1, 12))
+def test_trajectory_columns_are_its_steps_stacked(seed, T):
+    env = random_env(seed, noise_std=0.05)
+    traj = rollout(env, random_policy(seed, env.K, env.L), T, random_state(seed, env))
+    assert_columns_stack_steps(traj, env)
+
+
 def test_rollout_propagates_policy_rule_errors():
     env = linear_env(1, 1, [0.5], [0.5], [[0.0]], B=[[1.0]], eta_v=[0.5], eta_p=[0.5])
     init = PopulationState(t=0, viewer=[1.0], provider=[1.0])
@@ -214,7 +222,7 @@ def test_rollout_propagates_policy_rule_errors():
     def bad_rule(env, state):
         return np.array([[0.4, 0.4]])  # wrong shape and wrong row sum
 
-    with pytest.raises(Exception):
+    with pytest.raises(PolicyValidationError):
         rollout(env, bad_rule, 3, init)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from twoside_sim import (DegenerateDesignError, EnvironmentSpec,
+from twoside_sim import (DegenerateDesignError, DivergenceError, EnvironmentSpec,
                          EstimationError, EstimationWarning,
                          ExploreCommitConfig, FittedDynamics,
                          InsufficientDataError, InteractionLog, LookaheadConfig,
@@ -19,12 +19,12 @@ from twoside_sim import (DegenerateDesignError, EnvironmentSpec,
                          PopulationState, SimulatorBlackbox, TrajectoryTable,
                          epsilon_greedy,
                          explore_then_commit, fit_dynamics, fit_saturating_exp,
-                         fn_eval, interaction_log_to_csv, myopic_greedy,
+                         fn_eval, interaction_log_to_csv, linear_fn, myopic_greedy,
                          parse_interaction_csv, recover_reference, rollout,
-                         saturating_exp, step, trajectory_table)
+                         saturating_exp, step)
 import twoside_sim.estimation as estimation_module
 
-from conftest import random_env, random_policy, random_state
+from conftest import assert_columns_stack_steps, random_env, random_policy, random_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -261,7 +261,7 @@ def test_interaction_csv_without_rows_and_with_a_short_row():
 def test_log_rejects_time_gaps():
     env = sat_env()
     traj = rollout(env, epsilon_greedy(env.B, 0.3), 5, START)
-    table = trajectory_table(traj)
+    table = traj.table
     gapped = TrajectoryTable(**{f.name: getattr(table, f.name)[::2]
                                 for f in dataclasses.fields(table)})
     q = np.array([st.payoffs.q for st in traj.steps])
@@ -362,6 +362,25 @@ def test_blackbox_reset_reproduces_noisy_runs():
         np.testing.assert_array_equal(a.payoffs.q, b.payoffs.q)
 
 
+def test_blackbox_step_diverges_where_rollout_does():
+    # welfare overflows at t=2 (viewer 1e200 times satisfaction 2e200) while
+    # the payoffs themselves are still finite
+    env = EnvironmentSpec(K=1, L=1, B=[[1.0]], f=((linear_fn(1.0),),),
+                          lambda_bar_viewer=(linear_fn(1e100),),
+                          lambda_bar_provider=(linear_fn(1e100),),
+                          eta_viewer=[1.0], eta_provider=[1.0])
+    init = PopulationState(t=0, viewer=[1.0], provider=[1.0])
+    with pytest.raises(DivergenceError) as rolled:
+        rollout(env, [[1.0]], 3, init)
+    box = SimulatorBlackbox(env, init)
+    box.step([[1.0]])
+    box.step([[1.0]])
+    with pytest.raises(DivergenceError) as stepped:
+        box.step([[1.0]])
+    assert stepped.value.last_state.t == rolled.value.last_state.t == 2
+    assert box.state.t == 2
+
+
 # --- explore-then-commit ---
 
 
@@ -389,6 +408,14 @@ def test_etc_bookkeeping_and_burn_in_policy():
     for rec in traj.steps:
         np.testing.assert_allclose(rec.policy.rows.sum(axis=1), 1.0, atol=1e-9)
     assert isinstance(fitted, FittedDynamics)
+
+
+def test_etc_trajectory_columns_are_its_steps_stacked():
+    env = EnvironmentSpec.from_dict({**sat_env().to_dict(), "noise": {"relative_std": 0.02}})
+    traj, _ = explore_then_commit(SimulatorBlackbox(env, START, seed=4),
+                                  ExploreCommitConfig(T_b=8, T=12, beta=0.3, refit_every=2),
+                                  LookaheadConfig(iterations=10))
+    assert_columns_stack_steps(traj, env)
 
 
 def test_etc_beta_zero_commits_to_surrogate_greedy():

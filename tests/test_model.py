@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside_sim import (EnvironmentSpec, NoiseSpec, PolicyValidationError,
+from twoside_sim import (EnvironmentSpec, NoiseSpec, PolicyMatrix, PolicyValidationError,
                          PopulationState, SpecValidationError, epsilon_greedy,
                          fn_deriv, fn_eval,
                          greedy_rows, linear_fn, sigmoid_half,
@@ -114,14 +114,20 @@ def test_population_state_rejects_bad_values():
 # --- policies ---
 
 
-def test_validate_policy_accepts_and_rejects():
-    validate_policy([[0.5, 0.5], [1.0, 0.0]])
+@pytest.mark.parametrize("make", [validate_policy, PolicyMatrix], ids=lambda m: m.__name__)
+def test_validate_policy_accepts_and_rejects(make):
+    pi = make([[0.5, 0.5], [1.0, 0.0]])
+    assert validate_policy(pi) is pi                    # a PolicyMatrix was checked when made
     with pytest.raises(PolicyValidationError):
-        validate_policy([[0.5, 0.4], [1.0, 0.0]])       # row sum 0.9
+        make([[0.5, 0.4], [1.0, 0.0]])                  # row sum 0.9
     with pytest.raises(PolicyValidationError):
-        validate_policy([[1.5, -0.5], [1.0, 0.0]])      # negative entry
+        make([[1.5, -0.5], [1.0, 0.0]])                 # negative entry
     with pytest.raises(PolicyValidationError):
-        validate_policy([0.5, 0.5])                     # not 2-d
+        make([[2.0, -1.0]])                             # entries outside [0, 1]
+    with pytest.raises(PolicyValidationError):
+        make([[np.nan, 1.0]])                           # not finite
+    with pytest.raises(PolicyValidationError):
+        make([0.5, 0.5])                                # not 2-d
 
 
 def test_validate_policy_keeps_entries_bitwise():
