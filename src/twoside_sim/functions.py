@@ -16,11 +16,17 @@ Variants:
 The weighted sum of half-sigmoids exists so that feature-weighted quality
 curves can be represented with exact gradients instead of being tabulated.
 
+Every sigmoid is evaluated in closed form through sigma(z) = (1 + tanh(z/2)) / 2,
+so sigma(z)(1 - sigma(z)) = (1 - tanh(z/2)^2) / 4: one np.tanh gives the value
+and the slope, cannot overflow, and loses no digits to cancellation near
+sigma = 1/2.
+
 fn_eval / fn_deriv evaluate one function.  FnVector and FnGrid evaluate a
 whole side's curves, or the K x L population-effect grid, in a few array
 operations; every EnvironmentSpec builds them once, at construction.  Both
 take leading batch axes: row i of a batched call equals the unbatched call
-on row i bit for bit.
+on row i bit for bit.  Their value_and_deriv returns both from one pass,
+each equal to the separate call bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import expit
 
 
 class FunctionDomainError(ValueError):
@@ -182,17 +187,18 @@ def fn_eval(fn: ScalarFn, x):
     if fn.kind == "linear":
         out = p["slope"] * x + p["intercept"]
     elif fn.kind == "sigmoid_half":
-        out = p["max"] * (expit(x / p["tau"]) - 0.5)
+        out = (0.5 * p["max"]) * np.tanh(x / (2.0 * p["tau"]))
     elif fn.kind == "saturating_exp":
         out = p["a0"] * (1.0 - np.exp(-p["a1"] * (x - p["a2"]))) + p["a3"]
     elif fn.kind == "scaled_logistic":
-        out = p["gain"] * expit(p["scale"] * (x - p["shift"]))
+        half_gain = 0.5 * p["gain"]
+        out = half_gain + half_gain * np.tanh((0.5 * p["scale"]) * (x - p["shift"]))
     elif fn.kind == "table":
         xs, ys = _table_arrays(fn)
         out = np.interp(x, xs, ys)  # np.interp is flat outside the knot range
     else:  # weighted_sigmoid_sum
         w, m, t = _wss_arrays(fn)
-        out = (w * m) @ (expit(np.multiply.outer(1.0 / t, x)) - 0.5)
+        out = (0.5 * w * m) @ np.tanh(np.multiply.outer(0.5 / t, x))
     return out if np.ndim(x) else float(out)
 
 
@@ -203,19 +209,19 @@ def fn_deriv(fn: ScalarFn, x):
     if fn.kind == "linear":
         out = np.full_like(np.asarray(x, dtype=float), p["slope"])
     elif fn.kind == "sigmoid_half":
-        sig = expit(x / p["tau"])
-        out = p["max"] * sig * (1.0 - sig) / p["tau"]
+        th = np.tanh(x / (2.0 * p["tau"]))
+        out = (p["max"] / (4.0 * p["tau"])) * (1.0 - th * th)
     elif fn.kind == "saturating_exp":
         out = p["a0"] * p["a1"] * np.exp(-p["a1"] * (x - p["a2"]))
     elif fn.kind == "scaled_logistic":
-        sig = expit(p["scale"] * (x - p["shift"]))
-        out = p["gain"] * p["scale"] * sig * (1.0 - sig)
+        th = np.tanh((0.5 * p["scale"]) * (x - p["shift"]))
+        out = (0.25 * p["gain"] * p["scale"]) * (1.0 - th * th)
     elif fn.kind == "table":
         out = _table_deriv(fn, x)
     else:  # weighted_sigmoid_sum
         w, m, t = _wss_arrays(fn)
-        sig = expit(np.multiply.outer(1.0 / t, x))  # one row per component
-        out = (w * m / t) @ (sig * (1.0 - sig))
+        th = np.tanh(np.multiply.outer(0.5 / t, x))  # one row per component
+        out = (0.25 * w * m / t) @ (1.0 - th * th)
     return out if np.ndim(x) else float(out)
 
 
@@ -293,6 +299,11 @@ class FnVector:
         """fns[i]'(x[..., i]) for every i (right-hand slope at table knots)."""
         return self._apply("deriv", _finite_vector(x, self.size))
 
+    def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(value(x), deriv(x)) from one pass and one finiteness check; each
+        equals the separate call bit for bit."""
+        return self._apply_both(_finite_vector(x, self.size))
+
     def _apply(self, method: str, x: np.ndarray) -> np.ndarray:
         if len(self._groups) == 1:
             return getattr(self._groups[0][1], method)(x)
@@ -300,6 +311,14 @@ class FnVector:
         for idx, kernel in self._groups:
             out[..., idx] = getattr(kernel, method)(x[..., idx])
         return out
+
+    def _apply_both(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(self._groups) == 1:
+            return self._groups[0][1].value_and_deriv(x)
+        value, deriv = np.empty(x.shape), np.empty(x.shape)
+        for idx, kernel in self._groups:
+            value[..., idx], deriv[..., idx] = kernel.value_and_deriv(x[..., idx])
+        return value, deriv
 
 
 class FnGrid:
@@ -321,15 +340,16 @@ class FnGrid:
             self._cells = FnVector(fn for row in grid for fn in row)
         else:
             self._cells = None
-            self._weights, self._max_values, self._taus = shared   # (K, d), (L, d), (L, d)
-            self._slopes = self._max_values / self._taus
+            self._weights, max_values, taus = shared   # (K, d), (L, d), (L, d)
+            self._half_max, self._two_taus = 0.5 * max_values, 2.0 * taus
+            self._slopes = max_values / (4.0 * taus)
 
     def value(self, x) -> np.ndarray:
         x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
             return self._cells._apply("value", np.tile(x, self.shape[0])).reshape(
                 x.shape[:-1] + self.shape)
-        comp = self._max_values * (expit(x[..., None] / self._taus) - 0.5)   # (..., L, d)
+        comp = self._half_max * np.tanh(x[..., None] / self._two_taus)     # (..., L, d)
         return self._weights @ comp.swapaxes(-1, -2)
 
     def deriv(self, x) -> np.ndarray:
@@ -337,8 +357,20 @@ class FnGrid:
         if self._cells is not None:
             return self._cells._apply("deriv", np.tile(x, self.shape[0])).reshape(
                 x.shape[:-1] + self.shape)
-        sig = expit(x[..., None] / self._taus)                              # (..., L, d)
-        return self._weights @ (self._slopes * sig * (1.0 - sig)).swapaxes(-1, -2)
+        th = np.tanh(x[..., None] / self._two_taus)                        # (..., L, d)
+        return self._weights @ (self._slopes * (1.0 - th * th)).swapaxes(-1, -2)
+
+    def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(value(x), deriv(x)) from one pass and one finiteness check; each
+        equals the separate call bit for bit."""
+        x = _finite_vector(x, self.shape[1])
+        if self._cells is not None:
+            shape = x.shape[:-1] + self.shape
+            value, deriv = self._cells._apply_both(np.tile(x, self.shape[0]))
+            return value.reshape(shape), deriv.reshape(shape)
+        th = np.tanh(x[..., None] / self._two_taus)                        # (..., L, d)
+        return (self._weights @ (self._half_max * th).swapaxes(-1, -2),
+                self._weights @ (self._slopes * (1.0 - th * th)).swapaxes(-1, -2))
 
 
 def _finite_vector(x, n: int) -> np.ndarray:
@@ -382,7 +414,8 @@ def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
 
 # One class per kind, built from that kind's functions: the parameters as
 # arrays, and the formulas of fn_eval / fn_deriv in the same operation order,
-# applied elementwise.
+# applied elementwise.  value_and_deriv shares the one transcendental call
+# (exp or tanh) between the two.
 
 
 class _Linear:
@@ -397,17 +430,26 @@ class _Linear:
         out[...] = self.slope
         return out
 
+    def value_and_deriv(self, x):
+        return self.value(x), self.deriv(x)
+
 
 class _SigmoidHalf:
     def __init__(self, fns):
-        self.max, self.tau = (_column(fns, k) for k in ("max", "tau"))
+        max_value, tau = (_column(fns, k) for k in ("max", "tau"))
+        self.half_max, self.two_tau = 0.5 * max_value, 2.0 * tau
+        self.slope = max_value / (4.0 * tau)
 
     def value(self, x):
-        return self.max * (expit(x / self.tau) - 0.5)
+        return self.half_max * np.tanh(x / self.two_tau)
 
     def deriv(self, x):
-        sig = expit(x / self.tau)
-        return self.max * sig * (1.0 - sig) / self.tau
+        th = np.tanh(x / self.two_tau)
+        return self.slope * (1.0 - th * th)
+
+    def value_and_deriv(self, x):
+        th = np.tanh(x / self.two_tau)
+        return self.half_max * th, self.slope * (1.0 - th * th)
 
 
 class _SaturatingExp:
@@ -421,19 +463,27 @@ class _SaturatingExp:
     def deriv(self, x):
         return self.a0_a1 * np.exp(self.neg_a1 * (x - self.a2))
 
+    def value_and_deriv(self, x):
+        decay = np.exp(self.neg_a1 * (x - self.a2))
+        return self.a0 * (1.0 - decay) + self.a3, self.a0_a1 * decay
+
 
 class _ScaledLogistic:
     def __init__(self, fns):
-        self.gain, self.scale, self.shift = (_column(fns, k)
-                                             for k in ("gain", "scale", "shift"))
-        self.gain_scale = self.gain * self.scale
+        gain, scale, self.shift = (_column(fns, k) for k in ("gain", "scale", "shift"))
+        self.half_gain, self.half_scale = 0.5 * gain, 0.5 * scale
+        self.slope = 0.25 * gain * scale
 
     def value(self, x):
-        return self.gain * expit(self.scale * (x - self.shift))
+        return self.half_gain + self.half_gain * np.tanh(self.half_scale * (x - self.shift))
 
     def deriv(self, x):
-        sig = expit(self.scale * (x - self.shift))
-        return self.gain_scale * sig * (1.0 - sig)
+        th = np.tanh(self.half_scale * (x - self.shift))
+        return self.slope * (1.0 - th * th)
+
+    def value_and_deriv(self, x):
+        th = np.tanh(self.half_scale * (x - self.shift))
+        return self.half_gain + self.half_gain * th, self.slope * (1.0 - th * th)
 
 
 class _Table:
@@ -455,20 +505,27 @@ class _Table:
             out[..., i] = _table_slope(xs, slopes, x[..., i])
         return out
 
+    def value_and_deriv(self, x):
+        return self.value(x), self.deriv(x)
+
 
 class _WeightedSigmoidSum:
     """Functions with equally many components, as (n, d) arrays."""
 
     def __init__(self, fns):
         w, m, t = (_column(fns, k) for k in ("weights", "max_values", "taus"))
-        self.coef, self.slope_coef, self.inv_tau = w * m, w * m / t, 1.0 / t
+        self.coef, self.slope_coef, self.inv_two_tau = 0.5 * w * m, 0.25 * w * m / t, 0.5 / t
 
     def value(self, x):
-        return _row_dots(self.coef, expit(self.inv_tau * x[..., None]) - 0.5)
+        return _row_dots(self.coef, np.tanh(self.inv_two_tau * x[..., None]))
 
     def deriv(self, x):
-        sig = expit(self.inv_tau * x[..., None])
-        return _row_dots(self.slope_coef, sig * (1.0 - sig))
+        th = np.tanh(self.inv_two_tau * x[..., None])
+        return _row_dots(self.slope_coef, 1.0 - th * th)
+
+    def value_and_deriv(self, x):
+        th = np.tanh(self.inv_two_tau * x[..., None])
+        return _row_dots(self.coef, th), _row_dots(self.slope_coef, 1.0 - th * th)
 
 
 _KERNELS = {"linear": _Linear, "sigmoid_half": _SigmoidHalf,

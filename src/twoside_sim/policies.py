@@ -53,8 +53,7 @@ def uniform_policy(K: int, L: int) -> PolicyMatrix:
 
 def myopic_greedy(env: EnvironmentSpec, state: PopulationState) -> PolicyMatrix:
     """All mass on the best current utility q = b + f(provider pops) per row."""
-    q = env.B + env.f_grid.value(state.provider)
-    return validate_policy(greedy_rows(q))
+    return validate_policy(greedy_rows(_utilities(env, state)))
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -75,9 +74,19 @@ def softmax_myopic(env: EnvironmentSpec, reference_exposure: np.ndarray,
     e = np.asarray(reference_exposure, dtype=float)
     if e.shape != (env.L,):
         raise ValueError(f"reference_exposure must have length L={env.L}")
-    ref_provider = env.provider_curves.value(e)
-    w = env.B + env.f_grid.value(ref_provider)
-    return validate_policy(row_softmax(gamma * w))
+    _, pi_soft, _, _ = _softened_myopic(env, e, gamma)
+    return validate_policy(pi_soft)
+
+
+def _softened_myopic(env: EnvironmentSpec, e: np.ndarray, gamma: float):
+    """(w, pi_soft, d_provider, df): the anticipated utilities
+    w = B + f(lambda_bar(e)), the softened myopic policy softmax(gamma * w),
+    and the slopes of lambda_bar at e and of f at lambda_bar(e), taken in the
+    same kernel passes as the values."""
+    ref_provider, d_provider = env.provider_curves.value_and_deriv(e)
+    f_ref, df = env.f_grid.value_and_deriv(ref_provider)
+    w = env.B + f_ref
+    return w, row_softmax(gamma * w), d_provider, df
 
 
 def interpolate(pi_lookahead, pi_myopic, beta: float) -> PolicyMatrix:
@@ -95,24 +104,36 @@ def interpolate(pi_lookahead, pi_myopic, beta: float) -> PolicyMatrix:
 # look-ahead objective and gradient
 
 
-def _lookahead_pieces(env: EnvironmentSpec, state: PopulationState, rows: np.ndarray,
-                      gamma: float):
-    """Shared forward pass: payoffs under `rows`, reference populations,
-    anticipated utilities w, softened policy, and per-row mean utility."""
-    q = env.B + env.f_grid.value(state.provider)
+def _utilities(env: EnvironmentSpec, state: PopulationState) -> np.ndarray:
+    """q = B + f(provider pops): it depends on the state alone."""
+    return env.B + env.f_grid.value(state.provider)
+
+
+def _lookahead_pieces(env: EnvironmentSpec, state: PopulationState, q: np.ndarray,
+                      rows: np.ndarray, gamma: float):
+    """Shared forward pass under `rows` at utilities q: anticipated viewers and
+    their slopes, anticipated utilities w, the softened policy and its
+    curve slopes, and the per-row mean utility."""
     s = (rows * q).sum(axis=1)
     e = rows.T @ state.viewer
-    big_lambda = env.viewer_curves.value(s)              # anticipated viewers
-    ref_provider = env.provider_curves.value(e)          # anticipated providers
-    w = env.B + env.f_grid.value(ref_provider)
-    pi_soft = row_softmax(gamma * w)
+    big_lambda, d_viewer = env.viewer_curves.value_and_deriv(s)   # anticipated viewers
+    w, pi_soft, d_provider, df = _softened_myopic(env, e, gamma)
     w_mean = (pi_soft * w).sum(axis=1)
-    return q, s, e, big_lambda, ref_provider, w, pi_soft, w_mean
+    return big_lambda, d_viewer, d_provider, w, pi_soft, df, w_mean
 
 
 def _objective(pieces) -> float:
-    _, _, _, big_lambda, _, _, _, w_mean = pieces
+    big_lambda, w_mean = pieces[0], pieces[-1]
     return float(big_lambda @ w_mean)
+
+
+def _checked_forward_pass(env: EnvironmentSpec, state: PopulationState, pi, gamma: float):
+    """(q, pieces) at `pi`, after checking its shape."""
+    rows = as_rows(pi)
+    if rows.shape != (env.K, env.L):
+        raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
+    q = _utilities(env, state)
+    return q, _lookahead_pieces(env, state, q, rows, gamma)
 
 
 def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
@@ -122,10 +143,8 @@ def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
     Accepts any correctly shaped finite matrix (the gradient check probes
     points just off the simplex); use validate_policy for simplex checking.
     """
-    rows = as_rows(pi)
-    if rows.shape != (env.K, env.L):
-        raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    return _objective(_lookahead_pieces(env, state, rows, gamma))
+    _, pieces = _checked_forward_pass(env, state, pi, gamma)
+    return _objective(pieces)
 
 
 def finite_difference_gradient(env: EnvironmentSpec, state: PopulationState, pi,
@@ -155,19 +174,14 @@ def lookahead_gradient(env: EnvironmentSpec, state: PopulationState, pi,
     logits).  Table curves enter through their right-hand slopes, so at a
     table knot this is the one-sided derivative from the right.
     """
-    rows = as_rows(pi)
-    if rows.shape != (env.K, env.L):
-        raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    return _analytic_gradient(env, state, gamma, _lookahead_pieces(env, state, rows, gamma))
+    q, pieces = _checked_forward_pass(env, state, pi, gamma)
+    return _analytic_gradient(state, gamma, q, pieces)
 
 
-def _analytic_gradient(env: EnvironmentSpec, state: PopulationState, gamma: float,
+def _analytic_gradient(state: PopulationState, gamma: float, q: np.ndarray,
                        pieces) -> np.ndarray:
     """lookahead_gradient from the forward pass made at the same policy."""
-    q, s, e, big_lambda, ref_provider, w, pi_soft, w_mean = pieces
-    d_viewer = env.viewer_curves.deriv(s)           # dlambda_bar_k/ds
-    d_provider = env.provider_curves.deriv(e)       # dlambda_bar_l/de
-    df = env.f_grid.deriv(ref_provider)             # df_{k,l} at ref pops
+    big_lambda, d_viewer, d_provider, w, pi_soft, df, w_mean = pieces
     # welfare response to exposure l: every row's softened mass and utility at l
     # move through lambda_bar_l; softmax reweighting contributes the gamma term.
     col = (big_lambda[:, None] * pi_soft * df
@@ -206,8 +220,8 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     """
     if config is None:
         config = LookaheadConfig()
-    init = (0.9 * as_rows(myopic_greedy(env, state))
-            + 0.1 * as_rows(uniform_policy(env.K, env.L)))
+    q = _utilities(env, state)
+    init = 0.9 * greedy_rows(q) + 0.1 * as_rows(uniform_policy(env.K, env.L))
     theta = np.log(init)
     best_pi: np.ndarray | None = None
     best_obj = -np.inf
@@ -215,7 +229,7 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations + 1):
             pi = row_softmax(theta)
-            pieces = _lookahead_pieces(env, state, pi, config.gamma)   # one forward pass
+            pieces = _lookahead_pieces(env, state, q, pi, config.gamma)   # one forward pass
             obj = _objective(pieces)
             if not np.isfinite(obj):
                 raise OptimizationError(
@@ -225,7 +239,7 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
                 best_pi = pi
             if it == config.iterations:
                 break
-            grad_pi = _analytic_gradient(env, state, config.gamma, pieces)
+            grad_pi = _analytic_gradient(state, config.gamma, q, pieces)
             # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
             grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
             theta = theta + config.learning_rate * grad_theta

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -225,6 +226,42 @@ def test_package_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "False"
+
+
+def test_package_runs_without_scipy():
+    """A plain import loads no scipy module, and with scipy blocked (any import
+    of it raises ImportError) the package optimizes a look-ahead policy, rolls
+    out with noise, finds a fixed point and fits dynamics."""
+    code = textwrap.dedent("""
+        import sys
+        import twoside_sim
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        sys.modules["scipy"] = None
+        import dataclasses
+        import numpy as np
+        import twoside_sim.cli
+        from twoside_sim import (InteractionLog, LookaheadConfig, NoiseSpec,
+                                 SyntheticScenarioConfig, epsilon_greedy,
+                                 find_fixed_point, fit_dynamics, gen_synthetic,
+                                 optimize_lookahead, rollout, sample_initial_state)
+        scen = SyntheticScenarioConfig(K=3, L=3, d=4, seed=5)
+        env = gen_synthetic(scen)
+        init = sample_initial_state(scen)
+        pi = optimize_lookahead(env, init, LookaheadConfig(iterations=20))
+        fp = find_fixed_point(env, pi, init)
+        noisy = dataclasses.replace(env, noise=NoiseSpec(relative_std=0.02))
+        traj = rollout(noisy, epsilon_greedy(env.B, 0.3), 40, init, seed=3)
+        fitted = fit_dynamics(
+            InteractionLog.from_trajectory(traj, env.eta_viewer, env.eta_provider), env.B)
+        assert np.all(np.isfinite(np.concatenate([fp.viewer, fp.provider])))
+        assert len(fitted.f_hat) == 3 and all(fit.rmse >= 0 for fit in fitted.f_hat[0])
+        print("ok")
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 # --- interaction logs ---

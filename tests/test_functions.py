@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,20 @@ def random_fn(rng: np.random.Generator):
     return random_smooth_fn(rng)
 
 
+def one_of_each_kind(rng: np.random.Generator):
+    """One function of every kind, with random parameters."""
+    d = int(rng.integers(1, 4))
+    return [linear_fn(rng.uniform(0.0, 2.0), rng.uniform(-3.0, 3.0)),
+            sigmoid_half(rng.uniform(1.0, 50.0), rng.uniform(0.5, 20.0)),
+            saturating_exp(rng.uniform(0.5, 20.0), rng.uniform(0.01, 0.5),
+                           rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0)),
+            scaled_logistic(rng.uniform(1.0, 30.0), rng.uniform(0.05, 2.0),
+                            rng.uniform(-5.0, 10.0)),
+            weighted_sigmoid_sum(rng.uniform(0.0, 1.0, d), rng.uniform(0.5, 5.0, d),
+                                 rng.uniform(1.0, 30.0, d)),
+            table_fn([(-3.0, 0.0), (1.0, 2.0), (8.0, 2.5)])]
+
+
 def evaluation_points(rng, fns):
     """Uniform draws, with table entries sometimes placed exactly on a knot."""
     x = rng.uniform(-20.0, 60.0, len(fns))
@@ -188,6 +204,7 @@ def test_fn_vector_equals_scalar_evaluation_exactly(seed, n):
     x = evaluation_points(rng, fns)
     vec = FnVector(fns)
     assert_entrywise_exact(vec.value(x), vec.deriv(x), fns, x)
+    assert_entrywise_exact(*vec.value_and_deriv(x), fns, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,6 +227,8 @@ def test_fn_grid_equals_scalar_evaluation_exactly(seed, K, L, sums_only):
     fg = FnGrid(grid)
     assert fg.value(x).shape == fg.deriv(x).shape == (K, L)
     assert_entrywise_exact(fg.value(x).ravel(), fg.deriv(x).ravel(), cells, columns)
+    value, deriv = fg.value_and_deriv(x)
+    assert_entrywise_exact(value.ravel(), deriv.ravel(), cells, columns)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -222,10 +241,9 @@ def test_kernels_reject_non_finite_points(bad):
     for kernel, n in ((FnVector(fns), 3), (FnGrid(shared), 2), (FnGrid(mixed), 2)):
         x = np.ones(n)
         x[-1] = bad
-        with pytest.raises(FunctionDomainError):
-            kernel.value(x)
-        with pytest.raises(FunctionDomainError):
-            kernel.deriv(x)
+        for method in (kernel.value, kernel.deriv, kernel.value_and_deriv):
+            with pytest.raises(FunctionDomainError):
+                method(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,18 +252,30 @@ def test_kernels_reject_non_finite_points(bad):
 def test_batched_rows_equal_unbatched_calls(seed, batch):
     """Leading axes are batch axes: every row of a batched call equals the
     unbatched call bit for bit, a non-finite entry anywhere in the batch
-    raises, and a wrong last-axis length is a shape error."""
+    raises, and a wrong last-axis length is a shape error.  The same holds
+    for value_and_deriv, whose two results equal value and deriv bit for bit,
+    batched and not."""
     rng = np.random.default_rng(seed)
     env = random_env(seed)
+    each = one_of_each_kind(rng)
     mixed = [random_fn(rng) for _ in range(3)] + [table_fn([(0.0, 0.0), (5.0, 2.0)])]
     mixed_grid = [mixed, mixed[::-1]]     # a table in every row: the cell path
     synthetic = gen_synthetic(SyntheticScenarioConfig(K=3, L=4, d=3, seed=seed % 97))
     kernels = [(env.viewer_curves, env.K), (env.provider_curves, env.L),
                (env.f_grid, env.L), (FnVector(mixed), 4), (FnGrid(mixed_grid), 4),
-               (synthetic.f_grid, 4)]
+               (synthetic.f_grid, 4), (FnVector(each), 6), (FnGrid([each, each[::-1]]), 6)]
+    kernels += [(FnVector([fn, fn]), 2) for fn in each]    # one kind: the single-group path
     for kernel, n in kernels:
         x = rng.uniform(-20.0, 60.0, batch + (n,))
-        for method in (kernel.value, kernel.deriv):
+        for rows in (x, x[(0,) * len(batch)]):
+            value, deriv = kernel.value_and_deriv(rows)
+            np.testing.assert_array_equal(value, kernel.value(rows))
+            np.testing.assert_array_equal(deriv, kernel.deriv(rows))
+
+        def fused(x, kernel=kernel):
+            return np.stack(kernel.value_and_deriv(x), axis=-1)
+
+        for method in (kernel.value, kernel.deriv, fused):
             got = method(x)
             assert got.shape == batch + method(x[(0,) * len(batch)]).shape
             for idx in np.ndindex(*batch):
@@ -257,3 +287,64 @@ def test_batched_rows_equal_unbatched_calls(seed, batch):
             with pytest.raises(ValueError) as err:
                 method(np.ones(batch + (n + 1,)))
             assert err.type is ValueError
+
+
+# --- accuracy of the closed sigmoid forms ---
+
+
+def logistic_ld(u):
+    return 1.0 / (1.0 + np.exp(-u))
+
+
+def sigmoid_cases():
+    """(fn, z, x, reference value, reference slope, value scale, peak slope)
+    on z in [-40, 40], the references in np.longdouble from the float64
+    points x."""
+    ld = np.longdouble
+    z = np.linspace(-40.0, 40.0, 8001)
+    for max_value, tau in ((3.0, 0.5), (10.0, 7.3), (47.0, 13.1)):
+        x = z * tau
+        sig = logistic_ld(x.astype(ld) / ld(tau))
+        yield (sigmoid_half(max_value, tau), z, x, ld(max_value) * (sig - ld(0.5)),
+               ld(max_value) / ld(tau) * sig * (1 - sig), max_value, max_value / (4 * tau))
+    for gain, scale, shift in ((2.0, 1.0, 0.0), (13.0, 0.37, 4.2), (30.0, 0.05, -3.3)):
+        x = z / scale + shift
+        sig = logistic_ld(ld(scale) * (x.astype(ld) - ld(shift)))
+        yield (scaled_logistic(gain, scale, shift), z, x, ld(gain) * sig,
+               ld(gain) * ld(scale) * sig * (1 - sig), gain, gain * scale / 4)
+    w, m, t = np.array([0.3, 0.9, 0.5]), np.array([1.5, 4.0, 2.2]), np.array([2.0, 9.0, 25.0])
+    x = z * 9.0
+    sig = logistic_ld(np.multiply.outer(x.astype(ld), 1 / t.astype(ld)))
+    yield (weighted_sigmoid_sum(w, m, t), z, x, (sig - ld(0.5)) @ (w * m).astype(ld),
+           (sig * (1 - sig)) @ (w.astype(ld) * m / t), (w * m).sum(), (w * m / t).sum() / 4)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here, so it is no reference")
+def test_sigmoid_kinds_are_accurate_against_longdouble():
+    """Over z in [-40, 40], values are within 2 eps of the curve's scale (max,
+    gain or the summed w * max) and slopes within 2 eps of the peak slope.  A
+    half sigmoid's value is within 4 eps relatively for z in (0, 2), where
+    sigma(z) - 1/2 would cancel."""
+    eps = np.finfo(float).eps
+    for fn, z, x, ref_value, ref_slope, value_scale, peak_slope in sigmoid_cases():
+        value_err = np.abs(fn_eval(fn, x).astype(np.longdouble) - ref_value)
+        slope_err = np.abs(fn_deriv(fn, x).astype(np.longdouble) - ref_slope)
+        assert float(value_err.max()) <= 2 * eps * value_scale, fn
+        assert float(slope_err.max()) <= 2 * eps * peak_slope, fn
+        if fn.kind != "scaled_logistic":
+            near = (z > 0) & (z < 2)
+            assert float((value_err[near] / ref_value[near]).max()) <= 4 * eps, fn
+
+
+@pytest.mark.parametrize("x", [800.0, 1e6])
+def test_sigmoid_tails_are_exact_limits_without_warnings(x):
+    cases = [(scaled_logistic(2.0, 1.0, 0.0), 0.0, 2.0), (sigmoid_half(3.0, 0.5), -1.5, 1.5),
+             (weighted_sigmoid_sum([1.0, 0.5], [2.0, 4.0], [0.5, 3.0]), -2.0, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, lower, upper in cases:
+            assert (fn_eval(fn, -x), fn_eval(fn, x)) == (lower, upper)
+            assert fn_deriv(fn, -x) == fn_deriv(fn, x) == 0.0
+            value, deriv = FnVector([fn, fn]).value_and_deriv(np.array([-x, x]))
+            assert value.tolist() == [lower, upper] and deriv.tolist() == [0.0, 0.0]
