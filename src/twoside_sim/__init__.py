@@ -14,11 +14,10 @@ from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        StabilityReport, Trajectory, TrajectoryStep,
                        TrajectoryTable, assemble_jacobian,
                        closed_form_eigenvalues, enumerate_fixed_points,
-                       find_fixed_point,
-                       fixed_point_residual, jacobian_eigenvalues,
+                       find_fixed_point, fixed_point_residual,
+                       jacobian_eigenvalues, lockstep_rollouts,
                        parse_trajectory_csv, payoffs, rollout, step,
-                       trajectory_header, trajectory_to_csv,
-                       welfare)
+                       trajectory_header, trajectory_to_csv, welfare)
 from .policies import (GradientCheckError, LookaheadConfig, OptimizationError,
                        check_gradient, finite_difference_gradient, interpolate,
                        lookahead_gradient, lookahead_objective, myopic_greedy,
@@ -42,6 +41,6 @@ from .analytics import (PairingError, RegretReport, RegretSuite,
 from .synthetic import (SyntheticScenarioConfig, gen_synthetic,
                         sample_initial_state)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy_rule, run_experiment)
+                         build_policy, build_policy_rule, run_experiment)
 
 __version__ = "0.1.0"

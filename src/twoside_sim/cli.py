@@ -23,7 +23,7 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy_rule, load_environment, resolve_environment,
+                         build_policy, load_environment, resolve_environment,
                          run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
@@ -223,7 +223,7 @@ def cmd_regret(args) -> int:
         raise _ConfigError("regret needs at least 2 policies")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     trajectories = {
-        spec.name: rollout(env, build_policy_rule(env, spec), T, init, seed=seed)
+        spec.name: rollout(env, build_policy(env, spec), T, init, seed=seed)
         for spec in specs}
     suite = empirical_regret_suite(env, trajectories)
     if args.out:

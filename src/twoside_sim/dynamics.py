@@ -12,14 +12,15 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .functions import _row_dots
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    _readonly, as_rows, validate_policy)
-
-PolicyRule = Callable[[EnvironmentSpec, PopulationState], PolicyMatrix]
+                    _frozen, _readonly, as_rows, greedy_rows, validate_policy)
+from .policies import myopic_greedy
 
 
 class ConvergenceError(RuntimeError):
@@ -48,15 +49,29 @@ class ClosedFormDomainError(ValueError):
 
 def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
     """Utilities q = B + f(provider pops), satisfaction s, exposure e."""
-    rows = as_rows(pi)
-    if rows.shape != (env.K, env.L):
+    rows = _checked(env, state, pi)
+    q = env.B + env.f_grid.value(state.provider)
+    s, e, _ = _served(q, rows, state.viewer)
+    return Payoffs(s=s, e=e, q=q)
+
+
+def _checked(env: EnvironmentSpec, state: PopulationState, pi) -> np.ndarray | None:
+    """The rows of `pi` (None for None), after checking them and `state`
+    against the environment."""
+    rows = None if pi is None else as_rows(pi)
+    if rows is not None and rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
     if state.viewer.shape != (env.K,) or state.provider.shape != (env.L,):
         raise ValueError("state dimensions do not match the environment")
-    q = env.B + env.f_grid.value(state.provider)
-    s = (rows * q).sum(axis=1)
-    e = rows.T @ state.viewer
-    return Payoffs(s=s, e=e, q=q)
+    return rows
+
+
+def _served(q: np.ndarray, rows: np.ndarray, viewer: np.ndarray):
+    """s_k = sum_l rows_kl q_kl, e = rows^T viewer and the welfare viewer . s,
+    over any leading (cell) axes; each cell equals its unbatched computation
+    bit for bit (the same pairwise sums and BLAS dots)."""
+    s = (rows * q).sum(axis=-1)
+    return s, np.matmul(viewer[..., None, :], rows)[..., 0, :], _row_dots(viewer, s)
 
 
 def welfare(state: PopulationState, p: Payoffs) -> float:
@@ -68,43 +83,77 @@ def welfare(state: PopulationState, p: Payoffs) -> float:
 
 def step(env: EnvironmentSpec, state: PopulationState, pi,
          rng: np.random.Generator | None = None) -> PopulationState:
-    """Advance the populations by one timestep.
+    """Advance the populations by one timestep (one cell of _step_cells).
 
     Noise (when configured and rng given) multiplies each new population by
     (1 + xi) with xi ~ Normal(0, relative_std^2), viewer draws before provider
     draws, and the result is clipped at zero.  Raises DivergenceError, carrying
-    `state`, when the payoffs or the new populations are not finite.
+    `state`, when the welfare, payoffs or new populations are not finite.
     """
     if env.noise_active and rng is None:
         raise ValueError("environment has noise configured; step needs an rng")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = payoffs(env, state, pi)
-    return _advance(env, state, p, rng)
+    *_, viewer, provider = _step_one(env, state, pi, rng)
+    return PopulationState(t=state.t + 1, viewer=viewer, provider=provider)
 
 
-def _advance(env: EnvironmentSpec, state: PopulationState, p: Payoffs,
-             rng: np.random.Generator | None) -> PopulationState:
-    """The step from `state` given its payoffs `p` (see step)."""
+def _step_one(env: EnvironmentSpec, state: PopulationState, pi, rng):
+    """(q, s, e, welfare, next viewer, next provider) of `pi` deployed at
+    `state`, by _step_cells with one cell; raises that cell's failure."""
+    rows, failed = _checked(env, state, pi), {}
+    q, _, s, e, w, viewer, provider = _step_cells(
+        env, state.t, state.viewer[None], state.provider[None], lambda q: rows, [rng], failed)
+    if failed:
+        raise failed[0]
+    return q[0], s[0], e[0], float(w[0]), viewer[0], provider[0]
+
+
+def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.ndarray,
+                decide: Callable, rngs: Sequence, failed: dict):
+    """The one step of the dynamics, for S cells at time t: populations
+    `viewer` (S, K) and `provider` (S, L), policy rows decide(q), (S, K, L)
+    or one (K, L) for all, at q = B + f(provider), and noise from rngs[i].
+    Returns (q, rows, s, e, welfare, next viewer, next provider).
+
+    A cell that fails a check (welfare, payoffs, new populations, in that
+    order) gets its DivergenceError in `failed` (cell -> error) and then
+    stays where it is, so the other cells go on.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        _require_finite(state, "payoffs", p.s, p.e)
-        ref_viewer = env.viewer_curves.value(p.s)
-        ref_provider = env.provider_curves.value(p.e)
-        new_viewer = (1.0 - env.eta_viewer) * state.viewer + env.eta_viewer * ref_viewer
-        new_provider = (1.0 - env.eta_provider) * state.provider + env.eta_provider * ref_provider
+        q = env.B + env.f_grid.value(provider)
+    rows = decide(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, e, w = _served(q, rows, viewer)
+        _fail_non_finite(failed, "welfare", t, viewer, provider, w)
+        _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
+        if failed:     # the curves reject non-finite points
+            s[list(failed)] = e[list(failed)] = 0.0
+        new_viewer = (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves.value(s)
+        new_provider = ((1.0 - env.eta_provider) * provider
+                        + env.eta_provider * env.provider_curves.value(e))
         if env.noise_active:
-            rel = env.noise.relative_std
-            new_viewer = new_viewer * (1.0 + rng.normal(0.0, rel, env.K))
-            new_provider = new_provider * (1.0 + rng.normal(0.0, rel, env.L))
-        _require_finite(state, "populations", new_viewer, new_provider)
-    return PopulationState(t=state.t + 1,
-                           viewer=np.maximum(new_viewer, 0.0),
-                           provider=np.maximum(new_provider, 0.0))
+            xi_viewer, xi_provider = np.empty(viewer.shape), np.empty(provider.shape)
+            for c, rng in enumerate(rngs):
+                xi_viewer[c] = rng.normal(0.0, env.noise.relative_std, env.K)
+                xi_provider[c] = rng.normal(0.0, env.noise.relative_std, env.L)
+            new_viewer = new_viewer * (1.0 + xi_viewer)
+            new_provider = new_provider * (1.0 + xi_provider)
+        _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
+    new_viewer, new_provider = np.maximum(new_viewer, 0.0), np.maximum(new_provider, 0.0)
+    if failed:
+        dead = list(failed)
+        new_viewer[dead], new_provider[dead] = viewer[dead], provider[dead]
+    return q, rows, s, e, w, new_viewer, new_provider
 
 
-def _require_finite(state: PopulationState, what: str, *arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise DivergenceError(f"dynamics diverged: non-finite {what} after t={state.t}",
-                              last_state=state, residual=float("inf"))
+def _fail_non_finite(failed: dict, what: str, t: int, viewer, provider, *arrays) -> None:
+    """Fail every cell, not failed yet, whose rows of `arrays` are not all finite."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    for c in range(len(viewer)):
+        if c not in failed and not all(np.isfinite(a[c]).all() for a in arrays):
+            failed[c] = DivergenceError(
+                f"dynamics diverged: non-finite {what} after t={t}", residual=float("inf"),
+                last_state=PopulationState(t=t, viewer=viewer[c], provider=provider[c]))
 
 
 @dataclass(frozen=True)
@@ -118,7 +167,7 @@ class TrajectoryStep:
 @dataclass(frozen=True)
 class TrajectoryTable:
     """The CSV-schema view of a trajectory (the columns the CSV carries).
-    The arrays are read-only copies."""
+    The arrays are read-only: read-only arrays are kept, others copied."""
 
     t: np.ndarray
     lambda_viewer: np.ndarray    # (T, K)
@@ -129,34 +178,41 @@ class TrajectoryTable:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run: its steps, plus their columns stacked once when it is made, read-only:
-    `table` (the CSV columns) and the utilities `q` of shape (T, K, L)."""
+    """A run, kept as its read-only columns: `table` (the CSV columns), the
+    utilities `q` and the deployed policy rows `policy`, both (T, K, L); a
+    constant policy is one matrix broadcast over T.  `steps` is built from
+    them on first access, with `init`, when given, as its first state."""
 
-    steps: tuple[TrajectoryStep, ...]
+    table: TrajectoryTable
+    q: np.ndarray
+    policy: np.ndarray
     env_digest: str
     seed: int
-    table: TrajectoryTable = field(init=False, repr=False, compare=False)
-    q: np.ndarray = field(init=False, repr=False, compare=False)
+    init: PopulationState | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "table", TrajectoryTable(
-            t=np.asarray([st.state.t for st in steps], dtype=int),
-            lambda_viewer=np.asarray([st.state.viewer for st in steps]),
-            lambda_provider=np.asarray([st.state.provider for st in steps]),
-            s=np.asarray([st.payoffs.s for st in steps]),
-            e=np.asarray([st.payoffs.e for st in steps]),
-            welfare=np.asarray([st.welfare for st in steps])))
-        object.__setattr__(self, "q", _readonly(np.asarray([st.payoffs.q for st in steps])))
+        object.__setattr__(self, "q", _frozen(self.q))
+        object.__setattr__(self, "policy", _frozen(self.policy))
+
+    @cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        tab = self.table
+        states = [PopulationState(t=t, viewer=v, provider=p) for t, v, p
+                  in zip(tab.t.tolist(), tab.lambda_viewer, tab.lambda_provider)]
+        if self.init is not None:
+            states[0] = self.init
+        return tuple(TrajectoryStep(state=st, policy=PolicyMatrix(pi), welfare=w,
+                                    payoffs=Payoffs(s=s, e=e, q=q))
+                     for st, pi, s, e, q, w in zip(states, self.policy, tab.s, tab.e,
+                                                   self.q, tab.welfare.tolist()))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.table.t)
 
     def welfare_series(self) -> np.ndarray:
         return self.table.welfare
@@ -165,47 +221,88 @@ class Trajectory:
         return float(self.table.welfare.sum())
 
 
-def as_policy_rule(policy) -> PolicyRule:
-    """Lift a constant policy (or pass through a callable rule)."""
-    if callable(policy):
-        return policy
-    fixed = validate_policy(policy)
-    return lambda env, state: fixed
-
-
 def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
             rng: np.random.Generator | None = None, seed: int | None = None) -> Trajectory:
-    """Run the dynamics for T steps, recording payoffs before each update.
+    """Run the dynamics for T steps, recording payoffs before each update:
+    lockstep_rollouts with one cell, its noise drawn from `rng` (by default
+    seeded with `seed`, or else the environment's seed).
 
     Raises DivergenceError (a ConvergenceError) when the run leaves the finite
     range.
     """
+    seed = env.seed if seed is None else seed
+    (run,) = lockstep_rollouts(env, policy_rule, T, init, [seed], None if rng is None else [rng])
+    if not isinstance(run, Trajectory):
+        raise run
+    return run
+
+
+def lockstep_rollouts(env: EnvironmentSpec, policy, T: int, init: PopulationState,
+                      seeds: Sequence[int], rngs: Sequence | None = None) -> list:
+    """Run one policy from `init` for T steps on every seed at once, one
+    _step_cells call per step; cell i draws its noise from rngs[i] (by
+    default seeded with seeds[i]).
+
+    `policy` is a matrix (checked once and broadcast), myopic_greedy (the
+    greedy rows of the step's own q), or a rule (env, state) -> policy
+    asked cell by cell.  Cell i's result is what rollout gives on seeds[i]
+    alone, bit for bit: its Trajectory, or the exception that ended it.
+    """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
-    rule = as_policy_rule(policy_rule)
-    if rng is None:
-        rng = np.random.default_rng(env.seed if seed is None else seed)
-    recorded_seed = env.seed if seed is None else seed
-    state = init
-    steps = []
-    for _ in range(T):
-        recorded, state = _record_step(env, state, rule(env, state), rng)
-        steps.append(recorded)
-    return Trajectory(steps=tuple(steps), env_digest=env.digest(), seed=recorded_seed)
+    fixed, decide = _decider(env, policy)
+    _checked(env, init, fixed)
+    if rngs is None:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+    S, K, L = len(seeds), env.K, env.L
+    viewer, provider, s, e = (np.empty((T, S, n)) for n in (K, L, K, L))
+    w, q = np.empty((T, S)), np.empty((T, S, K, L))
+    rows = np.empty((T, S, K, L)) if fixed is None else np.broadcast_to(fixed.rows, (T, S, K, L))
+    viewer[0], provider[0] = init.viewer, init.provider
+    failed: dict[int, BaseException] = {}
+    for i in range(T):
+        t = init.t + i
+        q[i], rows_i, s[i], e[i], w[i], next_viewer, next_provider = _step_cells(
+            env, t, viewer[i], provider[i],
+            lambda q_i: decide(t, viewer[i], provider[i], q_i, failed), rngs, failed)
+        if fixed is None:
+            rows[i] = rows_i
+        if len(failed) == S:
+            break
+        if i + 1 < T:
+            viewer[i + 1], provider[i + 1] = next_viewer, next_provider
+    for column in (viewer, provider, s, e, w, q, rows):
+        column.flags.writeable = False
+    t_column, digest = _readonly(np.arange(init.t, init.t + T)), env.digest()
+    return [failed[c] if c in failed else Trajectory(
+        table=TrajectoryTable(t=t_column, lambda_viewer=viewer[:, c], lambda_provider=provider[:, c],
+                              s=s[:, c], e=e[:, c], welfare=w[:, c]),
+        q=q[:, c], policy=rows[:, c], env_digest=digest, seed=seed, init=init)
+        for c, seed in enumerate(seeds)]
 
 
-def _record_step(env: EnvironmentSpec, state: PopulationState, pi,
-                 rng: np.random.Generator | None) -> tuple[TrajectoryStep, PopulationState]:
-    """Deploy `pi` at `state`: the step observed there (payoffs before the
-    update) and the next state.  Raises DivergenceError, carrying `state`,
-    when the welfare, payoffs or new populations are not finite."""
-    pi = validate_policy(pi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = payoffs(env, state, pi)
-        w = welfare(state, p)
-    _require_finite(state, "welfare", w)
-    return (TrajectoryStep(state=state, policy=pi, payoffs=p, welfare=w),
-            _advance(env, state, p, rng))
+def _decider(env: EnvironmentSpec, policy):
+    """(fixed, decide(t, viewer, provider, q, failed) -> rows of every cell):
+    `fixed` is a constant policy's PolicyMatrix, else None.  A rule that
+    raises, or returns an invalid policy, for a cell fails that cell."""
+    if not callable(policy):
+        fixed = validate_policy(policy)
+        return fixed, lambda *_: fixed.rows
+    if policy is myopic_greedy:
+        return None, lambda t, viewer, provider, q, failed: greedy_rows(q)
+
+    def per_cell(t, viewer, provider, q, failed):
+        rows = np.zeros(q.shape)
+        for c in range(len(rows)):
+            try:
+                if c not in failed:
+                    state = PopulationState(t=t, viewer=viewer[c], provider=provider[c])
+                    rows[c] = _checked(env, state, validate_policy(policy(env, state)))
+            except Exception as err:
+                failed[c] = err
+        return rows
+
+    return None, per_cell
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +645,7 @@ def trajectory_header(K: int, L: int) -> list[str]:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory: one row per step, LF line endings, '.' decimals."""
-    if not traj.steps:
+    if not len(traj):
         raise ValueError("cannot serialize an empty trajectory")
     tab = traj.table
     return _csv_text(trajectory_header(tab.s.shape[1], tab.e.shape[1]), tab.t,
@@ -560,9 +657,9 @@ def _csv_text(header: list[str], t, *columns) -> str:
     column block has one leading entry per row, shape (T,) or (T, width).
     Shared by the trajectory, interaction-log and regret schemas."""
     rows = np.column_stack(columns).tolist()
+    fmt = "%d," + ",".join([_FLOAT_FMT] * (len(rows[0]) if rows else 0))
     lines = [",".join(header)]
-    lines += [",".join([str(ti)] + [_FLOAT_FMT % v for v in row])
-              for ti, row in zip(np.asarray(t).tolist(), rows)]
+    lines += [fmt % (ti, *row) for ti, row in zip(np.asarray(t).tolist(), rows)]
     return "\n".join(lines) + "\n"
 
 

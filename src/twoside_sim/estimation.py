@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _csv_text, _parse_csv,
-                       _record_step, trajectory_header)
+                       _step_one, trajectory_header)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .model import EnvironmentSpec, PolicyMatrix, PopulationState, epsilon_greedy, _readonly
+from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState, epsilon_greedy,
+                    _readonly, validate_policy)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -354,8 +355,10 @@ class SimulatorBlackbox:
     def step(self, pi) -> TrajectoryStep:
         """Deploy a policy for one step; returns the step observed at the
         pre-step state, then advances the hidden state (as rollout does)."""
-        observed, self._state = _record_step(self._env, self._state, pi, self._rng)
-        return observed
+        pi, state = validate_policy(pi), self._state
+        q, s, e, w, viewer, provider = _step_one(self._env, state, pi, self._rng)
+        self._state = PopulationState(t=state.t + 1, viewer=viewer, provider=provider)
+        return TrajectoryStep(state=state, policy=pi, payoffs=Payoffs(s=s, e=e, q=q), welfare=w)
 
 
 @dataclass(frozen=True)
@@ -389,18 +392,28 @@ def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig
         lookahead = LookaheadConfig()
     blackbox.reset()
     explore_pi = epsilon_greedy(blackbox.B, config.beta)
-    steps: list[TrajectoryStep] = []
+    init, T, K, L = blackbox.state, config.T, blackbox.K, blackbox.L
+    viewer, provider, s, e = np.empty((T, K)), np.empty((T, L)), np.empty((T, K)), np.empty((T, L))
+    welfare, q, policy = np.empty(T), np.empty((T, K, L)), np.empty((T, K, L))
+
+    def first_steps(n: int) -> Trajectory:
+        return Trajectory(
+            table=TrajectoryTable(t=np.arange(init.t, init.t + n), lambda_viewer=viewer[:n],
+                                  lambda_provider=provider[:n], s=s[:n], e=e[:n],
+                                  welfare=welfare[:n]),
+            q=q[:n], policy=policy[:n], env_digest=blackbox.env_digest, seed=blackbox.seed,
+            init=init)
+
     fitted: FittedDynamics | None = None
     committed: PolicyMatrix | None = None
     B_for_fit = blackbox.B if b_known else None
-    for i in range(config.T):
+    for i in range(T):
         if i < config.T_b:
             pi = explore_pi
         else:
             if (i - config.T_b) % config.refit_every == 0:
-                log = InteractionLog.from_trajectory(
-                    Trajectory(steps=steps, env_digest=blackbox.env_digest, seed=blackbox.seed),
-                    blackbox.eta_viewer, blackbox.eta_provider)
+                log = InteractionLog.from_trajectory(first_steps(i), blackbox.eta_viewer,
+                                                     blackbox.eta_provider)
                 try:
                     fitted = fit_dynamics(log, B_for_fit)
                 except EstimationError as err:
@@ -417,7 +430,10 @@ def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig
                 pi_m = myopic_greedy(surrogate, here)
                 committed = interpolate(pi_d, pi_m, config.beta)
             pi = committed
-        steps.append(blackbox.step(pi))
-    traj = Trajectory(steps=steps, env_digest=blackbox.env_digest, seed=blackbox.seed)
+        st = blackbox.step(pi)
+        viewer[i], provider[i], policy[i] = st.state.viewer, st.state.provider, st.policy.rows
+        s[i], e[i], q[i], welfare[i] = st.payoffs.s, st.payoffs.e, st.payoffs.q, st.welfare
+    for column in (viewer, provider, s, e, welfare, q, policy):
+        column.flags.writeable = False
     assert fitted is not None
-    return traj, fitted
+    return first_steps(T), fitted

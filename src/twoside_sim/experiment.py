@@ -1,9 +1,12 @@
 """Batch experiment orchestration: run named policies across seeds, emit
 trajectory and regret CSVs plus a JSON summary.
 
-Cells run one after another, in config order (policies, then seeds).  Each
-(policy, seed) cell draws its noise from its own seed and writes only its
-own files; the summary is assembled after all cells finish.
+The seeds of one policy run in lockstep (see dynamics.lockstep_rollouts),
+policy after policy in config order.  Each (policy, seed) cell draws its
+noise from its own seed and writes only its own files, and equals its run
+alone bit for bit; the summary is assembled after all cells finish.  A run
+that fails raises the error of its first failed cell in config order
+(policies, then seeds), after writing the files of the cells before it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
-from .dynamics import Trajectory, rollout, trajectory_to_csv
+from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .policies import (LookaheadConfig, interpolate, myopic_greedy,
                        optimize_lookahead, uniform_policy)
@@ -93,17 +96,17 @@ class PolicySpec:
                    lookahead=LookaheadConfig(**la) if la is not None else None)
 
 
-def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
-    """Turn a policy spec into a per-step rule over (env, state)."""
+def build_policy(env: EnvironmentSpec, spec: PolicySpec):
+    """The policy a spec names, in the form rollout and lockstep_rollouts
+    take: a PolicyMatrix (uniform, epsilon-greedy), myopic_greedy, or a
+    per-step rule over (env, state) (look-ahead)."""
     try:
         if spec.kind == "uniform":
-            fixed = uniform_policy(env.K, env.L)
-            return lambda e, s: fixed
+            return uniform_policy(env.K, env.L)
         if spec.kind == "myopic":
-            return lambda e, s: myopic_greedy(e, s)
+            return myopic_greedy
         if spec.kind == "epsilon_greedy":
-            fixed = epsilon_greedy(env.B, spec.epsilon)
-            return lambda e, s: fixed
+            return epsilon_greedy(env.B, spec.epsilon)
         if spec.kind == "lookahead":
             cfg, beta = spec.lookahead, spec.beta
 
@@ -117,6 +120,12 @@ def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
     except Exception as err:
         raise ExperimentConfigError(f"policy {spec.name!r}: {err}") from err
     raise ExperimentConfigError(f"policy {spec.name!r}: unknown kind {spec.kind!r}")
+
+
+def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
+    """Turn a policy spec into a per-step rule over (env, state)."""
+    policy = build_policy(env, spec)
+    return policy if callable(policy) else (lambda e, s: policy)
 
 
 def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScenarioConfig,
@@ -206,12 +215,14 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
     env, init = config.resolve()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rules = {spec.name: build_policy_rule(env, spec) for spec in config.policies}
+    policies = {spec.name: build_policy(env, spec) for spec in config.policies}
 
     results: dict[tuple[str, int], Trajectory] = {}
     for spec in config.policies:
-        for seed in config.seeds:
-            traj = rollout(env, rules[spec.name], config.T, init, seed=seed)
+        runs = lockstep_rollouts(env, policies[spec.name], config.T, init, config.seeds)
+        for seed, traj in zip(config.seeds, runs):
+            if not isinstance(traj, Trajectory):
+                raise traj     # the first failed cell in config order, as run one by one
             path = out_dir / f"trajectory_{spec.name}_{seed}.csv"
             path.write_text(trajectory_to_csv(traj), newline="")
             results[(spec.name, seed)] = traj

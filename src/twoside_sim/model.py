@@ -222,10 +222,11 @@ def validate_policy(m) -> PolicyMatrix:
 
 
 def greedy_rows(B) -> np.ndarray:
-    """Per-row argmax indicator of B; ties break toward the lowest index."""
+    """Per-row argmax indicator of B (rows along the last axis, any leading
+    axes); ties break toward the lowest index."""
     B = np.asarray(B, dtype=float)
     out = np.zeros_like(B)
-    out[np.arange(B.shape[0]), np.argmax(B, axis=1)] = 1.0  # argmax takes first maximum
+    np.put_along_axis(out, np.argmax(B, axis=-1)[..., None], 1.0, axis=-1)  # first maximum
     return out
 
 
@@ -260,3 +261,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _frozen(a) -> np.ndarray:
+    """`a` itself when it is a read-only array, else a read-only copy."""
+    return a if isinstance(a, np.ndarray) and not a.flags.writeable else _readonly(np.asarray(a))

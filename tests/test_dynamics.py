@@ -13,8 +13,8 @@ from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          enumerate_fixed_points, epsilon_greedy,
                          find_fixed_point, fixed_point_residual, fn_deriv,
                          fn_eval, gen_synthetic, jacobian_eigenvalues,
-                         linear_fn, parse_trajectory_csv, payoffs, rollout,
-                         saturating_exp, scaled_logistic, step, table_fn,
+                         linear_fn, lockstep_rollouts, myopic_greedy,
+                         parse_trajectory_csv, payoffs, rollout, saturating_exp, scaled_logistic, step, table_fn,
                          three_equilibria_env,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
                          trajectory_to_csv, validate_policy, welfare)
@@ -303,6 +303,59 @@ def test_diverging_rollout_raises_convergence_error():
     last = exc.value.last_state
     assert 0 < last.t < 50
     assert np.isfinite(last.viewer[0]) and np.isfinite(last.provider[0])
+
+
+def test_step_checks_the_welfare_as_rollout_does():
+    # from t=2 the welfare overflows while the populations stay finite
+    env = linear_env(1, 1, [1e100], [1e100], [[1.0]], B=[[1.0]], eta_v=[1.0], eta_p=[1.0])
+    state = PopulationState(t=0, viewer=[1.0], provider=[1.0])
+    for _ in range(2):
+        state = step(env, state, [[1.0]])
+    with pytest.raises(DivergenceError, match="non-finite welfare after t=2") as stepped:
+        step(env, state, [[1.0]])
+    with pytest.raises(DivergenceError) as rolled:
+        rollout(env, [[1.0]], 3, PopulationState(t=0, viewer=[1.0], provider=[1.0]))
+    assert str(stepped.value) == str(rolled.value)
+    assert np.array_equal(stepped.value.last_state.viewer, rolled.value.last_state.viewer)
+
+
+def test_lockstep_cells_equal_rollouts_of_each_seed():
+    env = random_env(11, max_dim=3, noise_std=0.05)
+    init = random_state(11, env)
+    seeds = [4, 0, 9]
+    # a rule that returns an invalid policy at one state of seed 0's run only
+    target = rollout(env, lambda e, s: myopic_greedy(e, s), 5, init, seed=0).table.lambda_viewer[2]
+
+    def rule(e, s):
+        if np.array_equal(s.viewer, target):
+            return np.full((e.K, e.L), 2.0)
+        return myopic_greedy(e, s)
+
+    for policy in (random_policy(11, env.K, env.L), myopic_greedy, rule):
+        runs = lockstep_rollouts(env, policy, 5, init, seeds)
+        for seed, run in zip(seeds, runs):
+            try:
+                want = rollout(env, policy, 5, init, seed=seed)
+            except PolicyValidationError as err:
+                assert policy is rule and seed == 0
+                assert type(run) is PolicyValidationError and str(run) == str(err)
+                continue
+            assert run.seed == seed and run.steps[0].state is init
+            for name in ("t", "lambda_viewer", "lambda_provider", "s", "e", "welfare"):
+                assert np.array_equal(getattr(run.table, name), getattr(want.table, name))
+            assert np.array_equal(run.q, want.q) and np.array_equal(run.policy, want.policy)
+
+
+def test_constant_policy_column_is_one_matrix_and_steps_are_built_once():
+    env = random_env(12, max_dim=3, noise_std=0.05)
+    init = random_state(12, env)
+    pi = random_policy(12, env.K, env.L)
+    traj = rollout(env, pi, 6, init, seed=1)
+    assert traj.policy.shape == (6, env.K, env.L) and traj.policy.strides[0] == 0
+    assert np.array_equal(traj.policy[3], pi) and not traj.policy.flags.writeable
+    assert traj.steps is traj.steps
+    assert_columns_stack_steps(traj, env)
+    assert all(np.array_equal(st.policy.rows, pi) for st in traj.steps)
 
 
 def test_enumerate_deduplicates_and_separates():
