@@ -41,6 +41,6 @@ from .analytics import (PairingError, RegretReport, RegretSuite,
 from .synthetic import (SyntheticScenarioConfig, gen_synthetic,
                         sample_initial_state)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy, build_policy_rule, run_experiment)
+                         build_policy, run_experiment)
 
 __version__ = "0.1.0"

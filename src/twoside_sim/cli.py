@@ -2,7 +2,8 @@
 and stability analysis, regret comparison, dynamics estimation, and the
 closed-form oracles.
 
-Usage errors and invalid configs exit 2; runtime failures print a JSON error
+Usage errors and invalid configs exit 2, the latter with an
+ExperimentConfigError record on stderr; runtime failures print a JSON error
 record to stderr and exit 1; success prints JSON (or writes files under
 --out) and exits 0.
 """
@@ -23,8 +24,8 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         build_policy, load_environment, resolve_environment,
-                         run_experiment)
+                         _reject_unknown, build_policy, load_environment,
+                         resolve_environment, run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
@@ -34,18 +35,17 @@ from .policies import LookaheadConfig
 from .synthetic import SyntheticScenarioConfig, gen_synthetic
 
 
-class _ConfigError(ValueError):
-    """Invalid configuration — reported as a usage-class failure (exit 2)."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as err:
-        raise _ConfigError(f"config file not found: {path}") from err
+        raise ExperimentConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
-        raise _ConfigError(f"config file {path} is not valid JSON: {err}") from err
+        raise ExperimentConfigError(f"config file {path} is not valid JSON: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ExperimentConfigError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
 def _jsonable(obj):
@@ -72,41 +72,37 @@ def _emit(record, args, filename: str) -> None:
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise _ConfigError(f"config is missing required key {key!r}")
+        raise ExperimentConfigError(f"config is missing required key {key!r}")
     return cfg[key]
 
 
 def _from_config(build, payload, what: str):
-    """Construct a config object, mapping constructor complaints to exit 2.
+    """build(payload), mapping its complaints to ExperimentConfigError (exit 2).
 
-    Unknown keys surface as TypeError from the dataclass constructors and
-    field validation as ValueError; both describe a bad config file, not a
-    runtime failure.
+    Unknown keys surface as TypeError from the dataclass constructors, field
+    validation and unparsable values as ValueError, missing keys as KeyError;
+    each describes a bad config file, not a runtime failure.  Every value a
+    subcommand reads from its config is read inside one such call.
     """
     try:
         return build(payload)
-    except _ConfigError:
+    except ExperimentConfigError:
         raise
     except (TypeError, ValueError, KeyError) as err:
-        raise _ConfigError(f"invalid {what}: {err}") from err
+        raise ExperimentConfigError(f"invalid {what}: {err}") from err
 
 
-def _env_and_init(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
-    return _from_config(lambda d: resolve_environment(*load_environment(d)), cfg,
-                        "environment")
+def _environment(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
+    return resolve_environment(*load_environment(cfg))
 
 
 def _command_config(args, allowed: set[str]) -> dict:
     """The --config JSON of a subcommand whose top-level keys must be `allowed`."""
     command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
     if not args.config:
-        raise _ConfigError(f"{command} requires --config")
+        raise ExperimentConfigError(f"{command} requires --config")
     cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise _ConfigError(f"{command} config must be a JSON object")
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise _ConfigError(f"{command} config: unknown key(s) {unknown}")
+    _reject_unknown(cfg, allowed, f"{command} config")
     return cfg
 
 
@@ -138,7 +134,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     if not args.config:
-        raise _ConfigError("run requires --config")
+        raise ExperimentConfigError("run requires --config")
     cfg = _load_json(args.config)
     if args.out:
         cfg = {**cfg, "outputs": args.out}
@@ -152,25 +148,33 @@ def cmd_run(args) -> int:
 
 
 def _preset_cases(args):
-    """(env, policy, named inits, tol, max_iter) for fixed-point/stability."""
-    cfg = (_command_config(args, {"environment", "init", "policy", "tol", "max_iter"})
-           if args.config else None)
+    """(env, policy, named inits, tol, max_iter) for fixed-point/stability:
+    the --preset instance, its inits narrowed by --init, or a --config."""
     if args.preset is not None:
+        if args.config:
+            raise ExperimentConfigError("--preset and --config exclude each other")
         if args.preset != "sigmoid-triple":
-            raise _ConfigError(f"unknown preset {args.preset!r}")
+            raise ExperimentConfigError(f"unknown preset {args.preset!r}")
         env = three_equilibria_env()
         inits = dict(THREE_EQUILIBRIA_INITS)
         if args.init is not None:
             if args.init not in inits:
-                raise _ConfigError(f"unknown init preset {args.init!r}")
+                raise ExperimentConfigError(f"unknown init preset {args.init!r}")
             inits = {args.init: inits[args.init]}
         return env, np.array([[1.0]]), inits, 1e-10, 100000
-    if cfg is None:
-        raise _ConfigError("either --preset or --config is required")
-    env, init = _env_and_init(cfg)
-    policy = np.asarray(_require(cfg, "policy"), dtype=float)
-    return (env, policy, {"init": init},
-            float(cfg.get("tol", 1e-10)), int(cfg.get("max_iter", 100000)))
+    if args.init is not None:
+        raise ExperimentConfigError("--init names a preset's initial condition; "
+                                    "it needs --preset")
+    if not args.config:
+        raise ExperimentConfigError("either --preset or --config is required")
+    cfg = _command_config(args, {"environment", "init", "policy", "tol", "max_iter"})
+
+    def inputs(c):
+        env, init = _environment(c)
+        return (env, np.asarray(_require(c, "policy"), dtype=float), {"init": init},
+                float(c.get("tol", 1e-10)), int(c.get("max_iter", 100000)))
+
+    return _from_config(inputs, cfg, f"{args.command} config")
 
 
 def cmd_fixed_point(args) -> int:
@@ -213,15 +217,19 @@ def cmd_stability(args) -> int:
 
 def cmd_regret(args) -> int:
     cfg = _command_config(args, {"environment", "init", "T", "policies", "seed"})
-    env, init = _env_and_init(cfg)
-    T = int(_require(cfg, "T"))
-    if T < 1:
-        raise _ConfigError("T must be >= 1")
-    specs = [_from_config(PolicySpec.from_dict, p, "policy spec")
-             for p in _require(cfg, "policies")]
-    if len(specs) < 2:
-        raise _ConfigError("regret needs at least 2 policies")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+
+    def inputs(c):
+        env, init = _environment(c)
+        T = int(_require(c, "T"))
+        if T < 1:
+            raise ExperimentConfigError("T must be >= 1")
+        specs = [PolicySpec.from_dict(p) for p in _require(c, "policies")]
+        if len(specs) < 2:
+            raise ExperimentConfigError("regret needs at least 2 policies")
+        return env, init, T, specs, int(c.get("seed", 0))
+
+    env, init, T, specs, seed = _from_config(inputs, cfg, "regret config")
+    seed = args.seed if args.seed is not None else seed
     trajectories = {
         spec.name: rollout(env, build_policy(env, spec), T, init, seed=seed)
         for spec in specs}
@@ -239,20 +247,19 @@ def cmd_regret(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _command_config(args, {"environment", "init", "T_b", "T", "beta", "refit_every",
                                  "lookahead", "seed", "b_known"})
-    env, init = _env_and_init(cfg)
-    try:
-        etc = ExploreCommitConfig(
-            T_b=int(_require(cfg, "T_b")), T=int(_require(cfg, "T")),
-            beta=float(_require(cfg, "beta")),
-            refit_every=int(cfg.get("refit_every", 1)))
-        lookahead = (LookaheadConfig(**cfg["lookahead"])
-                     if cfg.get("lookahead") else None)
-    except (TypeError, ValueError) as err:
-        raise _ConfigError(str(err)) from err
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+
+    def inputs(c):
+        env, init = _environment(c)
+        etc = ExploreCommitConfig(T_b=int(_require(c, "T_b")), T=int(_require(c, "T")),
+                                  beta=float(_require(c, "beta")),
+                                  refit_every=int(c.get("refit_every", 1)))
+        lookahead = LookaheadConfig(**c["lookahead"]) if c.get("lookahead") else None
+        return env, init, etc, lookahead, int(c.get("seed", 0)), bool(c.get("b_known", True))
+
+    env, init, etc, lookahead, seed, b_known = _from_config(inputs, cfg, "estimate config")
+    seed = args.seed if args.seed is not None else seed
     blackbox = SimulatorBlackbox(env, init, seed=seed)
-    traj, fitted = explore_then_commit(blackbox, etc, lookahead,
-                                       b_known=bool(cfg.get("b_known", True)))
+    traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=b_known)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,21 +284,17 @@ _ORACLE_KEYS = {"linear-ne": {"params", "pi"}, "linear-welfare": {"params", "pi"
                 "epsilon-bounds": {"params", "epsilon_grid"}}
 
 
-def _linear_params_from(cfg: dict) -> tuple[LinearGameParams, np.ndarray]:
+def _oracle_inputs(cfg: dict) -> tuple[LinearGameParams, np.ndarray | None, list[float]]:
+    """(params, pi or None, epsilon grid) of an oracle config."""
     p = _require(cfg, "params")
     if not isinstance(p, dict):
-        raise _ConfigError("linear params must be a JSON object")
-    unknown = sorted(set(p) - _LINEAR_PARAM_KEYS)
-    if unknown:
-        raise _ConfigError(f"invalid linear params: unknown key(s) {unknown}")
-    try:
-        params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]),
-                                  a2=float(p["a2"]), b2=float(p["b2"]),
-                                  B=np.asarray(p["B"], dtype=float))
-    except (KeyError, ValueError, TypeError) as err:
-        raise _ConfigError(f"invalid linear params: {err}") from err
-    pi = np.asarray(_require(cfg, "pi"), dtype=float) if "pi" in cfg else None
-    return params, pi
+        raise ExperimentConfigError("linear params must be a JSON object")
+    _reject_unknown(p, _LINEAR_PARAM_KEYS, "linear params")
+    params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]), a2=float(p["a2"]),
+                              b2=float(p["b2"]), B=np.asarray(p["B"], dtype=float))
+    pi = np.asarray(cfg["pi"], dtype=float) if "pi" in cfg else None
+    grid = [float(v) for v in cfg.get("epsilon_grid", np.round(np.linspace(0, 1, 21), 10))]
+    return params, pi, grid
 
 
 def cmd_oracle(args) -> int:
@@ -300,10 +303,10 @@ def cmd_oracle(args) -> int:
         _emit({"pi11": args.pi11, "r_tilde": value}, args, "counterexample.json")
         return 0
     cfg = _command_config(args, _ORACLE_KEYS[args.oracle_cmd])
+    params, pi, grid = _from_config(_oracle_inputs, cfg, f"oracle {args.oracle_cmd} config")
     if args.oracle_cmd == "linear-ne":
-        params, pi = _linear_params_from(cfg)
         if pi is None:
-            raise _ConfigError("linear-ne requires 'pi' in the config")
+            raise ExperimentConfigError("linear-ne requires 'pi' in the config")
         ne = linear_ne(params, pi)
         env = linear_env(params)
         zeros = PopulationState(t=0, viewer=np.zeros(params.K),
@@ -315,9 +318,8 @@ def cmd_oracle(args) -> int:
                "simulator_max_residual": residual}, args, "linear_ne.json")
         return 0
     if args.oracle_cmd == "linear-welfare":
-        params, pi = _linear_params_from(cfg)
         if pi is None:
-            raise _ConfigError("linear-welfare requires 'pi' in the config")
+            raise ExperimentConfigError("linear-welfare requires 'pi' in the config")
         R = linear_welfare(params, pi)
         R_ne = welfare_from_ne(params, linear_ne(params, pi))
         _emit({"params": cfg["params"], "pi": pi, "welfare": R,
@@ -325,9 +327,6 @@ def cmd_oracle(args) -> int:
               args, "linear_welfare.json")
         return 0
     # epsilon-bounds: argparse admits no other subcommand
-    params, _ = _linear_params_from(cfg)
-    grid = [float(v) for v in cfg.get("epsilon_grid",
-                                      np.round(np.linspace(0, 1, 21), 10))]
     rows = []
     for eps in grid:
         g, h = epsilon_welfare_bounds(params, params.B, eps)
@@ -349,30 +348,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "with co-evolving viewer/provider populations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a JSON config file")
+    def outputs(p):
         p.add_argument("--out", help="directory to write outputs into")
-        p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--quiet", action="store_true", help="suppress stdout output")
+        return p
 
-    common(sub.add_parser("gen", help="generate a synthetic environment"))
-    common(sub.add_parser("run", help="run an experiment config"))
+    def configured(p):
+        p.add_argument("--config", help="path to a JSON config file")
+        return outputs(p)
+
+    def seeded(p):
+        configured(p).add_argument("--seed", type=int, help="seed override")
+
+    seeded(sub.add_parser("gen", help="generate a synthetic environment"))
+    seeded(sub.add_parser("run", help="run an experiment config"))
     for name in ("fixed-point", "stability"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} analysis")
-        common(p)
+        p = configured(sub.add_parser(name, help=f"{name.replace('-', ' ')} analysis"))
         p.add_argument("--preset", help="built-in instance (sigmoid-triple)")
         p.add_argument("--init", help="preset initial condition (low|mid|high)")
-    common(sub.add_parser("regret", help="pairwise regret decomposition"))
-    common(sub.add_parser("estimate", help="explore-then-commit estimation"))
+    seeded(sub.add_parser("regret", help="pairwise regret decomposition"))
+    seeded(sub.add_parser("estimate", help="explore-then-commit estimation"))
 
     oracle = sub.add_parser("oracle", help="closed-form oracle evaluations")
     osub = oracle.add_subparsers(dest="oracle_cmd", required=True)
-    pc = osub.add_parser("counterexample", help="two-provider greedy-suboptimality curve")
-    common(pc)
+    pc = outputs(osub.add_parser("counterexample",
+                                 help="two-provider greedy-suboptimality curve"))
     pc.add_argument("--pi11", type=float, required=True,
                     help="exposure mass on provider 1")
     for name in ("linear-ne", "linear-welfare", "epsilon-bounds"):
-        common(osub.add_parser(name))
+        configured(osub.add_parser(name))
     return parser
 
 
@@ -391,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (_ConfigError, ExperimentConfigError) as err:
+    except ExperimentConfigError as err:
         record = {"error": {"type": type(err).__name__, "message": str(err)}}
         sys.stderr.write(json.dumps(record) + "\n")
         return 2

@@ -222,26 +222,26 @@ class Trajectory:
 
 
 def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
-            rng: np.random.Generator | None = None, seed: int | None = None) -> Trajectory:
+            seed: int | None = None) -> Trajectory:
     """Run the dynamics for T steps, recording payoffs before each update:
-    lockstep_rollouts with one cell, its noise drawn from `rng` (by default
-    seeded with `seed`, or else the environment's seed).
+    lockstep_rollouts with one cell, its noise seeded with `seed` (by default
+    the environment's seed).
 
     Raises DivergenceError (a ConvergenceError) when the run leaves the finite
     range.
     """
     seed = env.seed if seed is None else seed
-    (run,) = lockstep_rollouts(env, policy_rule, T, init, [seed], None if rng is None else [rng])
+    (run,) = lockstep_rollouts(env, policy_rule, T, init, [seed])
     if not isinstance(run, Trajectory):
         raise run
     return run
 
 
 def lockstep_rollouts(env: EnvironmentSpec, policy, T: int, init: PopulationState,
-                      seeds: Sequence[int], rngs: Sequence | None = None) -> list:
+                      seeds: Sequence[int]) -> list:
     """Run one policy from `init` for T steps on every seed at once, one
-    _step_cells call per step; cell i draws its noise from rngs[i] (by
-    default seeded with seeds[i]).
+    _step_cells call per step; cell i draws its noise from a generator
+    seeded with seeds[i].
 
     `policy` is a matrix (checked once and broadcast), myopic_greedy (the
     greedy rows of the step's own q), or a rule (env, state) -> policy
@@ -252,8 +252,7 @@ def lockstep_rollouts(env: EnvironmentSpec, policy, T: int, init: PopulationStat
         raise ValueError("horizon T must be >= 1")
     fixed, decide = _decider(env, policy)
     _checked(env, init, fixed)
-    if rngs is None:
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     S, K, L = len(seeds), env.K, env.L
     viewer, provider, s, e = (np.empty((T, S, n)) for n in (K, L, K, L))
     w, q = np.empty((T, S)), np.empty((T, S, K, L))
@@ -515,11 +514,11 @@ class _LinearizedMap:
     def __init__(self, env: EnvironmentSpec, pi, at: PopulationState,
                  clipped: np.ndarray | None = None):
         self.env = env
-        self.rows = rows = as_rows(pi)
-        p = payoffs(env, at, rows)
-        self.dv = env.viewer_curves.deriv(p.s)          # lambda_bar_k' at s_k
-        self.dc = env.provider_curves.deriv(p.e)        # lambda_bar_l' at e_l
-        self.df = env.f_grid.deriv(at.provider)         # f_{k,l}' at provider_l
+        self.rows = rows = _checked(env, at, pi)
+        f, self.df = env.f_grid.value_and_deriv(at.provider)     # f_{k,l}, f_{k,l}' at provider_l
+        s, e, _ = _served(env.B + f, rows, at.viewer)
+        self.dv = env.viewer_curves.value_and_deriv(s)[1]       # lambda_bar_k' at s_k
+        self.dc = env.provider_curves.value_and_deriv(e)[1]     # lambda_bar_l' at e_l
         self.eta_v, self.eta_p = env.eta_viewer, env.eta_provider
         if clipped is not None:
             cv, cp = clipped[:env.K], clipped[env.K:]

@@ -122,12 +122,6 @@ def build_policy(env: EnvironmentSpec, spec: PolicySpec):
     raise ExperimentConfigError(f"policy {spec.name!r}: unknown kind {spec.kind!r}")
 
 
-def build_policy_rule(env: EnvironmentSpec, spec: PolicySpec):
-    """Turn a policy spec into a per-step rule over (env, state)."""
-    policy = build_policy(env, spec)
-    return policy if callable(policy) else (lambda e, s: policy)
-
-
 def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScenarioConfig,
                                                   PopulationState | None]:
     """Parse a config's 'environment' block, {'synthetic': {...}} or

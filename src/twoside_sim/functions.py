@@ -25,8 +25,9 @@ fn_eval / fn_deriv evaluate one function.  FnVector and FnGrid evaluate a
 whole side's curves, or the K x L population-effect grid, in a few array
 operations; every EnvironmentSpec builds them once, at construction.  Both
 take leading batch axes: row i of a batched call equals the unbatched call
-on row i bit for bit.  Their value_and_deriv returns both from one pass,
-each equal to the separate call bit for bit.
+on row i bit for bit.  They have two calls, value and value_and_deriv, the
+latter returning value and slope from one pass; fn_deriv stays the scalar
+reference for the slopes.
 """
 
 from __future__ import annotations
@@ -269,13 +270,13 @@ class FnVector:
     """A sequence of ScalarFn evaluated as one: entry i is fns[i](x[..., i]).
 
     The parameters are grouped into arrays by kind once, at construction, so
-    value and deriv cost a few array operations per kind present instead of
-    one Python call per entry.  Each entry equals fn_eval / fn_deriv of its
-    function bit for bit: every kind runs the scalar formula elementwise,
-    tables go through np.interp one function at a time, and weighted sigmoid
-    sums (grouped by component count) take the same dot product.  Any
-    leading axes of x are batch axes, and the parameters broadcast over the
-    last one.
+    value and value_and_deriv cost a few array operations per kind present
+    instead of one Python call per entry.  Each entry equals fn_eval /
+    fn_deriv of its function bit for bit: every kind runs the scalar formula
+    elementwise, tables go through np.interp one function at a time, and
+    weighted sigmoid sums (grouped by component count) take the same dot
+    product.  Any leading axes of x are batch axes, and the parameters
+    broadcast over the last one.
     """
 
     def __init__(self, fns):
@@ -293,23 +294,20 @@ class FnVector:
     def value(self, x) -> np.ndarray:
         """fns[i](x[..., i]) for every i; x must be finite, with a last axis
         of length size.  The result has the shape of x."""
-        return self._apply("value", _finite_vector(x, self.size))
-
-    def deriv(self, x) -> np.ndarray:
-        """fns[i]'(x[..., i]) for every i (right-hand slope at table knots)."""
-        return self._apply("deriv", _finite_vector(x, self.size))
+        return self._apply(_finite_vector(x, self.size))
 
     def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(value(x), deriv(x)) from one pass and one finiteness check; each
-        equals the separate call bit for bit."""
+        """(value(x), fns[i]'(x[..., i]) for every i) from one pass and one
+        finiteness check, the slope taken from the right at table knots; the
+        value equals value(x) bit for bit."""
         return self._apply_both(_finite_vector(x, self.size))
 
-    def _apply(self, method: str, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         if len(self._groups) == 1:
-            return getattr(self._groups[0][1], method)(x)
+            return self._groups[0][1].value(x)
         out = np.empty(x.shape)
         for idx, kernel in self._groups:
-            out[..., idx] = getattr(kernel, method)(x[..., idx])
+            out[..., idx] = kernel.value(x[..., idx])
         return out
 
     def _apply_both(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,22 +345,14 @@ class FnGrid:
     def value(self, x) -> np.ndarray:
         x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
-            return self._cells._apply("value", np.tile(x, self.shape[0])).reshape(
+            return self._cells._apply(np.tile(x, self.shape[0])).reshape(
                 x.shape[:-1] + self.shape)
         comp = self._half_max * np.tanh(x[..., None] / self._two_taus)     # (..., L, d)
         return self._weights @ comp.swapaxes(-1, -2)
 
-    def deriv(self, x) -> np.ndarray:
-        x = _finite_vector(x, self.shape[1])
-        if self._cells is not None:
-            return self._cells._apply("deriv", np.tile(x, self.shape[0])).reshape(
-                x.shape[:-1] + self.shape)
-        th = np.tanh(x[..., None] / self._two_taus)                        # (..., L, d)
-        return self._weights @ (self._slopes * (1.0 - th * th)).swapaxes(-1, -2)
-
     def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(value(x), deriv(x)) from one pass and one finiteness check; each
-        equals the separate call bit for bit."""
+        """(value(x), the slope of entry (k, l) at x[..., l]) from one pass and
+        one finiteness check; the value equals value(x) bit for bit."""
         x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
             shape = x.shape[:-1] + self.shape
@@ -415,7 +405,7 @@ def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
 # One class per kind, built from that kind's functions: the parameters as
 # arrays, and the formulas of fn_eval / fn_deriv in the same operation order,
 # applied elementwise.  value_and_deriv shares the one transcendental call
-# (exp or tanh) between the two.
+# (exp or tanh) between value and slope.
 
 
 class _Linear:
@@ -425,13 +415,10 @@ class _Linear:
     def value(self, x):
         return self.slope * x + self.intercept
 
-    def deriv(self, x):
-        out = np.empty(x.shape)
-        out[...] = self.slope
-        return out
-
     def value_and_deriv(self, x):
-        return self.value(x), self.deriv(x)
+        deriv = np.empty(x.shape)
+        deriv[...] = self.slope
+        return self.value(x), deriv
 
 
 class _SigmoidHalf:
@@ -442,10 +429,6 @@ class _SigmoidHalf:
 
     def value(self, x):
         return self.half_max * np.tanh(x / self.two_tau)
-
-    def deriv(self, x):
-        th = np.tanh(x / self.two_tau)
-        return self.slope * (1.0 - th * th)
 
     def value_and_deriv(self, x):
         th = np.tanh(x / self.two_tau)
@@ -460,9 +443,6 @@ class _SaturatingExp:
     def value(self, x):
         return self.a0 * (1.0 - np.exp(self.neg_a1 * (x - self.a2))) + self.a3
 
-    def deriv(self, x):
-        return self.a0_a1 * np.exp(self.neg_a1 * (x - self.a2))
-
     def value_and_deriv(self, x):
         decay = np.exp(self.neg_a1 * (x - self.a2))
         return self.a0 * (1.0 - decay) + self.a3, self.a0_a1 * decay
@@ -476,10 +456,6 @@ class _ScaledLogistic:
 
     def value(self, x):
         return self.half_gain + self.half_gain * np.tanh(self.half_scale * (x - self.shift))
-
-    def deriv(self, x):
-        th = np.tanh(self.half_scale * (x - self.shift))
-        return self.slope * (1.0 - th * th)
 
     def value_and_deriv(self, x):
         th = np.tanh(self.half_scale * (x - self.shift))
@@ -499,14 +475,11 @@ class _Table:
             out[..., i] = np.interp(x[..., i], xs, ys)
         return out
 
-    def deriv(self, x):
-        out = np.empty(x.shape)
-        for i, (xs, _, slopes) in enumerate(self.knots):
-            out[..., i] = _table_slope(xs, slopes, x[..., i])
-        return out
-
     def value_and_deriv(self, x):
-        return self.value(x), self.deriv(x)
+        deriv = np.empty(x.shape)
+        for i, (xs, _, slopes) in enumerate(self.knots):
+            deriv[..., i] = _table_slope(xs, slopes, x[..., i])
+        return self.value(x), deriv
 
 
 class _WeightedSigmoidSum:
@@ -518,10 +491,6 @@ class _WeightedSigmoidSum:
 
     def value(self, x):
         return _row_dots(self.coef, np.tanh(self.inv_two_tau * x[..., None]))
-
-    def deriv(self, x):
-        th = np.tanh(self.inv_two_tau * x[..., None])
-        return _row_dots(self.slope_coef, 1.0 - th * th)
 
     def value_and_deriv(self, x):
         th = np.tanh(self.inv_two_tau * x[..., None])

@@ -35,8 +35,6 @@ class SyntheticScenarioConfig:
     quality_max_range: tuple[float, float] = (0.5, 2.0)
     quality_tau_range: tuple[float, float] = (20.0, 80.0)
     init: str = "small"
-    init_viewer: tuple[float, ...] | None = None     # used when init == "custom"
-    init_provider: tuple[float, ...] | None = None
     eta: float = 0.3
     T: int = 200
     seed: int = 0
@@ -52,18 +50,8 @@ class SyntheticScenarioConfig:
             if not (0.0 < lo <= hi):
                 raise ValueError(f"{name} must be a positive interval, got {(lo, hi)}")
             object.__setattr__(self, name, (float(lo), float(hi)))
-        if self.init not in (*_INIT_PRESETS, "custom"):
-            raise ValueError(f"init must be one of {[*_INIT_PRESETS, 'custom']}")
-        if self.init == "custom":
-            if self.init_viewer is None or self.init_provider is None:
-                raise ValueError("custom init requires init_viewer and init_provider")
-            object.__setattr__(self, "init_viewer", tuple(float(v) for v in self.init_viewer))
-            object.__setattr__(self, "init_provider", tuple(float(v) for v in self.init_provider))
-            if len(self.init_viewer) != self.K or len(self.init_provider) != self.L:
-                raise ValueError(
-                    f"custom init has {len(self.init_viewer)} viewer and "
-                    f"{len(self.init_provider)} provider entries; the scenario has "
-                    f"K={self.K}, L={self.L}")
+        if self.init not in _INIT_PRESETS:
+            raise ValueError(f"init must be one of {list(_INIT_PRESETS)}, got {self.init!r}")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must be in [0, 1]")
         if self.T < 1:
@@ -72,7 +60,7 @@ class SyntheticScenarioConfig:
             raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict[str, Any]:
-        d = {
+        return {
             "K": self.K, "L": self.L, "d": self.d,
             "feature_bernoulli_p": self.feature_bernoulli_p,
             "lambda_max_range": list(self.lambda_max_range),
@@ -81,10 +69,6 @@ class SyntheticScenarioConfig:
             "quality_tau_range": list(self.quality_tau_range),
             "init": self.init, "eta": self.eta, "T": self.T, "seed": self.seed,
         }
-        if self.init == "custom":
-            d["init_viewer"] = list(self.init_viewer)
-            d["init_provider"] = list(self.init_provider)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SyntheticScenarioConfig":
@@ -92,9 +76,6 @@ class SyntheticScenarioConfig:
         for name in ("lambda_max_range", "tau_range", "quality_max_range",
                      "quality_tau_range"):
             if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        for name in ("init_viewer", "init_provider"):
-            if kwargs.get(name) is not None:
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
@@ -139,13 +120,9 @@ def gen_synthetic(config: SyntheticScenarioConfig) -> EnvironmentSpec:
 
 
 def sample_initial_state(config: SyntheticScenarioConfig) -> PopulationState:
-    """Initial populations for the scenario: preset normal draws clipped at
-    zero (an independent stream from the environment sampling), or the
-    custom arrays."""
-    if config.init == "custom":
-        return PopulationState(t=0,
-                               viewer=np.asarray(config.init_viewer),
-                               provider=np.asarray(config.init_provider))
+    """Initial populations for the scenario: its preset's normal draws
+    clipped at zero, from a stream independent of the environment sampling.
+    Given populations go in a config's `init` block or a PopulationState."""
     mean, std = _INIT_PRESETS[config.init]
     rng = np.random.default_rng([config.seed, 1])
     viewer = np.maximum(rng.normal(mean, std, config.K), 0.0)

@@ -48,7 +48,7 @@ def test_unknown_flag_is_usage_error():
 def test_run_without_config_exits_2(capsys):
     code, _, err = run_cli(capsys, ["run"])
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "_ConfigError"
+    assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
 
 
 def test_run_with_zero_horizon_exits_2(tmp_path, capsys):
@@ -60,13 +60,25 @@ def test_run_with_zero_horizon_exits_2(tmp_path, capsys):
     })
     code, _, err = run_cli(capsys, ["run", "--config", cfg, "--quiet"])
     assert code == 2
-    assert "error" in json.loads(err)
+    assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
 
 
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["run", "--config", "/nonexistent/x.json"])
     assert code == 2
-    assert "not found" in json.loads(err)["error"]["message"]
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "not found" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "regret", "fixed-point"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command):
+    cfg = write_json(tmp_path, "cfg.json", [{"synthetic": scenario_dict()}])
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "JSON object" in record["message"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +122,7 @@ def test_gen_with_unknown_key_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["gen", "--config", cfg])
     assert code == 2
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError"
+    assert record["type"] == "ExperimentConfigError"
     assert "num_groups" in record["message"]
 
 
@@ -123,7 +135,7 @@ def test_run_with_misspelled_policy_field_is_config_error(tmp_path, capsys):
     })
     code, _, err = run_cli(capsys, ["run", "--config", cfg])
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "_ConfigError"
+    assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
 
 
 # look-ahead settings that no longer exist, with values the config once accepted
@@ -146,7 +158,7 @@ def test_removed_lookahead_keys_are_config_errors(tmp_path, capsys, command, key
     code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert record["type"] == "ExperimentConfigError" and key in record["message"]
     assert not out.exists()
 
 
@@ -160,7 +172,7 @@ def test_emit_block_is_config_error(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and "emit" in record["message"]
+    assert record["type"] == "ExperimentConfigError" and "emit" in record["message"]
     assert not out.exists()
 
 
@@ -196,7 +208,32 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command):
     code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert record["type"] == "ExperimentConfigError" and key in record["message"]
+    assert not out.exists()
+
+
+# a value of the wrong type for each command that reads a config, each of which
+# the command once reported as a runtime failure (exit 1)
+UNPARSABLE_VALUES = {
+    "regret": ("T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
+    "estimate": ("seed", {**MISSPELLED_KEYS["estimate"][1], "seed": "one"}),
+    "fixed-point": ("tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": "small"}),
+    "oracle linear-welfare": ("pi", {"params": {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0,
+                                                "B": [[1.0]]}, "pi": [["all"]]}),
+    "oracle epsilon-bounds": ("epsilon_grid", {"params": {"a0": 0.5, "a1": 0.5, "a2": 0.5,
+                                                          "b2": 1.0, "B": [[1.0]]},
+                                               "epsilon_grid": ["half"]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNPARSABLE_VALUES))
+def test_unparsable_value_is_config_error(tmp_path, capsys, command):
+    key, payload = UNPARSABLE_VALUES[command]
+    cfg = write_json(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command.split() + ["--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
     assert not out.exists()
 
 
@@ -210,14 +247,20 @@ def test_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
     code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and "K=2" in record["message"]
+    assert record["type"] == "ExperimentConfigError" and "K=2" in record["message"]
     assert not out.exists()
 
 
+# given populations go in the config's init block; the scenario's own custom
+# init is gone, with its (key, value) pairs once accepted
+REMOVED_SYNTHETIC_INIT = {"init": "custom", "init_viewer": [1.0, 2.0],
+                          "init_provider": [3.0, 4.0]}
+
+
 @pytest.mark.parametrize("command", ["run", "regret"])
-def test_custom_synthetic_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
-    scenario = scenario_dict(K=2, L=2, d=2, init="custom", init_viewer=[1.0],
-                             init_provider=[1.0, 1.0])
+@pytest.mark.parametrize("key", sorted(REMOVED_SYNTHETIC_INIT))
+def test_synthetic_custom_init_is_config_error(tmp_path, capsys, command, key):
+    scenario = scenario_dict(K=2, L=2, d=2, **{key: REMOVED_SYNTHETIC_INIT[key]})
     cfg = write_json(tmp_path, "cfg.json", {
         "environment": {"synthetic": scenario}, "T": 2,
         "policies": [{"name": "u", "kind": "uniform"}, {"name": "g", "kind": "myopic"}]})
@@ -225,7 +268,8 @@ def test_custom_synthetic_init_of_the_wrong_length_is_config_error(tmp_path, cap
     code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and "K=2" in record["message"]
+    assert record["type"] == "ExperimentConfigError" and key in record["message"]
+    assert key != "init" or "'custom'" in record["message"]
     assert not out.exists()
 
 
@@ -315,7 +359,8 @@ def test_fixed_point_single_init(tmp_path, capsys):
 def test_fixed_point_unknown_preset_exits_2(capsys):
     code, _, err = run_cli(capsys, ["fixed-point", "--preset", "other"])
     assert code == 2
-    assert "preset" in json.loads(err)["error"]["message"]
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "preset" in record["message"]
 
 
 def test_stability_preset_classifies_equilibria(capsys):
@@ -461,14 +506,75 @@ def test_oracle_unknown_key_is_config_error(tmp_path, capsys, oracle_cmd, key, p
                                          "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "_ConfigError" and key in record["message"]
+    assert record["type"] == "ExperimentConfigError" and key in record["message"]
     assert not out.exists()
 
 
 def test_oracle_missing_config_exits_2(capsys):
     code, _, err = run_cli(capsys, ["oracle", "linear-ne"])
     assert code == 2
-    assert "config" in json.loads(err)["error"]["message"]
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "config" in record["message"]
+
+
+# ---------------------------------------------------------------------------
+# flags a subcommand would not read
+
+
+FIXED_POINT_CONFIG = {"environment": _two_group_inline(),
+                      "init": {"viewer": [0.1, 0.1], "provider": [0.1]},
+                      "policy": [[1.0], [1.0]]}
+LINEAR_CONFIG = {"params": LINEAR_PARAMS, "pi": [[0.5, 0.5]]}
+
+# (id, argv with {cfg} for the config path, config payload, how the CLI
+# refuses): "config" is an ExperimentConfigError record, "usage" argparse's
+# own exit 2
+UNREAD_FLAGS = [
+    ("fixed-point-preset-and-config",
+     ["fixed-point", "--preset", "sigmoid-triple", "--config", "{cfg}"], FIXED_POINT_CONFIG,
+     "config"),
+    ("stability-preset-and-config",
+     ["stability", "--preset", "sigmoid-triple", "--config", "{cfg}"], FIXED_POINT_CONFIG,
+     "config"),
+    ("fixed-point-init-and-config",
+     ["fixed-point", "--config", "{cfg}", "--init", "mid"], FIXED_POINT_CONFIG, "config"),
+    ("stability-init-and-config",
+     ["stability", "--config", "{cfg}", "--init", "mid"], FIXED_POINT_CONFIG, "config"),
+    ("fixed-point-init-alone", ["fixed-point", "--init", "mid"], None, "config"),
+    ("fixed-point-seed",
+     ["fixed-point", "--preset", "sigmoid-triple", "--seed", "3"], None, "usage"),
+    ("stability-seed",
+     ["stability", "--config", "{cfg}", "--seed", "3"], FIXED_POINT_CONFIG, "usage"),
+    ("counterexample-seed",
+     ["oracle", "counterexample", "--pi11", "0.3", "--seed", "3"], None, "usage"),
+    ("counterexample-config",
+     ["oracle", "counterexample", "--pi11", "0.3", "--config", "{cfg}"], LINEAR_CONFIG, "usage"),
+    ("linear-ne-seed",
+     ["oracle", "linear-ne", "--config", "{cfg}", "--seed", "3"], LINEAR_CONFIG, "usage"),
+    ("linear-welfare-seed",
+     ["oracle", "linear-welfare", "--config", "{cfg}", "--seed", "3"], LINEAR_CONFIG, "usage"),
+    ("epsilon-bounds-seed",
+     ["oracle", "epsilon-bounds", "--config", "{cfg}", "--seed", "3"],
+     {"params": LINEAR_PARAMS}, "usage"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, refusal", [case[1:] for case in UNREAD_FLAGS],
+                         ids=[case[0] for case in UNREAD_FLAGS])
+def test_flags_the_subcommand_would_not_read_exit_2(tmp_path, capsys, argv, payload, refusal):
+    cfg = write_json(tmp_path, "cfg.json", payload) if payload is not None else None
+    out = tmp_path / "out"
+    argv = [cfg if a == "{cfg}" else a for a in argv] + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:      # argparse: the subcommand has no such flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    if refusal == "config":
+        assert json.loads(captured.err)["error"]["type"] == "ExperimentConfigError"
+    else:
+        assert "unrecognized arguments" in captured.err
 
 
 # ---------------------------------------------------------------------------

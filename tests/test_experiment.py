@@ -14,7 +14,7 @@ from conftest import random_env, random_state
 from twoside_sim import (DivergenceError, EnvironmentSpec, ExperimentConfig,
                          ExperimentConfigError, LookaheadConfig, NoiseSpec,
                          PolicySpec, PopulationState, SyntheticScenarioConfig,
-                         Trajectory, TrajectoryTable, build_policy_rule,
+                         Trajectory, TrajectoryTable, build_policy,
                          empirical_regret_suite, epsilon_greedy, gen_synthetic,
                          interpolate, linear_fn, myopic_greedy, optimize_lookahead,
                          parse_trajectory_csv, payoffs, regret_report_to_csv, rollout,
@@ -204,7 +204,7 @@ def test_unwritable_output_directory_errors(tmp_path):
         run_experiment(cfg)
 
 
-def test_build_policy_rule_produces_valid_rows():
+def test_build_policy_produces_valid_rows():
     scen = scenario()
     env = gen_synthetic(scen)
     init = sample_initial_state(scen)
@@ -213,8 +213,8 @@ def test_build_policy_rule_produces_valid_rows():
                  PolicySpec(name="e", kind="epsilon_greedy", epsilon=0.5),
                  PolicySpec(name="l", kind="lookahead", beta=0.5,
                             lookahead=fast_lookahead())):
-        rule = build_policy_rule(env, spec)
-        pi = rule(env, init)
+        policy = build_policy(env, spec)
+        pi = policy(env, init) if callable(policy) else policy
         rows = np.asarray(pi.rows if hasattr(pi, "rows") else pi)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
@@ -247,7 +247,7 @@ def test_divergence_raises_the_first_failed_cell_in_config_order(tmp_path):
     for spec in policies:
         for seed in seeds:
             try:
-                serial[spec.name, seed] = rollout(env, build_policy_rule(env, spec), T, init,
+                serial[spec.name, seed] = rollout(env, build_policy(env, spec), T, init,
                                                   seed=seed)
             except DivergenceError as err:
                 serial[spec.name, seed] = err

@@ -203,8 +203,9 @@ def test_fn_vector_equals_scalar_evaluation_exactly(seed, n):
     fns = [random_fn(rng) for _ in range(n)]
     x = evaluation_points(rng, fns)
     vec = FnVector(fns)
-    assert_entrywise_exact(vec.value(x), vec.deriv(x), fns, x)
-    assert_entrywise_exact(*vec.value_and_deriv(x), fns, x)
+    value, deriv = vec.value_and_deriv(x)
+    assert_entrywise_exact(vec.value(x), deriv, fns, x)
+    assert_entrywise_exact(value, deriv, fns, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,9 +226,9 @@ def test_fn_grid_equals_scalar_evaluation_exactly(seed, K, L, sums_only):
     x = evaluation_points(rng, grid[0])
     columns = np.tile(x, K)
     fg = FnGrid(grid)
-    assert fg.value(x).shape == fg.deriv(x).shape == (K, L)
-    assert_entrywise_exact(fg.value(x).ravel(), fg.deriv(x).ravel(), cells, columns)
     value, deriv = fg.value_and_deriv(x)
+    assert fg.value(x).shape == value.shape == deriv.shape == (K, L)
+    assert_entrywise_exact(fg.value(x).ravel(), deriv.ravel(), cells, columns)
     assert_entrywise_exact(value.ravel(), deriv.ravel(), cells, columns)
 
 
@@ -241,7 +242,7 @@ def test_kernels_reject_non_finite_points(bad):
     for kernel, n in ((FnVector(fns), 3), (FnGrid(shared), 2), (FnGrid(mixed), 2)):
         x = np.ones(n)
         x[-1] = bad
-        for method in (kernel.value, kernel.deriv, kernel.value_and_deriv):
+        for method in (kernel.value, kernel.value_and_deriv):
             with pytest.raises(FunctionDomainError):
                 method(x)
 
@@ -253,8 +254,8 @@ def test_batched_rows_equal_unbatched_calls(seed, batch):
     """Leading axes are batch axes: every row of a batched call equals the
     unbatched call bit for bit, a non-finite entry anywhere in the batch
     raises, and a wrong last-axis length is a shape error.  The same holds
-    for value_and_deriv, whose two results equal value and deriv bit for bit,
-    batched and not."""
+    for value_and_deriv, whose value equals value bit for bit, batched and
+    not."""
     rng = np.random.default_rng(seed)
     env = random_env(seed)
     each = one_of_each_kind(rng)
@@ -268,14 +269,12 @@ def test_batched_rows_equal_unbatched_calls(seed, batch):
     for kernel, n in kernels:
         x = rng.uniform(-20.0, 60.0, batch + (n,))
         for rows in (x, x[(0,) * len(batch)]):
-            value, deriv = kernel.value_and_deriv(rows)
-            np.testing.assert_array_equal(value, kernel.value(rows))
-            np.testing.assert_array_equal(deriv, kernel.deriv(rows))
+            np.testing.assert_array_equal(kernel.value_and_deriv(rows)[0], kernel.value(rows))
 
         def fused(x, kernel=kernel):
             return np.stack(kernel.value_and_deriv(x), axis=-1)
 
-        for method in (kernel.value, kernel.deriv, fused):
+        for method in (kernel.value, fused):
             got = method(x)
             assert got.shape == batch + method(x[(0,) * len(batch)]).shape
             for idx in np.ndindex(*batch):

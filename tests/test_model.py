@@ -162,7 +162,7 @@ def test_fn_grid_matches_entrywise_eval(seed):
     env = random_env(seed)
     x = np.random.default_rng(seed + 1).uniform(0, 30, size=env.L)
     grid_val = FnGrid(env.f).value(x)
-    grid_der = FnGrid(env.f).deriv(x)
+    grid_der = FnGrid(env.f).value_and_deriv(x)[1]
     for k in range(env.K):
         for l in range(env.L):
             assert grid_val[k, l] == pytest.approx(fn_eval(env.f[k][l], x[l]), abs=1e-12)
@@ -179,7 +179,7 @@ def test_shared_sigmoid_grid_fast_path_matches_entrywise():
                  for k in range(K))
     x = rng.uniform(0, 100, L)
     val = FnGrid(grid).value(x)
-    der = FnGrid(grid).deriv(x)
+    der = FnGrid(grid).value_and_deriv(x)[1]
     for k in range(K):
         for l in range(L):
             assert val[k, l] == pytest.approx(fn_eval(grid[k][l], x[l]), abs=1e-10)

@@ -98,15 +98,6 @@ def test_initial_state_clips_negative_draws_to_zero():
     assert np.all(state.viewer >= 0.0) and np.all(state.provider >= 0.0)
 
 
-def test_custom_init_passes_arrays_through():
-    cfg = SyntheticScenarioConfig(K=2, L=3, d=2, seed=1, init="custom",
-                                  init_viewer=(4.0, 5.0),
-                                  init_provider=(1.0, 2.0, 3.0))
-    state = sample_initial_state(cfg)
-    assert state.viewer.tolist() == [4.0, 5.0]
-    assert state.provider.tolist() == [1.0, 2.0, 3.0]
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(feature_bernoulli_p=0.0),
     dict(feature_bernoulli_p=1.0),
@@ -114,7 +105,7 @@ def test_custom_init_passes_arrays_through():
     dict(quality_tau_range=(5.0, 2.0)),
     dict(tau_range=(-1.0, 4.0)),
     dict(init="tiny"),
-    dict(init="custom"),                      # missing the arrays
+    dict(init="custom"),                      # not a preset
     dict(eta=1.5),
     dict(T=0),
     dict(seed=-1),
@@ -130,7 +121,3 @@ def test_config_dict_round_trip():
                                   lambda_max_range=(30.0, 60.0), eta=0.4,
                                   T=50, seed=123)
     assert SyntheticScenarioConfig.from_dict(cfg.to_dict()) == cfg
-    custom = SyntheticScenarioConfig(K=2, L=2, d=2, init="custom",
-                                     init_viewer=(1.0, 2.0),
-                                     init_provider=(3.0, 4.0), seed=9)
-    assert SyntheticScenarioConfig.from_dict(custom.to_dict()) == custom
