@@ -24,7 +24,7 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
 from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         _reject_unknown, build_policy, load_environment,
+                         _json_typed, _reject_unknown, build_policy, load_environment,
                          resolve_environment, run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
@@ -171,8 +171,12 @@ def _preset_cases(args):
 
     def inputs(c):
         env, init = _environment(c)
-        return (env, np.asarray(_require(c, "policy"), dtype=float), {"init": init},
-                float(c.get("tol", 1e-10)), int(c.get("max_iter", 100000)))
+        policy = np.asarray(_require(c, "policy"), dtype=float)
+        if policy.shape != (env.K, env.L):
+            raise ExperimentConfigError(
+                f"policy shape {policy.shape} does not match (K, L)={(env.K, env.L)}")
+        return (env, policy, {"init": init},
+                float(c.get("tol", 1e-10)), _json_typed(c.get("max_iter", 100000), "max_iter"))
 
     return _from_config(inputs, cfg, f"{args.command} config")
 
@@ -220,13 +224,13 @@ def cmd_regret(args) -> int:
 
     def inputs(c):
         env, init = _environment(c)
-        T = int(_require(c, "T"))
+        T = _json_typed(_require(c, "T"), "T")
         if T < 1:
             raise ExperimentConfigError("T must be >= 1")
         specs = [PolicySpec.from_dict(p) for p in _require(c, "policies")]
         if len(specs) < 2:
             raise ExperimentConfigError("regret needs at least 2 policies")
-        return env, init, T, specs, int(c.get("seed", 0))
+        return env, init, T, specs, _json_typed(c.get("seed", 0), "seed")
 
     env, init, T, specs, seed = _from_config(inputs, cfg, "regret config")
     seed = args.seed if args.seed is not None else seed
@@ -250,11 +254,13 @@ def cmd_estimate(args) -> int:
 
     def inputs(c):
         env, init = _environment(c)
-        etc = ExploreCommitConfig(T_b=int(_require(c, "T_b")), T=int(_require(c, "T")),
+        etc = ExploreCommitConfig(T_b=_json_typed(_require(c, "T_b"), "T_b"),
+                                  T=_json_typed(_require(c, "T"), "T"),
                                   beta=float(_require(c, "beta")),
-                                  refit_every=int(c.get("refit_every", 1)))
+                                  refit_every=_json_typed(c.get("refit_every", 1), "refit_every"))
         lookahead = LookaheadConfig(**c["lookahead"]) if c.get("lookahead") else None
-        return env, init, etc, lookahead, int(c.get("seed", 0)), bool(c.get("b_known", True))
+        return (env, init, etc, lookahead, _json_typed(c.get("seed", 0), "seed"),
+                _json_typed(c.get("b_known", True), "b_known", bool))
 
     env, init, etc, lookahead, seed, b_known = _from_config(inputs, cfg, "estimate config")
     seed = args.seed if args.seed is not None else seed
@@ -293,6 +299,8 @@ def _oracle_inputs(cfg: dict) -> tuple[LinearGameParams, np.ndarray | None, list
     params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]), a2=float(p["a2"]),
                               b2=float(p["b2"]), B=np.asarray(p["B"], dtype=float))
     pi = np.asarray(cfg["pi"], dtype=float) if "pi" in cfg else None
+    if pi is not None and pi.shape != params.B.shape:
+        raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")
     grid = [float(v) for v in cfg.get("epsilon_grid", np.round(np.linspace(0, 1, 21), 10))]
     return params, pi, grid
 

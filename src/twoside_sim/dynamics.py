@@ -333,16 +333,18 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     The returned residual is at most tol.  A map whose residual never falls
     never reaches Newton, so it behaves as plain iteration does.
 
-    The returned point depends on the initial condition when several fixed
-    points exist.  The returned state carries t = 0 (an equilibrium has no
-    meaningful timestep index).  max_iter bounds the evaluations of F, each
+    The search runs on the stacked populations x = (viewer, provider), `pi`
+    checked once, and makes a PopulationState only for the returned point
+    (t = 0: an equilibrium has no meaningful timestep index) and an error's
+    last_state.  The returned point depends on the initial condition when
+    several fixed points exist.  max_iter bounds the evaluations of F, each
     Newton trial counted as one.  Raises ConvergenceError when they run out,
     or its DivergenceError subclass as soon as a plain iterate overflows.
     """
-    if env.noise_active:
-        raise ValueError("find_fixed_point requires noise to be disabled")
-    x, fx = init, step(env, init, pi, rng=None)
-    evals, residual = 1, _state_distance(init, fx)
+    rows, x = _stacked(env, init, pi, "find_fixed_point")
+    t, K = init.t, env.K            # t is x's timestep; F(x) is at t + 1
+    fx = _image(env, rows, x, t)
+    evals, residual = 1, float(np.max(np.abs(fx - x)))
     rate = None                     # the last residual ratio, while below 1
     wait, backoff = 0, 1            # plain steps before the next Newton trial
     successor = None                # the Newton step from x, once a Newton step lands there
@@ -350,32 +352,35 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
         if evals >= max_iter:
             raise ConvergenceError(
                 f"no fixed point within {max_iter} iterations "
-                f"(last residual {residual:.3e})", last_state=fx, residual=float(residual))
+                f"(last residual {residual:.3e})", residual=residual,
+                last_state=PopulationState(t=t + 1, viewer=fx[:K], provider=fx[K:]))
         if rate is not None and wait == 0:
             evals += 1
-            trial = _guarded_newton(env, pi, x, fx, residual, rate, successor)
+            trial = _guarded_newton(env, rows, x, fx, residual, rate, successor)
             if trial is not None:
-                x, fx, residual, successor = trial
+                (x, fx, residual, successor), t = trial, t + 1
                 continue
             wait, backoff = backoff, 2 * backoff
             if evals >= max_iter:
                 continue
         wait = max(wait - 1, 0)
-        x, fx, successor = fx, step(env, fx, pi, rng=None), None
+        x, t, successor = fx, t + 1, None
+        fx = _image(env, rows, x, t)
         evals += 1
-        previous, residual = residual, _state_distance(x, fx)
+        previous, residual = residual, float(np.max(np.abs(fx - x)))
         rate = residual / previous if residual < previous else None
     if 0.0 < residual and evals < max_iter:
         with np.errstate(all="ignore"):
-            y = successor or _newton_point(_clipped_linearization(env, pi, x, fx), x, fx)
-        fy = None if y is None else _image(env, pi, y)
-        if fy is not None and _state_distance(y, fy) <= residual:
+            y = successor if successor is not None else _newton_point(
+                _LinearizedMap(env, rows, x, fx == 0.0), x, fx)
+        fy = None if y is None else _image(env, rows, y, strict=False)
+        if fy is not None and np.max(np.abs(fy - y)) <= residual:
             x = y
-    return PopulationState(t=0, viewer=x.viewer, provider=x.provider)
+    return PopulationState(t=0, viewer=x[:K], provider=x[K:])
 
 
-def _guarded_newton(env: EnvironmentSpec, pi, x: PopulationState, fx: PopulationState,
-                    residual: float, rate: float, successor: PopulationState | None):
+def _guarded_newton(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, fx: np.ndarray,
+                    residual: float, rate: float, successor: np.ndarray | None):
     """(y, F(y), |F(y) - y|, the Newton step z from y) for the Newton step y
     from x when find_fixed_point keeps it, else None.  `successor`, when
     given, is that y: the kept step that landed at x already solved for it,
@@ -383,65 +388,63 @@ def _guarded_newton(env: EnvironmentSpec, pi, x: PopulationState, fx: Population
     with np.errstate(all="ignore"):
         y = successor
         if y is None:
-            linearized = _clipped_linearization(env, pi, x, fx)
+            linearized = _LinearizedMap(env, rows, x, fx == 0.0)
             if not linearized.coupling_contracts():
                 return None
             y = _newton_point(linearized, x, fx)
-        if y is None or _state_distance(x, y) > 2.0 * residual / (1.0 - rate):
+        if y is None or np.max(np.abs(y - x)) > 2.0 * residual / (1.0 - rate):
             return None
-        fy = _image(env, pi, y)
+        fy = _image(env, rows, y, strict=False)
         if fy is None:
             return None
-        residual_y = _state_distance(y, fy)
+        residual_y = float(np.max(np.abs(fy - y)))
         if residual_y > residual / 2:
             return None
-        at_y = _clipped_linearization(env, pi, y, fy)
+        at_y = _LinearizedMap(env, rows, y, fy == 0.0)
         if not at_y.coupling_contracts():
             return None
         z = _newton_point(at_y, y, fy)
-        if z is None or _state_distance(y, z) > _state_distance(x, y) / 2:
+        if z is None or np.max(np.abs(z - y)) > np.max(np.abs(y - x)) / 2:
             return None
     return y, fy, residual_y, z
 
 
-def _clipped_linearization(env: EnvironmentSpec, pi, x: PopulationState,
-                           fx: PopulationState) -> _LinearizedMap:
-    """The map linearized at x, the groups where F(x) is 0 taken as clipped."""
-    return _LinearizedMap(env, pi, x, clipped=_stacked(fx) == 0.0)
-
-
-def _newton_point(linearized: _LinearizedMap, x: PopulationState,
-                  fx: PopulationState) -> PopulationState | None:
+def _newton_point(linearized: _LinearizedMap, x: np.ndarray, fx: np.ndarray) -> np.ndarray | None:
     """x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J from
     `linearized`; None when J - I is singular or the step is not finite."""
-    x_vec, fx_vec = _stacked(x), _stacked(fx)
     jac = linearized.jacobian()
     try:
-        delta = np.linalg.solve(jac - np.eye(len(jac)), fx_vec - x_vec)
+        delta = np.linalg.solve(jac - np.eye(len(jac)), fx - x)
     except np.linalg.LinAlgError:
         return None
-    y_vec = np.maximum(x_vec - delta, 0.0)
-    if not np.all(np.isfinite(y_vec)):
-        return None
-    K = linearized.env.K
-    return PopulationState(t=x.t + 1, viewer=y_vec[:K], provider=y_vec[K:])
+    y = np.maximum(x - delta, 0.0)
+    return y if np.all(np.isfinite(y)) else None
 
 
-def _image(env: EnvironmentSpec, pi, y: PopulationState) -> PopulationState | None:
-    """F(y), or None when it overflows."""
-    try:
-        return step(env, y, pi, rng=None)
-    except DivergenceError:
-        return None
+def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, strict=True):
+    """F(x) of the stacked populations x, by _step_cells (one cell at time t,
+    no noise).  When F(x) is not finite: raises its DivergenceError, or
+    returns None when not `strict`."""
+    failed: dict[int, BaseException] = {}
+    *_, viewer, provider = _step_cells(env, t, x[None, :env.K], x[None, env.K:],
+                                       lambda q: rows, (None,), failed)
+    if failed and strict:
+        raise failed[0]
+    return None if failed else np.concatenate([viewer[0], provider[0]])
 
 
-def _stacked(state: PopulationState) -> np.ndarray:
-    return np.concatenate([state.viewer, state.provider])
+def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | None = None):
+    """(rows of `pi`, x = (viewer, provider)) after _checked, once per call.
+    `noiseless` names a caller that evaluates F, a ValueError when noisy."""
+    if noiseless is not None and env.noise_active:
+        raise ValueError(f"{noiseless} requires noise to be disabled")
+    return _checked(env, state, pi), np.concatenate([state.viewer, state.provider])
 
 
 def fixed_point_residual(env: EnvironmentSpec, pi, at: PopulationState) -> float:
     """Max-norm distance between `at` and its image under the noiseless map."""
-    return _state_distance(at, step(env, at, pi, rng=None))
+    rows, x = _stacked(env, at, pi, "fixed_point_residual")
+    return float(np.max(np.abs(_image(env, rows, x, at.t) - x)))
 
 
 def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationState],
@@ -456,22 +459,19 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
     equilibrium, and the first found is kept.  Starts that fail to converge
     are skipped.
     """
-    found: list[tuple[PopulationState, float]] = []
+    rows = as_rows(pi)              # find_fixed_point checks it against env
+    found: list[tuple[PopulationState, np.ndarray, float]] = []
     for init in inits:
         try:
             fp = find_fixed_point(env, pi, init, tol=tol, max_iter=max_iter)
         except ConvergenceError:
             continue
-        jac = _clipped_linearization(env, pi, fp, step(env, fp, pi, rng=None)).jacobian()
+        x = np.concatenate([fp.viewer, fp.provider])
+        jac = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian()
         radius = tol * float(np.linalg.norm(np.linalg.pinv(jac - np.eye(len(jac))), np.inf))
-        if all(_state_distance(fp, other) > radius + r for other, r in found):
-            found.append((fp, radius))
-    return [fp for fp, _ in found]
-
-
-def _state_distance(a: PopulationState, b: PopulationState) -> float:
-    return float(max(np.max(np.abs(a.viewer - b.viewer)),
-                     np.max(np.abs(a.provider - b.provider))))
+        if all(np.max(np.abs(x - other)) > radius + r for _, other, r in found):
+            found.append((fp, x, radius))
+    return [fp for fp, *_ in found]
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +500,22 @@ class StabilityReport:
 
 
 class _LinearizedMap:
-    """The curve slopes at `at` under `pi`, and the off-diagonal Jacobian
-    blocks (A12, A21) built from them: the one pass that assemble_jacobian,
-    closed_form_eigenvalues, the stability test and the Newton steps of
-    find_fixed_point each need, and that jacobian_eigenvalues shares among
-    them.
+    """The curve slopes at x = (viewer, provider) under the policy `rows`,
+    and the off-diagonal Jacobian blocks (A12, A21) built from them: the one
+    pass that assemble_jacobian, closed_form_eigenvalues, the stability test
+    and the Newton steps of find_fixed_point each need, and that
+    jacobian_eigenvalues shares among them.
 
     `clipped` (viewer entries first) marks the groups whose update the map
-    clips to 0 at `at`.  The map is locally constant there, so their rows of
+    clips to 0 at x.  The map is locally constant there, so their rows of
     J are zeroed: they act as a rate of 1 and slopes of 0.
     """
 
-    def __init__(self, env: EnvironmentSpec, pi, at: PopulationState,
+    def __init__(self, env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray,
                  clipped: np.ndarray | None = None):
-        self.env = env
-        self.rows = rows = _checked(env, at, pi)
-        f, self.df = env.f_grid.value_and_deriv(at.provider)     # f_{k,l}, f_{k,l}' at provider_l
-        s, e, _ = _served(env.B + f, rows, at.viewer)
+        self.env, self.rows = env, rows
+        f, self.df = env.f_grid.value_and_deriv(x[env.K:])      # f_{k,l}, f_{k,l}' at provider_l
+        s, e, _ = _served(env.B + f, rows, x[:env.K])
         self.dv = env.viewer_curves.value_and_deriv(s)[1]       # lambda_bar_k' at s_k
         self.dc = env.provider_curves.value_and_deriv(e)[1]     # lambda_bar_l' at e_l
         self.eta_v, self.eta_p = env.eta_viewer, env.eta_provider
@@ -563,7 +562,7 @@ def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarr
         A21[l, k] = eta_l * lambda_bar_l'(e_l) * pi[k, l]
         A22 = diag(1 - eta_l)
     """
-    return _LinearizedMap(env, pi, at).jacobian()
+    return _LinearizedMap(env, *_stacked(env, at, pi)).jacobian()
 
 
 def _one_rate_per_side(env: EnvironmentSpec) -> bool:
@@ -591,7 +590,7 @@ def closed_form_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState) -> np
     if not _one_rate_per_side(env):
         raise ClosedFormDomainError(
             "closed-form spectrum needs one reactiveness rate per side")
-    return _LinearizedMap(env, pi, at).closed_form_spectrum()
+    return _LinearizedMap(env, *_stacked(env, at, pi)).closed_form_spectrum()
 
 
 def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
@@ -613,18 +612,19 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     rate 0 gives J the eigenvalue 1, and the flag is false.  Only a
     min(K, L)-square matrix goes through the eigensolver.
     """
-    residual = fixed_point_residual(env, pi, at)
+    rows, x = _stacked(env, at, pi, "jacobian_eigenvalues")
+    residual = float(np.max(np.abs(_image(env, rows, x, at.t) - x)))
     if residual > 10 * tol:
         raise FixedPointPreconditionError(
             f"state is not a fixed point: residual {residual:.3e} > {10 * tol:.1e}")
-    linearized = _LinearizedMap(env, pi, at)
+    linearized = _LinearizedMap(env, rows, x)
     eigs = np.linalg.eigvals(linearized.jacobian())
     analytic = linearized.closed_form_spectrum() if _one_rate_per_side(env) else None
     rho = float(np.max(np.abs(eigs)))
     return StabilityReport(fixed_point=at, eigenvalues=eigs, analytic_eigenvalues=analytic,
                            spectral_radius=rho, stable=bool(rho < 1.0),
                            sufficient_condition_holds=linearized.coupling_contracts(),
-                           residual=float(residual))
+                           residual=residual)
 
 
 # ---------------------------------------------------------------------------

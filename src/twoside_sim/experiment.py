@@ -41,6 +41,15 @@ def _reject_unknown(d: dict[str, Any], allowed: set[str], what: str) -> None:
         raise ExperimentConfigError(f"{what}: unknown key(s) {unknown}")
 
 
+def _json_typed(value, key: str, kind: type = int):
+    """`value` when its type is exactly `kind`, int for a JSON integer or bool
+    for a JSON boolean, else ExperimentConfigError: a value of another type
+    (2.7, "3" or true for an integer) is refused, never cast."""
+    if type(value) is not kind:
+        raise ExperimentConfigError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     name: str
@@ -199,7 +208,8 @@ class ExperimentConfig:
             raise ExperimentConfigError("T is required for inline environments")
         return cls(environment=environment,
                    policies=tuple(PolicySpec.from_dict(p) for p in d.get("policies", [])),
-                   T=int(T), seeds=tuple(d.get("seeds", [0])),
+                   T=_json_typed(T, "T"),
+                   seeds=tuple(_json_typed(s, "seeds") for s in d.get("seeds", [0])),
                    outputs=d.get("outputs", "out"), init=init)
 
 

@@ -212,23 +212,47 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# a value of the wrong type for each command that reads a config, each of which
-# the command once reported as a runtime failure (exit 1)
-UNPARSABLE_VALUES = {
-    "regret": ("T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
-    "estimate": ("seed", {**MISSPELLED_KEYS["estimate"][1], "seed": "one"}),
-    "fixed-point": ("tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": "small"}),
-    "oracle linear-welfare": ("pi", {"params": {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0,
-                                                "B": [[1.0]]}, "pi": [["all"]]}),
-    "oracle epsilon-bounds": ("epsilon_grid", {"params": {"a0": 0.5, "a1": 0.5, "a2": 0.5,
-                                                          "b2": 1.0, "B": [[1.0]]},
+RUN_CONFIG = {"environment": {"synthetic": scenario_dict()}, "T": 2,
+              "policies": [{"name": "u", "kind": "uniform"}]}
+LINEAR_PARAMS = {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0, "B": [[1.0]]}
+
+# (command, key, payload): a value of the wrong type or shape for a command
+# that reads a config.  Each was once reported as a runtime failure (exit 1),
+# or, for an integer key given a float, a string or a bool and for a b_known
+# given a string, read as some other value.
+UNPARSABLE_VALUES = [
+    ("regret", "T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
+    ("regret", "seed", {**MISSPELLED_KEYS["regret"][1], "seed": 2.7}),
+    ("run", "seeds", {**RUN_CONFIG, "seeds": [2.7]}),
+    ("run", "T", {**RUN_CONFIG, "T": True}),
+    ("estimate", "seed", {**MISSPELLED_KEYS["estimate"][1], "seed": "one"}),
+    ("estimate", "T_b", {**MISSPELLED_KEYS["estimate"][1], "T_b": "6"}),
+    ("estimate", "refit_every", {**MISSPELLED_KEYS["estimate"][1], "refit_every": 1.0}),
+    ("estimate", "b_known", {**MISSPELLED_KEYS["estimate"][1], "b_known": "false"}),
+    ("fixed-point", "tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": "small"}),
+    ("fixed-point", "max_iter", {**MISSPELLED_KEYS["fixed-point"][1], "max_iter": 1e5}),
+    ("fixed-point", "policy", {**MISSPELLED_KEYS["fixed-point"][1],
+                               "policy": np.full((2, 3), 1 / 3).tolist()}),
+    ("stability", "policy", {**MISSPELLED_KEYS["stability"][1],
+                             "policy": np.full((3, 2), 1 / 2).tolist()}),
+    ("oracle linear-ne", "pi", {"params": LINEAR_PARAMS, "pi": [[0.5, 0.5]]}),
+    ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [["all"]]}),
+    ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [[1.0], [1.0]]}),
+    ("oracle epsilon-bounds", "epsilon_grid", {"params": LINEAR_PARAMS,
                                                "epsilon_grid": ["half"]}),
-}
+]
 
 
-@pytest.mark.parametrize("command", sorted(UNPARSABLE_VALUES))
-def test_unparsable_value_is_config_error(tmp_path, capsys, command):
-    key, payload = UNPARSABLE_VALUES[command]
+def _case_ids(cases):
+    """The first case of a command is named by the command, a later one by
+    the command and its key."""
+    return [command if all(command != c for c, *_ in cases[:i]) else f"{command} {key}"
+            for i, (command, key, _) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("command,key,payload", UNPARSABLE_VALUES,
+                         ids=_case_ids(UNPARSABLE_VALUES))
+def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payload):
     cfg = write_json(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, command.split() + ["--config", cfg, "--out", str(out)])

@@ -259,6 +259,24 @@ def test_nonconvergence_carries_last_iterate():
     assert exc.value.last_state.viewer[0] > 1.0
 
 
+def test_fixed_point_search_builds_one_population_state(monkeypatch):
+    # the search runs on the stacked populations, so a converging search
+    # makes one PopulationState: the point it returns
+    env = gen_synthetic(SyntheticScenarioConfig(K=20, L=20, d=20, eta=0.05, seed=0))
+    rng = np.random.default_rng(0)
+    init = PopulationState(t=0, viewer=rng.uniform(0.0, 2.0, 20),
+                           provider=rng.uniform(0.0, 2.0, 20))
+    built, post_init = [], PopulationState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PopulationState, "__post_init__", counted)
+    fp = find_fixed_point(env, epsilon_greedy(env.B, 0.1), init)
+    assert len(built) == 1 and built[0] is fp
+
+
 def test_fixed_point_rejects_noisy_environment():
     base = linear_env(1, 1, [0.5], [0.5], [[0.0]], B=[[1.0]], eta_v=[0.5], eta_p=[0.5])
     noisy = EnvironmentSpec.from_dict({**base.to_dict(), "noise": {"relative_std": 0.01}})
@@ -679,7 +697,8 @@ def test_stability_flag_matches_dense_spectrum_anywhere(seed):
     pi = random_policy(seed, env.K, env.L)
     rho = float(np.max(np.abs(np.linalg.eigvals(assemble_jacobian(env, pi, state)))))
     assume(abs(rho - 1.0) > 1e-9)
-    assert dynamics._LinearizedMap(env, pi, state).coupling_contracts() == (rho < 1.0)
+    x = np.concatenate([state.viewer, state.provider])
+    assert dynamics._LinearizedMap(env, pi, x).coupling_contracts() == (rho < 1.0)
 
 
 # --- perturbation-return behavior at stable points ---
