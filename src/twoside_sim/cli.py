@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
-from .dynamics import (find_fixed_point, fixed_point_residual,
+from .dynamics import (_check_tol, find_fixed_point, fixed_point_residual,
                        jacobian_eigenvalues, rollout, trajectory_to_csv)
 from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
@@ -175,8 +175,9 @@ def _preset_cases(args):
         if policy.shape != (env.K, env.L):
             raise ExperimentConfigError(
                 f"policy shape {policy.shape} does not match (K, L)={(env.K, env.L)}")
-        return (env, policy, {"init": init},
-                float(c.get("tol", 1e-10)), _json_typed(c.get("max_iter", 100000), "max_iter"))
+        tol = c.get("tol", 1e-10)
+        _check_tol(tol)
+        return env, policy, {"init": init}, tol, _json_typed(c.get("max_iter", 100000), "max_iter")
 
     return _from_config(inputs, cfg, f"{args.command} config")
 

@@ -11,8 +11,9 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,11 +126,11 @@ def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.n
         s, e, w = _served(q, rows, viewer)
         _fail_non_finite(failed, "welfare", t, viewer, provider, w)
         _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
-        if failed:     # the curves reject non-finite points
+        if failed:     # zeroed: the curves below skip their finiteness check
             s[list(failed)] = e[list(failed)] = 0.0
-        new_viewer = (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves.value(s)
+        new_viewer = (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves._apply(s)
         new_provider = ((1.0 - env.eta_provider) * provider
-                        + env.eta_provider * env.provider_curves.value(e))
+                        + env.eta_provider * env.provider_curves._apply(e))
         if env.noise_active:
             xi_viewer, xi_provider = np.empty(viewer.shape), np.empty(provider.shape)
             for c, rng in enumerate(rngs):
@@ -339,8 +340,10 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     last_state.  The returned point depends on the initial condition when
     several fixed points exist.  max_iter bounds the evaluations of F, each
     Newton trial counted as one.  Raises ConvergenceError when they run out,
-    or its DivergenceError subclass as soon as a plain iterate overflows.
+    or its DivergenceError subclass as soon as a plain iterate overflows;
+    ValueError when tol is not a finite number >= 0.
     """
+    _check_tol(tol)
     rows, x = _stacked(env, init, pi, "find_fixed_point")
     t, K = init.t, env.K            # t is x's timestep; F(x) is at t + 1
     fx = _image(env, rows, x, t)
@@ -433,6 +436,11 @@ def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, st
     return None if failed else np.concatenate([viewer[0], provider[0]])
 
 
+def _check_tol(tol) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | None = None):
     """(rows of `pi`, x = (viewer, provider)) after _checked, once per call.
     `noiseless` names a caller that evaluates F, a ValueError when noisy."""
@@ -457,20 +465,27 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
     (a group with rate 0 makes J - I singular, and the search never moves
     such a group).  Two points closer than the sum of their radii are one
     equilibrium, and the first found is kept.  Starts that fail to converge
-    are skipped.
+    are skipped.  Points within half the sum of the lower bounds
+    tol / ||J - I||_inf (half, for round-off) merge without a pseudo-inverse:
+    (J - I)(J - I)^+ is a nonzero projector, so its norm is at least 1.
     """
+    _check_tol(tol)
     rows = as_rows(pi)              # find_fixed_point checks it against env
-    found: list[tuple[PopulationState, np.ndarray, float]] = []
+    found: list[tuple] = []         # (point, x, lower bound, radius() taken once)
     for init in inits:
         try:
             fp = find_fixed_point(env, pi, init, tol=tol, max_iter=max_iter)
         except ConvergenceError:
             continue
         x = np.concatenate([fp.viewer, fp.provider])
-        jac = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian()
-        radius = tol * float(np.linalg.norm(np.linalg.pinv(jac - np.eye(len(jac))), np.inf))
-        if all(np.max(np.abs(x - other)) > radius + r for _, other, r in found):
-            found.append((fp, x, radius))
+        a = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian() - np.eye(len(x))
+        norm = float(np.linalg.norm(a, np.inf))
+        lower = tol / norm if norm > 0.0 else 0.0
+        radius = cache(lambda a=a: tol * float(np.linalg.norm(np.linalg.pinv(a), np.inf)))
+        gaps = [(np.max(np.abs(x - other)), low, r) for _, other, low, r in found]
+        if (not any(gap <= (lower + low) / 2 for gap, low, _ in gaps)
+                and all(gap > radius() + r() for gap, _, r in gaps)):
+            found.append((fp, x, lower, radius))
     return [fp for fp, *_ in found]
 
 
@@ -527,9 +542,10 @@ class _LinearizedMap:
         self.A21 = (self.eta_p * self.dc)[:, None] * rows.T
 
     def jacobian(self) -> np.ndarray:
-        A11 = np.diag(1.0 - self.eta_v)
-        A22 = np.diag(1.0 - self.eta_p)
-        return np.block([[A11, self.A12], [self.A21, A22]])
+        K = self.env.K
+        jac = np.diag(np.concatenate([1.0 - self.eta_v, 1.0 - self.eta_p]))
+        jac[:K, K:], jac[K:, :K] = self.A12, self.A21
+        return jac
 
     def closed_form_spectrum(self) -> np.ndarray:
         """closed_form_eigenvalues; the caller checks one rate per side."""
@@ -544,13 +560,17 @@ class _LinearizedMap:
         return eigs.real if not np.any(eigs.imag) else eigs
 
     def coupling_contracts(self) -> bool:
-        """rho(J) < 1, decided as rho(G12 G21) < 1 (see jacobian_eigenvalues)."""
+        """rho(J) < 1, decided as rho(G12 G21) < 1 by one solve (see jacobian_eigenvalues)."""
         if np.any(self.eta_v == 0.0) or np.any(self.eta_p == 0.0):
             return False        # a group that never moves: J has the eigenvalue 1
         G12 = self.dv[:, None] * self.rows * self.df
         G21 = self.dc[:, None] * self.rows.T
-        coupling = G12 @ G21 if self.env.K <= self.env.L else G21 @ G12
-        return bool(np.max(np.abs(np.linalg.eigvals(coupling))) < 1.0)
+        K, L = self.env.K, self.env.L
+        i_minus_c = np.eye(min(K, L)) - (G12 @ G21 if K <= L else G21 @ G12)
+        try:
+            return bool(np.all(np.linalg.solve(i_minus_c, np.ones(min(K, L))) > 0.0))
+        except np.linalg.LinAlgError:
+            return False        # I - C is singular: C has the eigenvalue 1
 
 
 def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
@@ -609,9 +629,12 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     every rate positive, rho(J) < 1 exactly when I - G is a nonsingular
     M-matrix, that is when rho(G)^2 = rho(G12 G21) < 1 (Berman & Plemmons,
     Nonnegative Matrices in the Mathematical Sciences, ch. 6).  A group with
-    rate 0 gives J the eigenvalue 1, and the flag is false.  Only a
-    min(K, L)-square matrix goes through the eigensolver.
+    rate 0 gives J the eigenvalue 1, and the flag is false.  No eigensolver
+    decides it: for C = G12 G21 >= 0, rho(C) < 1 exactly when (I - C) x = 1
+    has a solution x > 0 (x = sum_n C^n 1 >= 1 by the Neumann series;
+    conversely Cx < x, Collatz-Wielandt), one min(K, L)-square LU solve.
     """
+    _check_tol(tol)
     rows, x = _stacked(env, at, pi, "jacobian_eigenvalues")
     residual = float(np.max(np.abs(_image(env, rows, x, at.t) - x)))
     if residual > 10 * tol:

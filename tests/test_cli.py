@@ -230,11 +230,16 @@ UNPARSABLE_VALUES = [
     ("estimate", "refit_every", {**MISSPELLED_KEYS["estimate"][1], "refit_every": 1.0}),
     ("estimate", "b_known", {**MISSPELLED_KEYS["estimate"][1], "b_known": "false"}),
     ("fixed-point", "tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": "small"}),
+    ("fixed-point", "tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": True}),
+    ("fixed-point", "tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": float("nan")}),
+    ("fixed-point", "tol", {**MISSPELLED_KEYS["fixed-point"][1], "tol": -1.0}),
     ("fixed-point", "max_iter", {**MISSPELLED_KEYS["fixed-point"][1], "max_iter": 1e5}),
     ("fixed-point", "policy", {**MISSPELLED_KEYS["fixed-point"][1],
                                "policy": np.full((2, 3), 1 / 3).tolist()}),
     ("stability", "policy", {**MISSPELLED_KEYS["stability"][1],
                              "policy": np.full((3, 2), 1 / 2).tolist()}),
+    ("stability", "tol", {**MISSPELLED_KEYS["stability"][1], "tol": float("nan")}),
+    ("stability", "tol", {**MISSPELLED_KEYS["stability"][1], "tol": -1e-10}),
     ("oracle linear-ne", "pi", {"params": LINEAR_PARAMS, "pi": [[0.5, 0.5]]}),
     ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [["all"]]}),
     ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [[1.0], [1.0]]}),
@@ -245,9 +250,13 @@ UNPARSABLE_VALUES = [
 
 def _case_ids(cases):
     """The first case of a command is named by the command, a later one by
-    the command and its key."""
-    return [command if all(command != c for c, *_ in cases[:i]) else f"{command} {key}"
-            for i, (command, key, _) in enumerate(cases)]
+    the command and its key, numbered from 2 when that name repeats."""
+    ids, seen = [], {}
+    for i, (command, key, _) in enumerate(cases):
+        name = command if all(command != c for c, *_ in cases[:i]) else f"{command} {key}"
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name} {seen[name]}")
+    return ids
 
 
 @pytest.mark.parametrize("command,key,payload", UNPARSABLE_VALUES,
@@ -257,7 +266,9 @@ def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payloa
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, command.split() + ["--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
-    assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError"
+    assert key != "tol" or "tol must be a finite number" in record["message"]
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -514,6 +516,62 @@ def test_enumerate_merges_one_equilibrium_reached_from_both_sides():
     assert len(enumerate_fixed_points(env, pi, [zero, above], tol=1e-10)) == 1
 
 
+def enumerate_by_pseudo_inverse(env, pi, inits, tol=1e-10):
+    """The reference merge rule: every found point's radius
+    tol * ||(J - I)^+||_inf from its own pseudo-inverse."""
+    rows = validate_policy(pi).rows
+    found = []
+    for init in inits:
+        try:
+            fp = find_fixed_point(env, pi, init, tol=tol)
+        except ConvergenceError:
+            continue
+        x = stacked(fp)
+        clipped = stacked(step(env, fp, pi)) == 0.0
+        jac = dynamics._LinearizedMap(env, rows, x, clipped).jacobian()
+        radius = tol * np.linalg.norm(np.linalg.pinv(jac - np.eye(len(jac))), np.inf)
+        if all(np.max(np.abs(x - other)) > radius + r for _, other, r in found):
+            found.append((fp, x, radius))
+    return [fp for fp, *_ in found]
+
+
+def test_enumerate_merges_as_the_pseudo_inverse_rule_does():
+    cases = [(three_equilibria_env(), [[1.0]], list(THREE_EQUILIBRIA_INITS.values()) * 2)]
+    for seed in range(30):
+        env = random_env(seed, max_dim=4)
+        if seed % 3 == 0:       # a group with rate 0 makes J - I singular
+            env = dataclasses.replace(env, eta_viewer=np.r_[0.0, env.eta_viewer[1:]])
+        pi = random_policy(seed, env.K, env.L)
+        inits = [random_state(seed, env, scale=scale) for scale in (0.5, 5.0, 50.0)]
+        fp = find_fixed_point(env, pi, inits[1])
+        inits.append(PopulationState(t=0, viewer=2 * fp.viewer + 1, provider=2 * fp.provider + 1))
+        cases.append((env, pi, inits))
+    merged = split = 0
+    for env, pi, inits in cases:
+        got = enumerate_fixed_points(env, pi, inits)
+        want = enumerate_by_pseudo_inverse(env, pi, inits)
+        assert len(got) == len(want)
+        assert all(np.array_equal(stacked(a), stacked(b)) for a, b in zip(got, want))
+        merged, split = merged + (len(got) < len(inits)), split + (len(got) > 1)
+    assert merged >= 10 and split >= 10
+
+
+def test_enumerate_takes_a_pseudo_inverse_only_for_an_open_comparison(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(1) or pinv(a))
+    # three starts of one equilibrium merge by the lower bound alone
+    env = gen_synthetic(SyntheticScenarioConfig(K=20, L=20, d=20, eta=0.05, seed=0))
+    zero = PopulationState(t=0, viewer=np.zeros(20), provider=np.zeros(20))
+    half = PopulationState(t=0, viewer=np.full(20, 0.5), provider=np.full(20, 0.5))
+    assert len(enumerate_fixed_points(env, epsilon_greedy(env.B, 0.1), [zero, half, zero])) == 1
+    assert calls == []
+    # three distinct points, each pseudo-inverted once however often compared
+    inits = list(THREE_EQUILIBRIA_INITS.values()) * 2
+    assert len(enumerate_fixed_points(three_equilibria_env(), [[1.0]], inits)) == 3
+    assert len(calls) == 3
+
+
 # --- stability analysis ---
 
 
@@ -592,6 +650,17 @@ def test_constant_population_effect_zeroes_coupling_eigenvalues():
     np.testing.assert_allclose(np.sort(analytic), np.sort(dense.real), atol=1e-12)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "1e-10"])
+def test_fixed_point_calls_refuse_a_tol_that_is_not_a_finite_number(tol):
+    env, start = three_equilibria_env(), PopulationState(t=0, viewer=[0.3], provider=[0.9])
+    for call in (lambda: find_fixed_point(env, [[1.0]], start, tol=tol),
+                 lambda: enumerate_fixed_points(env, [[1.0]], [start], tol=tol),
+                 lambda: jacobian_eigenvalues(env, [[1.0]], start, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be a finite number") as err:
+            call()
+        assert not isinstance(err.value, FixedPointPreconditionError)
+
+
 def test_not_a_fixed_point_is_a_precondition_error():
     env, pi, _ = stable_env_and_fp()
     with pytest.raises(FixedPointPreconditionError):
@@ -665,6 +734,19 @@ def test_stability_flag_is_false_when_a_rate_vanishes():
     rep = jacobian_eigenvalues(env, pi, fp)
     assert rep.spectral_radius >= 1.0 - 1e-12
     assert not rep.stable and not rep.sufficient_condition_holds
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("gain,contracts", [(1.0, False), (1.0 + 1e-6, False),
+                                             (1.0 - 1e-6, True)])
+def test_stability_flag_at_the_edge_of_contraction(monkeypatch, K, gain, contracts):
+    # linear curves and the uniform policy make C = G12 G21 = (gain / K) ones((K, K)),
+    # so rho(C) = gain; at gain 1, I - C is exactly singular
+    env = linear_env(K, K, [1.0] * K, [gain] * K, [[1.0] * K] * K, B=[[1.0] * K] * K,
+                     eta_v=[0.5] * K, eta_p=[0.5] * K)
+    linearized = dynamics._LinearizedMap(env, np.full((K, K), 1.0 / K), np.ones(2 * K))
+    monkeypatch.setattr(np.linalg, "eigvals", None)    # decided without an eigensolve
+    assert linearized.coupling_contracts() is contracts
 
 
 @settings(max_examples=60, deadline=None)
