@@ -23,15 +23,14 @@ from .dynamics import (_check_tol, find_fixed_point, fixed_point_residual,
 from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
-from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec,
-                         _json_typed, _reject_unknown, build_policy, load_environment,
+from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec, _json_typed,
+                         _lookahead_config, _reject_unknown, build_policy, load_environment,
                          resolve_environment, run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
                       linear_welfare, epsilon_welfare_bounds,
                       three_equilibria_env, welfare_from_ne)
-from .policies import LookaheadConfig
 from .synthetic import SyntheticScenarioConfig, gen_synthetic
 
 
@@ -257,9 +256,9 @@ def cmd_estimate(args) -> int:
         env, init = _environment(c)
         etc = ExploreCommitConfig(T_b=_json_typed(_require(c, "T_b"), "T_b"),
                                   T=_json_typed(_require(c, "T"), "T"),
-                                  beta=float(_require(c, "beta")),
+                                  beta=_json_typed(_require(c, "beta"), "beta", float),
                                   refit_every=_json_typed(c.get("refit_every", 1), "refit_every"))
-        lookahead = LookaheadConfig(**c["lookahead"]) if c.get("lookahead") else None
+        lookahead = _lookahead_config(c["lookahead"]) if c.get("lookahead") else None
         return (env, init, etc, lookahead, _json_typed(c.get("seed", 0), "seed"),
                 _json_typed(c.get("b_known", True), "b_known", bool))
 
@@ -299,10 +298,11 @@ def _oracle_inputs(cfg: dict) -> tuple[LinearGameParams, np.ndarray | None, list
     _reject_unknown(p, _LINEAR_PARAM_KEYS, "linear params")
     params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]), a2=float(p["a2"]),
                               b2=float(p["b2"]), B=np.asarray(p["B"], dtype=float))
-    pi = np.asarray(cfg["pi"], dtype=float) if "pi" in cfg else None
+    pi = _from_config(lambda v: np.asarray(v, float), cfg["pi"], "pi") if "pi" in cfg else None
     if pi is not None and pi.shape != params.B.shape:
         raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")
-    grid = [float(v) for v in cfg.get("epsilon_grid", np.round(np.linspace(0, 1, 21), 10))]
+    grid = cfg.get("epsilon_grid", np.round(np.linspace(0, 1, 21), 10))
+    grid = _from_config(lambda g: [float(v) for v in g], grid, "epsilon_grid")
     return params, pi, grid
 
 

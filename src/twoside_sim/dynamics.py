@@ -11,6 +11,7 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
@@ -111,26 +112,19 @@ def _step_one(env: EnvironmentSpec, state: PopulationState, pi, rng):
 def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.ndarray,
                 decide: Callable, rngs: Sequence, failed: dict):
     """The one step of the dynamics, for S cells at time t: populations
-    `viewer` (S, K) and `provider` (S, L), policy rows decide(q), (S, K, L)
-    or one (K, L) for all, at q = B + f(provider), and noise from rngs[i].
+    `viewer` (S, K) and `provider` (S, L), policy rows decide(q), (S, K, L) or
+    one (K, L) for all, at q = B + f(provider), _update, then noise from rngs[i].
     Returns (q, rows, s, e, welfare, next viewer, next provider).
 
-    A cell that fails a check (welfare, payoffs, new populations, in that
-    order) gets its DivergenceError in `failed` (cell -> error) and then
-    stays where it is, so the other cells go on.
+    After the update, a cell that fails a check (welfare, payoffs, new
+    populations, in that order) gets its DivergenceError in `failed` (cell
+    -> error) and then stays where it is, so the other cells go on.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q = env.B + env.f_grid.value(provider)
     rows = decide(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        s, e, w = _served(q, rows, viewer)
-        _fail_non_finite(failed, "welfare", t, viewer, provider, w)
-        _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
-        if failed:     # zeroed: the curves below skip their finiteness check
-            s[list(failed)] = e[list(failed)] = 0.0
-        new_viewer = (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves._apply(s)
-        new_provider = ((1.0 - env.eta_provider) * provider
-                        + env.eta_provider * env.provider_curves._apply(e))
+        s, e, w, new_viewer, new_provider = _update(env, q, rows, viewer, provider)
         if env.noise_active:
             xi_viewer, xi_provider = np.empty(viewer.shape), np.empty(provider.shape)
             for c, rng in enumerate(rngs):
@@ -138,12 +132,24 @@ def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.n
                 xi_provider[c] = rng.normal(0.0, env.noise.relative_std, env.L)
             new_viewer = new_viewer * (1.0 + xi_viewer)
             new_provider = new_provider * (1.0 + xi_provider)
-        _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
+    _fail_non_finite(failed, "welfare", t, viewer, provider, w)
+    _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
+    _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
     new_viewer, new_provider = np.maximum(new_viewer, 0.0), np.maximum(new_provider, 0.0)
     if failed:
         dead = list(failed)
         new_viewer[dead], new_provider[dead] = viewer[dead], provider[dead]
     return q, rows, s, e, w, new_viewer, new_provider
+
+
+def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, viewer: np.ndarray,
+            provider: np.ndarray):
+    """(s, e, welfare, next viewer, next provider) of the populations under
+    the policy rows at utilities q, before noise and clipping, over any
+    leading (cell) axes; called under np.errstate, the caller checks finiteness."""
+    s, e, w = _served(q, rows, viewer)
+    return (s, e, w, (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves._apply(s),
+            (1.0 - env.eta_provider) * provider + env.eta_provider * env.provider_curves._apply(e))
 
 
 def _fail_non_finite(failed: dict, what: str, t: int, viewer, provider, *arrays) -> None:
@@ -387,15 +393,13 @@ def _guarded_newton(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, fx: n
     """(y, F(y), |F(y) - y|, the Newton step z from y) for the Newton step y
     from x when find_fixed_point keeps it, else None.  `successor`, when
     given, is that y: the kept step that landed at x already solved for it,
-    from a linearization at x found attracting."""
+    from a linearization at x found attracting.  The guards are checked
+    cheapest first: the step's length before the contraction solve at x."""
     with np.errstate(all="ignore"):
-        y = successor
-        if y is None:
-            linearized = _LinearizedMap(env, rows, x, fx == 0.0)
-            if not linearized.coupling_contracts():
-                return None
-            y = _newton_point(linearized, x, fx)
-        if y is None or np.max(np.abs(y - x)) > 2.0 * residual / (1.0 - rate):
+        linearized = None if successor is not None else _LinearizedMap(env, rows, x, fx == 0.0)
+        y = successor if linearized is None else _newton_point(linearized, x, fx)
+        if (y is None or np.max(np.abs(y - x)) > 2.0 * residual / (1.0 - rate)
+                or linearized is not None and not linearized.coupling_contracts()):
             return None
         fy = _image(env, rows, y, strict=False)
         if fy is None:
@@ -425,15 +429,23 @@ def _newton_point(linearized: _LinearizedMap, x: np.ndarray, fx: np.ndarray) -> 
 
 
 def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, strict=True):
-    """F(x) of the stacked populations x, by _step_cells (one cell at time t,
-    no noise).  When F(x) is not finite: raises its DivergenceError, or
-    returns None when not `strict`."""
+    """F(x) of the finite stacked populations x: _update, unbatched and noiseless,
+    clipped at 0.  One test covers the welfare, payoffs and F(x); when it fails,
+    raises the DivergenceError _step_cells would at time t (None if not `strict`)."""
+    viewer, provider = x[:env.K], x[env.K:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, e, w, new_viewer, new_provider = _update(
+            env, env.B + env.f_grid._apply(provider), rows, viewer, provider)
+        checked = np.concatenate([[w], s, e, new_viewer, new_provider])
+        fx = checked[1 + len(x):]
+        if math.isfinite(checked.sum()):    # any inf or nan makes the sum inf or nan
+            return np.maximum(fx, 0.0)
     failed: dict[int, BaseException] = {}
-    *_, viewer, provider = _step_cells(env, t, x[None, :env.K], x[None, env.K:],
-                                       lambda q: rows, (None,), failed)
+    for what, arrays in (("welfare", [w]), ("payoffs", [s, e]), ("populations", [fx])):
+        _fail_non_finite(failed, what, t, viewer[None], provider[None], *(a[None] for a in arrays))
     if failed and strict:
         raise failed[0]
-    return None if failed else np.concatenate([viewer[0], provider[0]])
+    return None if failed else np.maximum(fx, 0.0)
 
 
 def _check_tol(tol) -> None:

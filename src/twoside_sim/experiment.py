@@ -42,12 +42,20 @@ def _reject_unknown(d: dict[str, Any], allowed: set[str], what: str) -> None:
 
 
 def _json_typed(value, key: str, kind: type = int):
-    """`value` when its type is exactly `kind`, int for a JSON integer or bool
-    for a JSON boolean, else ExperimentConfigError: a value of another type
-    (2.7, "3" or true for an integer) is refused, never cast."""
-    if type(value) is not kind:
-        raise ExperimentConfigError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    """`value` when its type is exactly `kind`: int for a JSON integer, bool
+    for a JSON boolean, and int or float for float, a JSON number.  Else
+    ExperimentConfigError: a value of another type (2.7, "3" or true for an
+    integer, "0.5" or true for a number) is refused, never cast."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        name = "number" if kind is float else kind.__name__
+        raise ExperimentConfigError(f"{key} must be a JSON {name}, got {value!r}")
     return value
+
+
+def _lookahead_config(d) -> LookaheadConfig:
+    """A look-ahead block: iterations a JSON integer, gamma and learning_rate JSON numbers."""
+    return LookaheadConfig(**{k: _json_typed(v, k, int if k == "iterations" else float)
+                              for k, v in dict(d).items()})
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,10 @@ class PolicySpec:
             raise ExperimentConfigError(
                 f"policy spec is missing {err.args[0]!r}") from err
         la = d.get("lookahead")
-        return cls(name=name, kind=kind, epsilon=d.get("epsilon"),
-                   beta=d.get("beta"),
-                   lookahead=LookaheadConfig(**la) if la is not None else None)
+        numbers = {k: _json_typed(d[k], k, float) for k in ("epsilon", "beta")
+                   if d.get(k) is not None}
+        return cls(name=name, kind=kind, **numbers,
+                   lookahead=_lookahead_config(la) if la is not None else None)
 
 
 def build_policy(env: EnvironmentSpec, spec: PolicySpec):

@@ -343,7 +343,9 @@ class FnGrid:
             self._slopes = max_values / (4.0 * taus)
 
     def value(self, x) -> np.ndarray:
-        x = _finite_vector(x, self.shape[1])
+        return self._apply(_finite_vector(x, self.shape[1]))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._cells is not None:
             return self._cells._apply(np.tile(x, self.shape[0])).reshape(
                 x.shape[:-1] + self.shape)

@@ -72,7 +72,9 @@ class SyntheticScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SyntheticScenarioConfig":
-        kwargs = dict(d)
+        from .experiment import _json_typed     # experiment imports this module
+        kwargs = {k: _json_typed(v, k) if k in ("K", "L", "d", "T", "seed") else v
+                  for k, v in dict(d).items()}
         for name in ("lambda_max_range", "tau_range", "quality_max_range",
                      "quality_tau_range"):
             if name in kwargs:

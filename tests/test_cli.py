@@ -215,11 +215,12 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command):
 RUN_CONFIG = {"environment": {"synthetic": scenario_dict()}, "T": 2,
               "policies": [{"name": "u", "kind": "uniform"}]}
 LINEAR_PARAMS = {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0, "B": [[1.0]]}
+LOOKAHEAD = {"name": "la", "kind": "lookahead", "lookahead": {"iterations": 2}}
 
 # (command, key, payload): a value of the wrong type or shape for a command
 # that reads a config.  Each was once reported as a runtime failure (exit 1),
-# or, for an integer key given a float, a string or a bool and for a b_known
-# given a string, read as some other value.
+# or, for an integer key given a float, a string or a bool, for a b_known
+# given a string and for a number given a bool, read as some other value.
 UNPARSABLE_VALUES = [
     ("regret", "T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
     ("regret", "seed", {**MISSPELLED_KEYS["regret"][1], "seed": 2.7}),
@@ -245,6 +246,19 @@ UNPARSABLE_VALUES = [
     ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [[1.0], [1.0]]}),
     ("oracle epsilon-bounds", "epsilon_grid", {"params": LINEAR_PARAMS,
                                                "epsilon_grid": ["half"]}),
+    ("gen", "K", scenario_dict(K=2.5)),
+    ("gen", "seed", scenario_dict(seed=2.7)),
+    ("run", "iterations", {**RUN_CONFIG, "policies": [
+        LOOKAHEAD | {"lookahead": {"iterations": 2.5}}]}),
+    ("run", "epsilon", {**RUN_CONFIG, "policies": [{"name": "e", "kind": "epsilon_greedy",
+                                                    "epsilon": True}]}),
+    ("run", "beta", {**RUN_CONFIG, "policies": [LOOKAHEAD | {"beta": "0.5"}]}),
+    ("run", "gamma", {**RUN_CONFIG, "policies": [LOOKAHEAD | {"lookahead": {"gamma": True}}]}),
+    ("run", "learning_rate", {**RUN_CONFIG, "policies": [
+        LOOKAHEAD | {"lookahead": {"learning_rate": "0.1"}}]}),
+    ("estimate", "beta", {**MISSPELLED_KEYS["estimate"][1], "beta": True}),
+    ("estimate", "iterations", {**MISSPELLED_KEYS["estimate"][1],
+                                "lookahead": {"iterations": 2.5}}),
 ]
 
 
@@ -267,7 +281,7 @@ def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payloa
     code, stdout, err = run_cli(capsys, command.split() + ["--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
-    assert record["type"] == "ExperimentConfigError"
+    assert record["type"] == "ExperimentConfigError" and key in record["message"]
     assert key != "tol" or "tol must be a finite number" in record["message"]
     assert not out.exists()
 

@@ -279,6 +279,95 @@ def test_fixed_point_search_builds_one_population_state(monkeypatch):
     assert len(built) == 1 and built[0] is fp
 
 
+def one_cell_image(env, rows, x, t=0):
+    """F(x) by the noiseless one-cell _step_cells: the point, or the cell's error."""
+    failed = {}
+    *_, viewer, provider = dynamics._step_cells(env, t, x[None, :env.K], x[None, env.K:],
+                                                lambda q: rows, (None,), failed)
+    return failed[0] if failed else np.concatenate([viewer[0], provider[0]])
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want) and str(got) == str(want)
+    assert got.residual == want.residual and got.last_state.t == want.last_state.t
+    assert np.array_equal(got.last_state.viewer, want.last_state.viewer)
+    assert np.array_equal(got.last_state.provider, want.last_state.provider)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), scale=st.sampled_from([0.5, 20.0, 1e3]),
+       t=st.integers(0, 5))
+def test_image_is_the_one_cell_step_bit_for_bit(seed, scale, t):
+    env = random_env(seed)
+    rows = random_policy(seed, env.K, env.L)
+    x = stacked(random_state(seed, env, scale=scale))
+    got, want = dynamics._image(env, rows, x, t), one_cell_image(env, rows, x, t)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# (what overflows, env, x): each failure a one-point map can reach
+OVERFLOWS = [
+    # s = 1e200 and the viewer 1e200: the welfare overflows, s and e do not
+    ("welfare", linear_env(1, 1, [1.0], [1.0], [[1.0]], B=[[1.0]], eta_v=[0.5], eta_p=[0.5]),
+     [1e200, 1e200]),
+    # e sums two viewers of 1.7e308 while q = s = 0 keeps the welfare at 0
+    ("payoffs", linear_env(2, 1, [1.0, 1.0], [1.0], [[0.0], [0.0]], B=[[0.0], [0.0]],
+                           eta_v=[0.5, 0.5], eta_p=[0.5]), [1.7e308, 1.7e308, 1.0]),
+    # s = 1e200 and the viewer 1: the reference curve's slope 1e200 overflows
+    ("populations", linear_env(1, 1, [1e200], [1.0], [[1.0]], B=[[1.0]], eta_v=[0.5],
+                               eta_p=[0.5]), [1.0, 1e200]),
+]
+
+
+@pytest.mark.parametrize("what,env,x", OVERFLOWS, ids=[case[0] for case in OVERFLOWS])
+def test_image_raises_the_divergence_error_of_the_one_cell_step(what, env, x):
+    rows, x = np.ones((env.K, env.L)) / env.L, np.asarray(x)
+    want = one_cell_image(env, rows, x, t=3)
+    assert isinstance(want, DivergenceError) and f"non-finite {what} after t=3" in str(want)
+    with pytest.raises(DivergenceError) as got:
+        dynamics._image(env, rows, x, t=3)
+    assert_same_error(got.value, want)
+    assert dynamics._image(env, rows, x, t=3, strict=False) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_image_fails_where_the_one_cell_step_fails(seed):
+    # linear curves with slopes up to 1e200 at populations up to 1e250
+    rng = np.random.default_rng(seed)
+    K, L = (int(n) for n in rng.integers(1, 4, 2))
+    env = linear_env(K, L, 10.0 ** rng.uniform(0, 200, K), 10.0 ** rng.uniform(0, 200, L),
+                     10.0 ** rng.uniform(0, 200, (K, L)), B=rng.uniform(0.0, 5.0, (K, L)),
+                     eta_v=rng.uniform(0.1, 1.0, K), eta_p=rng.uniform(0.1, 1.0, L))
+    rows = random_policy(seed, K, L)
+    x = rng.uniform(0.0, 1.0, K + L) * 10.0 ** rng.uniform(0, 250)
+    want = one_cell_image(env, rows, x)
+    if isinstance(want, DivergenceError):
+        with pytest.raises(DivergenceError) as got:
+            dynamics._image(env, rows, x)
+        assert_same_error(got.value, want)
+        assert dynamics._image(env, rows, x, strict=False) is None
+    else:
+        assert np.array_equal(dynamics._image(env, rows, x), want)
+
+
+def test_fixed_point_calls_never_take_the_rollout_step(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the fixed-point map went through _step_cells")
+
+    env = gen_synthetic(SyntheticScenarioConfig(K=20, L=20, d=20, eta=0.05, seed=0))
+    rng = np.random.default_rng(0)
+    starts = [PopulationState(t=0, viewer=rng.uniform(0.0, 2.0, 20),
+                              provider=rng.uniform(0.0, 2.0, 20)) for _ in range(3)]
+    pi = epsilon_greedy(env.B, 0.1)
+    monkeypatch.setattr(dynamics, "_step_cells", refused)
+    fp = find_fixed_point(env, pi, starts[0])
+    assert fixed_point_residual(env, pi, fp) <= 1e-10
+    assert len(enumerate_fixed_points(env, pi, starts)) == 1
+    report = jacobian_eigenvalues(env, pi, fp)
+    assert report.stable and report.sufficient_condition_holds
+
+
 def test_fixed_point_rejects_noisy_environment():
     base = linear_env(1, 1, [0.5], [0.5], [[0.0]], B=[[1.0]], eta_v=[0.5], eta_p=[0.5])
     noisy = EnvironmentSpec.from_dict({**base.to_dict(), "noise": {"relative_std": 0.01}})
@@ -465,9 +554,10 @@ def test_search_lands_at_the_fixed_point_not_short_of_it():
 
 
 def count_steps(monkeypatch):
+    """The evaluations of the map F that the search makes."""
     calls = []
-    plain_step = dynamics.step
-    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or plain_step(*a, **k))
+    image = dynamics._image
+    monkeypatch.setattr(dynamics, "_image", lambda *a, **k: calls.append(1) or image(*a, **k))
     return calls
 
 

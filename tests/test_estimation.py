@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -156,8 +156,9 @@ def trf_multistart_sse(x, y):
     best = np.inf
     for rate in rates:
         start = np.array([y_range or 1.0, max(rate, 1e-12), x.min(), y.min()])
-        sol = least_squares(lambda th: model(th) - y, start, jac=jac,
-                            bounds=([0.0, 0.0, -np.inf, -np.inf], np.inf), method="trf")
+        with np.errstate(over="ignore"):    # a trial step's cost may overflow in np.dot
+            sol = least_squares(lambda th: model(th) - y, start, jac=jac,
+                                bounds=([0.0, 0.0, -np.inf, -np.inf], np.inf), method="trf")
         best = min(best, float(np.sum(sol.fun ** 2)))
     return best
 
@@ -170,6 +171,7 @@ def fit_sse(fit, x, y):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), shape=st.sampled_from(["family", "line", "noise"]))
+@example(seed=418, shape="line")   # the reference's trial step overflows
 def test_fit_sse_never_above_multistart_trust_region(seed, shape):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 40))
