@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,11 @@ from .dynamics import (_check_tol, find_fixed_point, fixed_point_residual,
 from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
-from .experiment import (ExperimentConfig, ExperimentConfigError, PolicySpec, _json_typed,
-                         _lookahead_config, _reject_unknown, build_policy, load_environment,
+from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, ExperimentConfigError,
+                         PolicySpec, _fields_table, _read, build_policy, load_environment,
                          resolve_environment, run_experiment)
 from .model import EnvironmentSpec, PopulationState, epsilon_greedy
+from .policies import LookaheadConfig
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
                       linear_welfare, epsilon_welfare_bounds,
@@ -34,7 +36,7 @@ from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
 from .synthetic import SyntheticScenarioConfig, gen_synthetic
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -42,8 +44,6 @@ def _load_json(path: str) -> dict:
         raise ExperimentConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ExperimentConfigError(f"config file {path} is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ExperimentConfigError(f"config file {path} must hold a JSON object")
     return cfg
 
 
@@ -69,20 +69,11 @@ def _emit(record, args, filename: str) -> None:
         sys.stdout.write(text)
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ExperimentConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
 def _from_config(build, payload, what: str):
-    """build(payload), mapping its complaints to ExperimentConfigError (exit 2).
-
-    Unknown keys surface as TypeError from the dataclass constructors, field
-    validation and unparsable values as ValueError, missing keys as KeyError;
-    each describes a bad config file, not a runtime failure.  Every value a
-    subcommand reads from its config is read inside one such call.
-    """
+    """build(payload), mapping its complaints to ExperimentConfigError (exit 2):
+    the constructors' own range checks (ValueError) and ScalarFn.from_dict's
+    reading of an inline environment's curves (KeyError, TypeError).  The
+    keys and their JSON kinds are checked before, by experiment._read."""
     try:
         return build(payload)
     except ExperimentConfigError:
@@ -95,14 +86,12 @@ def _environment(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
     return resolve_environment(*load_environment(cfg))
 
 
-def _command_config(args, allowed: set[str]) -> dict:
-    """The --config JSON of a subcommand whose top-level keys must be `allowed`."""
+def _command_config(args, table: dict) -> dict:
+    """The --config JSON of a subcommand, read by `table` (see experiment._read)."""
     command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
     if not args.config:
         raise ExperimentConfigError(f"{command} requires --config")
-    cfg = _load_json(args.config)
-    _reject_unknown(cfg, allowed, f"{command} config")
-    return cfg
+    return _read(_load_json(args.config), f"{command} config", table)
 
 
 def _state_record(state: PopulationState) -> dict:
@@ -115,11 +104,11 @@ def _state_record(state: PopulationState) -> dict:
 
 def cmd_gen(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    if set(cfg) == {"synthetic"} and isinstance(cfg["synthetic"], dict):
+    if isinstance(cfg, dict) and set(cfg) == {"synthetic"}:
         cfg = cfg["synthetic"]  # accept the experiment-style environment block
-    if args.seed is not None:
-        cfg = {**cfg, "seed": args.seed}
-    scen = _from_config(SyntheticScenarioConfig.from_dict, cfg, "synthetic scenario")
+    seed = {} if args.seed is None else {"seed": args.seed}
+    scen = _from_config(lambda c: replace(SyntheticScenarioConfig.from_dict(c), **seed), cfg,
+                        "synthetic scenario")
     env = gen_synthetic(scen)
     text = env.to_json() + "\n"
     if args.out:
@@ -134,12 +123,10 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     if not args.config:
         raise ExperimentConfigError("run requires --config")
-    cfg = _load_json(args.config)
-    if args.out:
-        cfg = {**cfg, "outputs": args.out}
-    if args.seed is not None:
-        cfg = {**cfg, "seeds": [args.seed]}
-    config = _from_config(ExperimentConfig.from_dict, cfg, "experiment config")
+    config = _from_config(ExperimentConfig.from_dict, _load_json(args.config),
+                          "experiment config")
+    config = replace(config, **({"outputs": args.out} if args.out else {}),
+                     **({} if args.seed is None else {"seeds": (args.seed,)}))
     summary = run_experiment(config)
     if not args.quiet:
         sys.stdout.write(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
@@ -166,17 +153,16 @@ def _preset_cases(args):
                                     "it needs --preset")
     if not args.config:
         raise ExperimentConfigError("either --preset or --config is required")
-    cfg = _command_config(args, {"environment", "init", "policy", "tol", "max_iter"})
+    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": ("array of numbers", MISSING),
+                                 "tol": (None, 1e-10), "max_iter": ("integer", 100000)})
 
     def inputs(c):
         env, init = _environment(c)
-        policy = np.asarray(_require(c, "policy"), dtype=float)
-        if policy.shape != (env.K, env.L):
+        if c["policy"].shape != (env.K, env.L):
             raise ExperimentConfigError(
-                f"policy shape {policy.shape} does not match (K, L)={(env.K, env.L)}")
-        tol = c.get("tol", 1e-10)
-        _check_tol(tol)
-        return env, policy, {"init": init}, tol, _json_typed(c.get("max_iter", 100000), "max_iter")
+                f"policy shape {c['policy'].shape} does not match (K, L)={(env.K, env.L)}")
+        _check_tol(c["tol"])
+        return env, c["policy"], {"init": init}, c["tol"], c["max_iter"]
 
     return _from_config(inputs, cfg, f"{args.command} config")
 
@@ -220,22 +206,22 @@ def cmd_stability(args) -> int:
 
 
 def cmd_regret(args) -> int:
-    cfg = _command_config(args, {"environment", "init", "T", "policies", "seed"})
+    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "T": ("integer", MISSING),
+                                 "policies": ("array", MISSING), "seed": ("integer", 0)})
 
     def inputs(c):
         env, init = _environment(c)
-        T = _json_typed(_require(c, "T"), "T")
-        if T < 1:
+        if c["T"] < 1:
             raise ExperimentConfigError("T must be >= 1")
-        specs = [PolicySpec.from_dict(p) for p in _require(c, "policies")]
+        specs = [PolicySpec.from_dict(p) for p in c["policies"]]
         if len(specs) < 2:
             raise ExperimentConfigError("regret needs at least 2 policies")
-        return env, init, T, specs, _json_typed(c.get("seed", 0), "seed")
+        return env, init, specs
 
-    env, init, T, specs, seed = _from_config(inputs, cfg, "regret config")
-    seed = args.seed if args.seed is not None else seed
+    env, init, specs = _from_config(inputs, cfg, "regret config")
+    seed = args.seed if args.seed is not None else cfg["seed"]
     trajectories = {
-        spec.name: rollout(env, build_policy(env, spec), T, init, seed=seed)
+        spec.name: rollout(env, build_policy(env, spec), cfg["T"], init, seed=seed)
         for spec in specs}
     suite = empirical_regret_suite(env, trajectories)
     if args.out:
@@ -249,23 +235,21 @@ def cmd_regret(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _command_config(args, {"environment", "init", "T_b", "T", "beta", "refit_every",
-                                 "lookahead", "seed", "b_known"})
+    etc_keys = _fields_table(ExploreCommitConfig)
+    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, **etc_keys, "lookahead": ("object", None),
+                                 "seed": ("integer", 0), "b_known": ("boolean", True)})
 
     def inputs(c):
         env, init = _environment(c)
-        etc = ExploreCommitConfig(T_b=_json_typed(_require(c, "T_b"), "T_b"),
-                                  T=_json_typed(_require(c, "T"), "T"),
-                                  beta=_json_typed(_require(c, "beta"), "beta", float),
-                                  refit_every=_json_typed(c.get("refit_every", 1), "refit_every"))
-        lookahead = _lookahead_config(c["lookahead"]) if c.get("lookahead") else None
-        return (env, init, etc, lookahead, _json_typed(c.get("seed", 0), "seed"),
-                _json_typed(c.get("b_known", True), "b_known", bool))
+        etc = ExploreCommitConfig(**{k: c[k] for k in etc_keys})
+        lookahead = None if c["lookahead"] is None else LookaheadConfig(
+            **_read(c["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
+        return env, init, etc, lookahead
 
-    env, init, etc, lookahead, seed, b_known = _from_config(inputs, cfg, "estimate config")
-    seed = args.seed if args.seed is not None else seed
+    env, init, etc, lookahead = _from_config(inputs, cfg, "estimate config")
+    seed = args.seed if args.seed is not None else cfg["seed"]
     blackbox = SimulatorBlackbox(env, init, seed=seed)
-    traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=b_known)
+    traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=cfg["b_known"])
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,27 +267,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_LINEAR_PARAM_KEYS = {"a0", "a1", "a2", "b2", "B"}
-
-# top-level config keys of each oracle subcommand that reads a config
-_ORACLE_KEYS = {"linear-ne": {"params", "pi"}, "linear-welfare": {"params", "pi"},
-                "epsilon-bounds": {"params", "epsilon_grid"}}
-
-
-def _oracle_inputs(cfg: dict) -> tuple[LinearGameParams, np.ndarray | None, list[float]]:
-    """(params, pi or None, epsilon grid) of an oracle config."""
-    p = _require(cfg, "params")
-    if not isinstance(p, dict):
-        raise ExperimentConfigError("linear params must be a JSON object")
-    _reject_unknown(p, _LINEAR_PARAM_KEYS, "linear params")
-    params = LinearGameParams(a0=float(p["a0"]), a1=float(p["a1"]), a2=float(p["a2"]),
-                              b2=float(p["b2"]), B=np.asarray(p["B"], dtype=float))
-    pi = _from_config(lambda v: np.asarray(v, float), cfg["pi"], "pi") if "pi" in cfg else None
-    if pi is not None and pi.shape != params.B.shape:
-        raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")
-    grid = cfg.get("epsilon_grid", np.round(np.linspace(0, 1, 21), 10))
-    grid = _from_config(lambda g: [float(v) for v in g], grid, "epsilon_grid")
-    return params, pi, grid
+# the config table of each oracle subcommand that reads a config
+_PI = {"params": ("object", MISSING), "pi": ("array of numbers", MISSING)}
+_ORACLE_TABLES = {"linear-ne": _PI, "linear-welfare": _PI, "epsilon-bounds": {
+    "params": ("object", MISSING),
+    "epsilon_grid": ("array of numbers", np.round(np.linspace(0, 1, 21), 10))}}
 
 
 def cmd_oracle(args) -> int:
@@ -311,11 +279,14 @@ def cmd_oracle(args) -> int:
         value = counterexample_welfare(args.pi11)
         _emit({"pi11": args.pi11, "r_tilde": value}, args, "counterexample.json")
         return 0
-    cfg = _command_config(args, _ORACLE_KEYS[args.oracle_cmd])
-    params, pi, grid = _from_config(_oracle_inputs, cfg, f"oracle {args.oracle_cmd} config")
+    cfg = _command_config(args, _ORACLE_TABLES[args.oracle_cmd])
+    params = _from_config(
+        lambda p: LinearGameParams(**_read(p, "params", _fields_table(LinearGameParams))),
+        cfg["params"], f"oracle {args.oracle_cmd} config")
+    pi = cfg.get("pi")
+    if pi is not None and pi.shape != params.B.shape:
+        raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")
     if args.oracle_cmd == "linear-ne":
-        if pi is None:
-            raise ExperimentConfigError("linear-ne requires 'pi' in the config")
         ne = linear_ne(params, pi)
         env = linear_env(params)
         zeros = PopulationState(t=0, viewer=np.zeros(params.K),
@@ -327,8 +298,6 @@ def cmd_oracle(args) -> int:
                "simulator_max_residual": residual}, args, "linear_ne.json")
         return 0
     if args.oracle_cmd == "linear-welfare":
-        if pi is None:
-            raise ExperimentConfigError("linear-welfare requires 'pi' in the config")
         R = linear_welfare(params, pi)
         R_ne = welfare_from_ne(params, linear_ne(params, pi))
         _emit({"params": cfg["params"], "pi": pi, "welfare": R,
@@ -337,7 +306,7 @@ def cmd_oracle(args) -> int:
         return 0
     # epsilon-bounds: argparse admits no other subcommand
     rows = []
-    for eps in grid:
+    for eps in cfg["epsilon_grid"].tolist():
         g, h = epsilon_welfare_bounds(params, params.B, eps)
         R = linear_welfare(params, epsilon_greedy(params.B, eps))
         rows.append({"epsilon": eps, "g": g, "h": h, "welfare": R,

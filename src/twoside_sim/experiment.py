@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -34,28 +34,68 @@ class ExperimentConfigError(ValueError):
     """The experiment configuration is invalid."""
 
 
-def _reject_unknown(d: dict[str, Any], allowed: set[str], what: str) -> None:
-    # a typo'd optional key would otherwise be dropped silently by .get()
-    unknown = sorted(set(d) - allowed)
+# the Python types json.load gives each JSON kind; a bool is no integer or number
+_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,),
+          "string": (str,), "object": (dict,), "array": (list,)}
+# the kind of each field annotation of a dataclass that mirrors a config block
+_FIELD_KINDS = {"int": "integer", "float": "number", "str": "string", "LookaheadConfig": "object",
+                "tuple[float, float]": "array of numbers", "np.ndarray": "array of numbers"}
+
+
+def _is(value, kind: str) -> bool:
+    if kind == "array of integers":
+        return type(value) is list and all(type(v) is int for v in value)
+    if kind == "array of numbers":      # nested to any depth
+        return type(value) is list and all(
+            _is(v, kind) if type(v) is list else type(v) in _TYPES["number"] for v in value)
+    return type(value) in _TYPES[kind]
+
+
+def _read(block, what: str, table: dict[str, tuple[str | None, Any]]) -> dict[str, Any]:
+    """Each key of the JSON object `block` by `table`, key -> (kind, default):
+    absent or null, its default (MISSING: required); else a value of its kind,
+    never cast, an "array of numbers" read as a float array (kind None: left
+    to the code that uses it).  An unknown key, a missing one or a value of
+    another kind is an ExperimentConfigError naming `what` and the key."""
+    if type(block) is not dict:
+        raise ExperimentConfigError(f"{what} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(table))
     if unknown:
         raise ExperimentConfigError(f"{what}: unknown key(s) {unknown}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = block.get(key)
+        if value is None:
+            if default is MISSING:
+                raise ExperimentConfigError(f"{what} is missing required key {key!r}")
+            value = default
+        elif kind is not None and not _is(value, kind):
+            raise ExperimentConfigError(f"{what}: {key} must be a JSON {kind}, got {value!r}")
+        elif kind == "array of numbers":
+            try:
+                value = np.asarray(value, dtype=float)
+            except ValueError:
+                raise ExperimentConfigError(
+                    f"{what}: {key} must be a rectangular array, got {value!r}") from None
+        values[key] = value
+    return values
 
 
-def _json_typed(value, key: str, kind: type = int):
-    """`value` when its type is exactly `kind`: int for a JSON integer, bool
-    for a JSON boolean, and int or float for float, a JSON number.  Else
-    ExperimentConfigError: a value of another type (2.7, "3" or true for an
-    integer, "0.5" or true for a number) is refused, never cast."""
-    if type(value) not in ((int, float) if kind is float else (kind,)):
-        name = "number" if kind is float else kind.__name__
-        raise ExperimentConfigError(f"{key} must be a JSON {name}, got {value!r}")
-    return value
+def _fields_table(cls) -> dict[str, tuple[str, Any]]:
+    """The table of a block that mirrors dataclass `cls`: its fields' kinds and defaults."""
+    return {f.name: (_FIELD_KINDS[f.type.removesuffix(" | None")], f.default)
+            for f in fields(cls)}
 
 
-def _lookahead_config(d) -> LookaheadConfig:
-    """A look-ahead block: iterations a JSON integer, gamma and learning_rate JSON numbers."""
-    return LookaheadConfig(**{k: _json_typed(v, k, int if k == "iterations" else float)
-                              for k, v in dict(d).items()})
+# the keys through which a config names its environment and initial populations
+_ENVIRONMENT_KEYS = {"environment": ("object", MISSING), "init": ("object", None)}
+# an inline environment is EnvironmentSpec's JSON form; ScalarFn.from_dict
+# reads the curve entries of f and the two lambda_bar lists
+_INLINE_KEYS = {"K": ("integer", MISSING), "L": ("integer", MISSING), "seed": ("integer", 0),
+                "B": ("array of numbers", MISSING), "eta_viewer": ("array of numbers", MISSING),
+                "eta_provider": ("array of numbers", MISSING), "f": ("array", MISSING),
+                "lambda_bar_viewer": ("array", MISSING), "lambda_bar_provider": ("array", MISSING),
+                "noise": ("object", None)}
 
 
 @dataclass(frozen=True)
@@ -100,18 +140,11 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PolicySpec":
-        _reject_unknown(d, {"name", "kind", "epsilon", "beta", "lookahead"},
-                        "policy spec")
-        try:
-            name, kind = d["name"], d["kind"]
-        except KeyError as err:
-            raise ExperimentConfigError(
-                f"policy spec is missing {err.args[0]!r}") from err
-        la = d.get("lookahead")
-        numbers = {k: _json_typed(d[k], k, float) for k in ("epsilon", "beta")
-                   if d.get(k) is not None}
-        return cls(name=name, kind=kind, **numbers,
-                   lookahead=_lookahead_config(la) if la is not None else None)
+        spec = _read(d, "policy spec", _fields_table(cls))
+        if spec["lookahead"] is not None:
+            spec["lookahead"] = LookaheadConfig(
+                **_read(spec["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
+        return cls(**spec)
 
 
 def build_policy(env: EnvironmentSpec, spec: PolicySpec):
@@ -142,23 +175,27 @@ def build_policy(env: EnvironmentSpec, spec: PolicySpec):
 
 def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScenarioConfig,
                                                   PopulationState | None]:
-    """Parse a config's 'environment' block, {'synthetic': {...}} or
-    {'inline': {...}}, and its optional 'init' block, which must have K viewer
-    and L provider entries."""
-    envd = d.get("environment")
-    if not isinstance(envd, dict) or not ({"synthetic", "inline"} & set(envd)):
+    """The environment and init of a config read with _ENVIRONMENT_KEYS: an
+    'environment' block {'synthetic': {...}} or {'inline': {...}}, and an
+    optional 'init' block with K viewer and L provider entries."""
+    blocks = _read(d["environment"], "environment",
+                   {"synthetic": ("object", None), "inline": ("object", None)})
+    if (blocks["synthetic"] is None) == (blocks["inline"] is None):
         raise ExperimentConfigError(
             "environment must be {'synthetic': {...}} or {'inline': {...}}")
-    _reject_unknown(envd, {"synthetic", "inline"}, "environment block")
-    if "synthetic" in envd:
+    if blocks["synthetic"] is not None:
         environment: EnvironmentSpec | SyntheticScenarioConfig = (
-            SyntheticScenarioConfig.from_dict(envd["synthetic"]))
+            SyntheticScenarioConfig.from_dict(blocks["synthetic"]))
     else:
-        environment = EnvironmentSpec.from_dict(envd["inline"])
+        inline = _read(blocks["inline"], "inline environment", _INLINE_KEYS)
+        if inline["noise"] is not None:
+            inline["noise"] = _read(inline["noise"], "noise",
+                                    {"relative_std": ("number", MISSING)})
+        environment = EnvironmentSpec.from_dict(inline)
     init = None
-    if d.get("init") is not None:
-        init = PopulationState(t=0, viewer=np.asarray(d["init"]["viewer"], dtype=float),
-                               provider=np.asarray(d["init"]["provider"], dtype=float))
+    if d["init"] is not None:
+        init = PopulationState(t=0, **_read(d["init"], "init", {
+            "viewer": ("array of numbers", MISSING), "provider": ("array of numbers", MISSING)}))
         if init.viewer.shape != (environment.K,) or init.provider.shape != (environment.L,):
             raise ExperimentConfigError(
                 f"init has {len(init.viewer)} viewer and {len(init.provider)} provider "
@@ -208,18 +245,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
-        _reject_unknown(d, {"environment", "policies", "T", "seeds", "outputs",
-                            "init"}, "experiment config")
-        environment, init = load_environment(d)
+        c = _read(d, "experiment config", {
+            **_ENVIRONMENT_KEYS, "policies": ("array", []), "T": ("integer", None),
+            "seeds": ("array of integers", [0]), "outputs": ("string", "out")})
+        environment, init = load_environment(c)
         default_T = environment.T if isinstance(environment, SyntheticScenarioConfig) else None
-        T = d.get("T", default_T)
+        T = default_T if c["T"] is None else c["T"]
         if T is None:
             raise ExperimentConfigError("T is required for inline environments")
         return cls(environment=environment,
-                   policies=tuple(PolicySpec.from_dict(p) for p in d.get("policies", [])),
-                   T=_json_typed(T, "T"),
-                   seeds=tuple(_json_typed(s, "seeds") for s in d.get("seeds", [0])),
-                   outputs=d.get("outputs", "out"), init=init)
+                   policies=tuple(PolicySpec.from_dict(p) for p in c["policies"]),
+                   T=T, seeds=tuple(c["seeds"]), outputs=c["outputs"], init=init)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Any]:

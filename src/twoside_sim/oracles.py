@@ -128,7 +128,7 @@ def _linear_system(params: LinearGameParams, pi) -> tuple[np.ndarray, np.ndarray
     return M, y
 
 
-def _require_pd(M: np.ndarray) -> None:
+def _check_pd(M: np.ndarray) -> None:
     lam_min = float(np.linalg.eigvalsh(M).min())
     if lam_min <= 0:
         raise OracleDomainError(
@@ -143,7 +143,7 @@ def linear_ne(params: LinearGameParams, pi) -> PopulationState:
     provider_eq = a2 * pi^T viewer_eq + b2
     """
     M, y = _linear_system(params, pi)
-    _require_pd(M)
+    _check_pd(M)
     viewer_eq = params.a1 * np.linalg.solve(M, y)
     provider_eq = params.a2 * (as_rows(pi).T @ viewer_eq) + params.b2
     if np.any(viewer_eq < 0) or np.any(provider_eq < 0):
@@ -156,7 +156,7 @@ def linear_ne(params: LinearGameParams, pi) -> PopulationState:
 def linear_welfare(params: LinearGameParams, pi) -> float:
     """Closed-form equilibrium welfare R = a1 * || M^-1 y ||^2."""
     M, y = _linear_system(params, pi)
-    _require_pd(M)
+    _check_pd(M)
     z = np.linalg.solve(M, y)
     return float(params.a1 * (z @ z))
 

@@ -72,14 +72,8 @@ class SyntheticScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SyntheticScenarioConfig":
-        from .experiment import _json_typed     # experiment imports this module
-        kwargs = {k: _json_typed(v, k) if k in ("K", "L", "d", "T", "seed") else v
-                  for k, v in dict(d).items()}
-        for name in ("lambda_max_range", "tau_range", "quality_max_range",
-                     "quality_tau_range"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        from .experiment import _fields_table, _read     # experiment imports this module
+        return cls(**_read(d, "synthetic scenario", _fields_table(cls)))
 
 
 def gen_synthetic(config: SyntheticScenarioConfig) -> EnvironmentSpec:

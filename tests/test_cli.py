@@ -216,11 +216,17 @@ RUN_CONFIG = {"environment": {"synthetic": scenario_dict()}, "T": 2,
               "policies": [{"name": "u", "kind": "uniform"}]}
 LINEAR_PARAMS = {"a0": 0.5, "a1": 0.5, "a2": 0.5, "b2": 1.0, "B": [[1.0]]}
 LOOKAHEAD = {"name": "la", "kind": "lookahead", "lookahead": {"iterations": 2}}
+FIXED_POINT_CONFIG = {"environment": _two_group_inline(),
+                      "init": {"viewer": [0.1, 0.1], "provider": [0.1]},
+                      "policy": [[1.0], [1.0]]}
 
 # (command, key, payload): a value of the wrong type or shape for a command
-# that reads a config.  Each was once reported as a runtime failure (exit 1),
-# or, for an integer key given a float, a string or a bool, for a b_known
-# given a string and for a number given a bool, read as some other value.
+# that reads a config, or an unknown key in one of its blocks.  Each was once
+# reported as a runtime failure (exit 1), read as some other value (an
+# integer key given a float, a string or a bool; a number or an array of
+# numbers given a bool or a string; a b_known given a string), ignored (an
+# unknown key, a value a flag replaces) or refused by a message that did not
+# name the key.
 UNPARSABLE_VALUES = [
     ("regret", "T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
     ("regret", "seed", {**MISSPELLED_KEYS["regret"][1], "seed": 2.7}),
@@ -259,6 +265,24 @@ UNPARSABLE_VALUES = [
     ("estimate", "beta", {**MISSPELLED_KEYS["estimate"][1], "beta": True}),
     ("estimate", "iterations", {**MISSPELLED_KEYS["estimate"][1],
                                 "lookahead": {"iterations": 2.5}}),
+    ("gen", "eta", scenario_dict(eta=True)),
+    ("oracle linear-ne", "a0", {"params": {**LINEAR_PARAMS, "a0": True}, "pi": [[1.0]]}),
+    ("oracle linear-ne", "a1", {"params": {**LINEAR_PARAMS, "a1": "0.5"}, "pi": [[1.0]]}),
+    ("fixed-point", "policy", {**MISSPELLED_KEYS["fixed-point"][1], "policy": [
+        ["0.5", "0.5", 0.0], [True, False, False], [1.0, 0.0, 0.0]]}),
+    ("run", "viewer", {**RUN_CONFIG, "init": {"viewer": ["5", "5", "5"],
+                                              "provider": [5.0, 5.0, 5.0]}}),
+    ("run", "outputs", {**RUN_CONFIG, "outputs": 5}),
+    ("run", "name", {**RUN_CONFIG, "policies": [{"name": 5, "kind": "uniform"}]}),
+    ("run", "policies", {**RUN_CONFIG, "policies": "u"}),
+    ("fixed-point", "K", {**FIXED_POINT_CONFIG, "environment": {
+        "inline": {**FIXED_POINT_CONFIG["environment"]["inline"], "K": 2.5}}}),
+    ("run", "'t'", {**RUN_CONFIG, "init": {"viewer": [5.0] * 3, "provider": [5.0] * 3,
+                                           "t": 9}}),
+    ("fixed-point", "colour", {**FIXED_POINT_CONFIG, "environment": {
+        "inline": {**FIXED_POINT_CONFIG["environment"]["inline"], "colour": "red"}}}),
+    ("run", "iters", {**RUN_CONFIG, "policies": [LOOKAHEAD | {"lookahead": {"iters": 2}}]}),
+    ("estimate", "iters", {**MISSPELLED_KEYS["estimate"][1], "lookahead": {"iters": 2}}),
 ]
 
 
@@ -283,6 +307,7 @@ def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payloa
     record = json.loads(err)["error"]
     assert record["type"] == "ExperimentConfigError" and key in record["message"]
     assert key != "tol" or "tol must be a finite number" in record["message"]
+    assert "__init__" not in record["message"]     # the block is named, not a constructor
     assert not out.exists()
 
 
@@ -570,9 +595,6 @@ def test_oracle_missing_config_exits_2(capsys):
 # flags a subcommand would not read
 
 
-FIXED_POINT_CONFIG = {"environment": _two_group_inline(),
-                      "init": {"viewer": [0.1, 0.1], "provider": [0.1]},
-                      "policy": [[1.0], [1.0]]}
 LINEAR_CONFIG = {"params": LINEAR_PARAMS, "pi": [[0.5, 0.5]]}
 
 # (id, argv with {cfg} for the config path, config payload, how the CLI
