@@ -227,7 +227,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
+        for s in seeds:    # never cast: int(2.7) would run another seed
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ExperimentConfigError(f"seeds must be integers, got {s!r}")
+        object.__setattr__(self, "seeds", tuple(map(int, seeds)))
         if not self.policies:
             raise ExperimentConfigError("at least one policy is required")
         names = [p.name for p in self.policies]

@@ -21,13 +21,15 @@ so sigma(z)(1 - sigma(z)) = (1 - tanh(z/2)^2) / 4: one np.tanh gives the value
 and the slope, cannot overflow, and loses no digits to cancellation near
 sigma = 1/2.
 
-fn_eval / fn_deriv evaluate one function.  FnVector and FnGrid evaluate a
-whole side's curves, or the K x L population-effect grid, in a few array
-operations; every EnvironmentSpec builds them once, at construction.  Both
-take leading batch axes: row i of a batched call equals the unbatched call
-on row i bit for bit.  They have two calls, value and value_and_deriv, the
-latter returning value and slope from one pass; fn_deriv stays the scalar
-reference for the slopes.
+Each kind is one kernel class at the end of this module, the only place its
+parameter checks, value and slope are written.  fn_eval / fn_deriv evaluate
+one function through a one-function kernel of its kind, built on first use
+and kept on the ScalarFn.  FnVector and FnGrid evaluate a whole side's
+curves, or the K x L population-effect grid, in a few array operations;
+every EnvironmentSpec builds them once, at construction.  Both take leading
+batch axes: row i of a batched call equals the unbatched call on row i bit
+for bit.  They have two calls, value and value_and_deriv, the latter
+returning value and slope from one pass.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class FunctionConfigError(ValueError):
     """The variant's parameters do not describe a valid monotone function."""
 
 
-_ALL_KINDS = ("linear", "sigmoid_half", "saturating_exp", "scaled_logistic",
-              "weighted_sigmoid_sum", "table")
-
-
 @dataclass(frozen=True)
 class ScalarFn:
     """One member of the closed function family.
@@ -63,9 +61,9 @@ class ScalarFn:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KERNELS:
             raise FunctionConfigError(f"unknown function kind {self.kind!r}")
-        _validate_params(self.kind, self.params)
+        _KERNELS[self.kind].check(self.params)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": _jsonable_params(self.params)}
@@ -78,55 +76,6 @@ class ScalarFn:
 def _check_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise FunctionDomainError(f"non-finite parameter {name!r}: {value!r}")
-
-
-def _validate_params(kind: str, p: dict) -> None:
-    if kind == "linear":
-        _check_finite("slope", p["slope"])
-        _check_finite("intercept", p["intercept"])
-        if p["slope"] < 0:
-            raise FunctionConfigError("linear slope must be >= 0 for monotonicity")
-    elif kind == "sigmoid_half":
-        _check_finite("max", p["max"])
-        _check_finite("tau", p["tau"])
-        if p["max"] <= 0 or p["tau"] <= 0:
-            raise FunctionConfigError("sigmoid_half requires max > 0 and tau > 0")
-    elif kind == "saturating_exp":
-        for name in ("a0", "a1", "a2", "a3"):
-            _check_finite(name, p[name])
-        if p["a0"] * p["a1"] < 0:
-            raise FunctionConfigError(
-                "saturating_exp requires a0 * a1 >= 0 for monotonicity")
-    elif kind == "scaled_logistic":
-        for name in ("gain", "scale", "shift"):
-            _check_finite(name, p[name])
-        if p["gain"] * p["scale"] < 0:
-            raise FunctionConfigError(
-                "scaled_logistic requires gain * scale >= 0 for monotonicity")
-    elif kind == "table":
-        knots = p["knots"]
-        if len(knots) < 2:
-            raise FunctionConfigError("table requires at least 2 knots")
-        xs = np.asarray([k[0] for k in knots], dtype=float)
-        ys = np.asarray([k[1] for k in knots], dtype=float)
-        _check_finite("knots", xs)
-        _check_finite("knots", ys)
-        if np.any(np.diff(xs) <= 0):
-            raise FunctionConfigError("table knot x values must be strictly increasing")
-        if np.any(np.diff(ys) < 0):
-            raise FunctionConfigError("table knot y values must be non-decreasing")
-    elif kind == "weighted_sigmoid_sum":
-        w = np.asarray(p["weights"], dtype=float)
-        m = np.asarray(p["max_values"], dtype=float)
-        t = np.asarray(p["taus"], dtype=float)
-        for name, arr in (("weights", w), ("max_values", m), ("taus", t)):
-            _check_finite(name, arr)
-        if not (w.shape == m.shape == t.shape) or w.ndim != 1:
-            raise FunctionConfigError(
-                "weighted_sigmoid_sum arrays must be 1-d and equal length")
-        if np.any(w < 0) or np.any(m <= 0) or np.any(t <= 0):
-            raise FunctionConfigError(
-                "weighted_sigmoid_sum requires weights >= 0, max_values > 0, taus > 0")
 
 
 def _jsonable_params(p: dict) -> dict:
@@ -182,84 +131,35 @@ def weighted_sigmoid_sum(weights, max_values, taus) -> ScalarFn:
 
 
 def fn_eval(fn: ScalarFn, x):
-    """Evaluate fn at x.  x may be a scalar or a numpy array."""
-    x = _as_finite_array(x)
-    p = fn.params
-    if fn.kind == "linear":
-        out = p["slope"] * x + p["intercept"]
-    elif fn.kind == "sigmoid_half":
-        out = (0.5 * p["max"]) * np.tanh(x / (2.0 * p["tau"]))
-    elif fn.kind == "saturating_exp":
-        out = p["a0"] * (1.0 - np.exp(-p["a1"] * (x - p["a2"]))) + p["a3"]
-    elif fn.kind == "scaled_logistic":
-        half_gain = 0.5 * p["gain"]
-        out = half_gain + half_gain * np.tanh((0.5 * p["scale"]) * (x - p["shift"]))
-    elif fn.kind == "table":
-        xs, ys = _table_arrays(fn)
-        out = np.interp(x, xs, ys)  # np.interp is flat outside the knot range
-    else:  # weighted_sigmoid_sum
-        w, m, t = _wss_arrays(fn)
-        out = (0.5 * w * m) @ np.tanh(np.multiply.outer(0.5 / t, x))
-    return out if np.ndim(x) else float(out)
+    """Evaluate fn at x: a float for a scalar or 0-d x, else an array of x's shape."""
+    return _pointwise(_kernel_of(fn).value, x)
 
 
 def fn_deriv(fn: ScalarFn, x):
-    """Analytic derivative of fn at x (right-hand slope at table knots)."""
-    x = _as_finite_array(x)
-    p = fn.params
-    if fn.kind == "linear":
-        out = np.full_like(np.asarray(x, dtype=float), p["slope"])
-    elif fn.kind == "sigmoid_half":
-        th = np.tanh(x / (2.0 * p["tau"]))
-        out = (p["max"] / (4.0 * p["tau"])) * (1.0 - th * th)
-    elif fn.kind == "saturating_exp":
-        out = p["a0"] * p["a1"] * np.exp(-p["a1"] * (x - p["a2"]))
-    elif fn.kind == "scaled_logistic":
-        th = np.tanh((0.5 * p["scale"]) * (x - p["shift"]))
-        out = (0.25 * p["gain"] * p["scale"]) * (1.0 - th * th)
-    elif fn.kind == "table":
-        out = _table_deriv(fn, x)
-    else:  # weighted_sigmoid_sum
-        w, m, t = _wss_arrays(fn)
-        th = np.tanh(np.multiply.outer(0.5 / t, x))  # one row per component
-        out = (0.25 * w * m / t) @ (1.0 - th * th)
-    return out if np.ndim(x) else float(out)
+    """Analytic derivative of fn at x (right-hand slope at table knots),
+    returned as fn_eval returns the value."""
+    kernel = _kernel_of(fn)
+    return _pointwise(lambda x: kernel.value_and_deriv(x)[1], x)
 
 
-def _as_finite_array(x):
+def _kernel_of(fn: ScalarFn):
+    """fn as a one-function kernel of its kind, built on first use and kept
+    on fn, which never changes."""
+    kernel = fn.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = _KERNELS[fn.kind]([fn])
+        object.__setattr__(fn, "_kernel", kernel)
+    return kernel
+
+
+def _pointwise(method, x):
+    """A one-function kernel's `method` at every point of x: each point is an
+    entry of its own along a new last axis of length 1."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FunctionDomainError(f"non-finite evaluation point {x!r}")
-    return arr if arr.ndim else float(arr)
-
-
-def _table_arrays(fn: ScalarFn):
-    knots = fn.params["knots"]
-    xs = np.asarray([k[0] for k in knots], dtype=float)
-    ys = np.asarray([k[1] for k in knots], dtype=float)
-    return xs, ys
-
-
-def _table_deriv(fn: ScalarFn, x):
-    xs, ys = _table_arrays(fn)
-    return _table_slope(xs, np.diff(ys) / np.diff(xs), x)
-
-
-def _table_slope(xs, slopes, x):
-    # index of the segment whose left knot is <= x; right-hand slope at knots
-    idx = np.searchsorted(xs, x, side="right") - 1
-    idx = np.clip(idx, 0, len(slopes) - 1)
-    out = slopes[idx]
-    # flat extrapolation outside the knot range
-    out = np.where((np.asarray(x) < xs[0]) | (np.asarray(x) >= xs[-1]), 0.0, out)
-    return out
-
-
-def _wss_arrays(fn: ScalarFn):
-    p = fn.params
-    return (np.asarray(p["weights"], dtype=float),
-            np.asarray(p["max_values"], dtype=float),
-            np.asarray(p["taus"], dtype=float))
+    out = method(arr[..., None])[..., 0]
+    return out if arr.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +171,11 @@ class FnVector:
 
     The parameters are grouped into arrays by kind once, at construction, so
     value and value_and_deriv cost a few array operations per kind present
-    instead of one Python call per entry.  Each entry equals fn_eval /
-    fn_deriv of its function bit for bit: every kind runs the scalar formula
-    elementwise, tables go through np.interp one function at a time, and
-    weighted sigmoid sums (grouped by component count) take the same dot
-    product.  Any leading axes of x are batch axes, and the parameters
-    broadcast over the last one.
+    instead of one Python call per entry.  Each group runs its kind's kernel,
+    the same code fn_eval / fn_deriv run, so entry i equals fn_eval /
+    fn_deriv of fns[i] at x[..., i] bit for bit; weighted sigmoid sums are
+    grouped by component count.  Any leading axes of x are batch axes, and
+    the parameters broadcast over the last one.
     """
 
     def __init__(self, fns):
@@ -355,7 +254,9 @@ class FnGrid:
     def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(value(x), the slope of entry (k, l) at x[..., l]) from one pass and
         one finiteness check; the value equals value(x) bit for bit."""
-        x = _finite_vector(x, self.shape[1])
+        return self._apply_both(_finite_vector(x, self.shape[1]))
+
+    def _apply_both(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._cells is not None:
             shape = x.shape[:-1] + self.shape
             value, deriv = self._cells._apply_both(np.tile(x, self.shape[0]))
@@ -404,13 +305,28 @@ def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
     return np.matmul(coef[..., None, :], comp[..., None])[..., 0, 0]
 
 
-# One class per kind, built from that kind's functions: the parameters as
-# arrays, and the formulas of fn_eval / fn_deriv in the same operation order,
-# applied elementwise.  value_and_deriv shares the one transcendental call
-# (exp or tanh) between value and slope.
+def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
+    return (np.asarray([k[0] for k in knots], dtype=float),
+            np.asarray([k[1] for k in knots], dtype=float))
+
+
+# One class per kind, the one place its formulas are written: check(params)
+# is the parameter check ScalarFn runs at construction, and an instance built
+# from that kind's functions holds their parameters as arrays and applies the
+# value and slope elementwise, function i on x[..., i].  FnVector runs one
+# per kind present, fn_eval / fn_deriv a one-function instance.
+# value_and_deriv shares the one transcendental call (exp or tanh) between
+# value and slope; value stays separate because rollouts need no slopes.
 
 
 class _Linear:
+    @staticmethod
+    def check(p):
+        _check_finite("slope", p["slope"])
+        _check_finite("intercept", p["intercept"])
+        if p["slope"] < 0:
+            raise FunctionConfigError("linear slope must be >= 0 for monotonicity")
+
     def __init__(self, fns):
         self.slope, self.intercept = (_column(fns, k) for k in ("slope", "intercept"))
 
@@ -424,6 +340,13 @@ class _Linear:
 
 
 class _SigmoidHalf:
+    @staticmethod
+    def check(p):
+        _check_finite("max", p["max"])
+        _check_finite("tau", p["tau"])
+        if p["max"] <= 0 or p["tau"] <= 0:
+            raise FunctionConfigError("sigmoid_half requires max > 0 and tau > 0")
+
     def __init__(self, fns):
         max_value, tau = (_column(fns, k) for k in ("max", "tau"))
         self.half_max, self.two_tau = 0.5 * max_value, 2.0 * tau
@@ -438,6 +361,14 @@ class _SigmoidHalf:
 
 
 class _SaturatingExp:
+    @staticmethod
+    def check(p):
+        for name in ("a0", "a1", "a2", "a3"):
+            _check_finite(name, p[name])
+        if p["a0"] * p["a1"] < 0:
+            raise FunctionConfigError(
+                "saturating_exp requires a0 * a1 >= 0 for monotonicity")
+
     def __init__(self, fns):
         a0, a1, self.a2, self.a3 = (_column(fns, k) for k in ("a0", "a1", "a2", "a3"))
         self.a0, self.neg_a1, self.a0_a1 = a0, -a1, a0 * a1
@@ -451,6 +382,14 @@ class _SaturatingExp:
 
 
 class _ScaledLogistic:
+    @staticmethod
+    def check(p):
+        for name in ("gain", "scale", "shift"):
+            _check_finite(name, p[name])
+        if p["gain"] * p["scale"] < 0:
+            raise FunctionConfigError(
+                "scaled_logistic requires gain * scale >= 0 for monotonicity")
+
     def __init__(self, fns):
         gain, scale, self.shift = (_column(fns, k) for k in ("gain", "scale", "shift"))
         self.half_gain, self.half_scale = 0.5 * gain, 0.5 * scale
@@ -465,27 +404,56 @@ class _ScaledLogistic:
 
 
 class _Table:
+    @staticmethod
+    def check(p):
+        knots = p["knots"]
+        if len(knots) < 2:
+            raise FunctionConfigError("table requires at least 2 knots")
+        xs, ys = _knot_arrays(knots)
+        _check_finite("knots", xs)
+        _check_finite("knots", ys)
+        if np.any(np.diff(xs) <= 0):
+            raise FunctionConfigError("table knot x values must be strictly increasing")
+        if np.any(np.diff(ys) < 0):
+            raise FunctionConfigError("table knot y values must be non-decreasing")
+
     def __init__(self, fns):
         self.knots = []
         for fn in fns:
-            xs, ys = _table_arrays(fn)
+            xs, ys = _knot_arrays(fn.params["knots"])
             self.knots.append((xs, ys, np.diff(ys) / np.diff(xs)))
 
     def value(self, x):
         out = np.empty(x.shape)
         for i, (xs, ys, _) in enumerate(self.knots):
-            out[..., i] = np.interp(x[..., i], xs, ys)
+            out[..., i] = np.interp(x[..., i], xs, ys)   # flat outside the knot range
         return out
 
     def value_and_deriv(self, x):
         deriv = np.empty(x.shape)
         for i, (xs, _, slopes) in enumerate(self.knots):
-            deriv[..., i] = _table_slope(xs, slopes, x[..., i])
+            xi = x[..., i]
+            # the segment whose left knot is <= x, so the right-hand slope at a
+            # knot; 0 outside the knot range, where the table is flat
+            idx = np.clip(np.searchsorted(xs, xi, side="right") - 1, 0, len(slopes) - 1)
+            deriv[..., i] = np.where((xi < xs[0]) | (xi >= xs[-1]), 0.0, slopes[idx])
         return self.value(x), deriv
 
 
 class _WeightedSigmoidSum:
     """Functions with equally many components, as (n, d) arrays."""
+
+    @staticmethod
+    def check(p):
+        w, m, t = (np.asarray(p[k], dtype=float) for k in ("weights", "max_values", "taus"))
+        for name, arr in (("weights", w), ("max_values", m), ("taus", t)):
+            _check_finite(name, arr)
+        if not (w.shape == m.shape == t.shape) or w.ndim != 1:
+            raise FunctionConfigError(
+                "weighted_sigmoid_sum arrays must be 1-d and equal length")
+        if np.any(w < 0) or np.any(m <= 0) or np.any(t <= 0):
+            raise FunctionConfigError(
+                "weighted_sigmoid_sum requires weights >= 0, max_values > 0, taus > 0")
 
     def __init__(self, fns):
         w, m, t = (_column(fns, k) for k in ("weights", "max_values", "taus"))

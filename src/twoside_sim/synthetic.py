@@ -10,6 +10,7 @@ Reference-population maps are upper-half sigmoids with per-group scales.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,7 +47,11 @@ class SyntheticScenarioConfig:
             raise ValueError("feature_bernoulli_p must be in (0, 1)")
         for name in ("lambda_max_range", "tau_range", "quality_max_range",
                      "quality_tau_range"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                    and all(isinstance(v, numbers.Real) for v in pair)):
+                raise ValueError(f"{name} must be two numbers (lo, hi), got {pair!r}")
+            lo, hi = pair
             if not (0.0 < lo <= hi):
                 raise ValueError(f"{name} must be a positive interval, got {(lo, hi)}")
             object.__setattr__(self, name, (float(lo), float(hi)))

@@ -39,6 +39,52 @@ def random_smooth_fn(rng: np.random.Generator, nonneg: bool = False):
                                 rng.uniform(1.0, 30.0, d))
 
 
+
+def reference_value(fn, x: float) -> float:
+    """fn at the point x by its kind's scalar formula, written here apart from
+    the package's kernels as the reference they are tested against; the
+    operations run in the kernels' order, so the two agree bit for bit."""
+    p, x = fn.params, float(x)
+    if fn.kind == "linear":
+        return p["slope"] * x + p["intercept"]
+    if fn.kind == "sigmoid_half":
+        return float((0.5 * p["max"]) * np.tanh(x / (2.0 * p["tau"])))
+    if fn.kind == "saturating_exp":
+        return float(p["a0"] * (1.0 - np.exp(-p["a1"] * (x - p["a2"]))) + p["a3"])
+    if fn.kind == "scaled_logistic":
+        half_gain = 0.5 * p["gain"]
+        return float(half_gain + half_gain * np.tanh((0.5 * p["scale"]) * (x - p["shift"])))
+    if fn.kind == "table":
+        xs, ys = zip(*p["knots"])
+        return float(np.interp(x, xs, ys))     # flat outside the knot range
+    w, m, t = (np.asarray(p[k], dtype=float) for k in ("weights", "max_values", "taus"))
+    return float((0.5 * w * m) @ np.tanh((0.5 / t) * x))
+
+
+def reference_slope(fn, x: float) -> float:
+    """fn's slope at the point x (right-hand at table knots), as reference_value."""
+    p, x = fn.params, float(x)
+    if fn.kind == "linear":
+        return float(p["slope"])
+    if fn.kind == "sigmoid_half":
+        th = np.tanh(x / (2.0 * p["tau"]))
+        return float((p["max"] / (4.0 * p["tau"])) * (1.0 - th * th))
+    if fn.kind == "saturating_exp":
+        return float(p["a0"] * p["a1"] * np.exp(-p["a1"] * (x - p["a2"])))
+    if fn.kind == "scaled_logistic":
+        th = np.tanh((0.5 * p["scale"]) * (x - p["shift"]))
+        return float((0.25 * p["gain"] * p["scale"]) * (1.0 - th * th))
+    if fn.kind == "table":
+        xs, ys = (np.asarray(v, dtype=float) for v in zip(*p["knots"]))
+        if x < xs[0] or x >= xs[-1]:
+            return 0.0
+        i = int(np.searchsorted(xs, x, side="right")) - 1
+        return float((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]))
+    w, m, t = (np.asarray(p[k], dtype=float) for k in ("weights", "max_values", "taus"))
+    th = np.tanh((0.5 / t) * x)
+    return float((0.25 * w * m / t) @ (1.0 - th * th))
+
+
 def random_env(seed: int, max_dim: int = 5, noise_std: float = 0.0) -> EnvironmentSpec:
     rng = np.random.default_rng(seed)
     K = int(rng.integers(1, max_dim + 1))

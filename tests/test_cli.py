@@ -283,6 +283,8 @@ UNPARSABLE_VALUES = [
         "inline": {**FIXED_POINT_CONFIG["environment"]["inline"], "colour": "red"}}}),
     ("run", "iters", {**RUN_CONFIG, "policies": [LOOKAHEAD | {"lookahead": {"iters": 2}}]}),
     ("estimate", "iters", {**MISSPELLED_KEYS["estimate"][1], "lookahead": {"iters": 2}}),
+    ("gen", "tau_range", scenario_dict(tau_range=[4, 8, 20])),
+    ("gen", "tau_range", scenario_dict(tau_range=[[4, 8]])),
 ]
 
 

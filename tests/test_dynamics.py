@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 import twoside_sim.dynamics as dynamics
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
-                         FixedPointPreconditionError, NoiseSpec,
+                         FixedPointPreconditionError, FunctionDomainError, NoiseSpec,
                          PolicyValidationError, PopulationState, SyntheticScenarioConfig,
                          assemble_jacobian, closed_form_eigenvalues,
                          enumerate_fixed_points, epsilon_greedy,
@@ -689,6 +689,17 @@ def test_jacobian_matches_finite_difference():
         ep[j] = h
         num[:, j] = (fmap(x0 + ep) - fmap(x0 - ep)) / (2 * h)
     np.testing.assert_allclose(J, num, atol=1e-6)
+
+
+def test_jacobian_refuses_a_population_effect_that_overflows():
+    """The population effects are read unchecked at the finite state, so an
+    f that overflows there must still raise, through the checked viewer
+    curves at the infinite payoffs."""
+    env = linear_env(2, 2, [1.0, 1.0], [1.0, 1.0], [[1e308, 1e308]] * 2, np.ones((2, 2)),
+                     np.full(2, 0.5), np.full(2, 0.5))
+    state = PopulationState(t=0, viewer=[1.0, 1.0], provider=[10.0, 10.0])
+    with np.errstate(over="ignore"), pytest.raises(FunctionDomainError):
+        assemble_jacobian(env, np.full((2, 2), 0.5), state)
 
 
 def test_report_spectrum_matches_dense_eigensolver():

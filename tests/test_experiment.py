@@ -83,6 +83,14 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(ExperimentConfigError, match="init"):
         ExperimentConfig(environment=env, policies=uni, T=3, seeds=(0,),
                          outputs=str(tmp_path))
+    # seeds are never cast: a float or a bool is refused, numpy integers are not
+    for seeds in ((2.7,), (0, True), (np.float64(3.0),), ("1",), (np.bool_(True),)):
+        with pytest.raises(ExperimentConfigError, match="seeds"):
+            ExperimentConfig(environment=scenario(), policies=uni, T=3, seeds=seeds,
+                             outputs=str(tmp_path))
+    cfg = ExperimentConfig(environment=scenario(), policies=uni, T=3,
+                           seeds=(np.int64(4), np.int32(2), 7), outputs=str(tmp_path))
+    assert cfg.seeds == (4, 2, 7) and all(type(s) is int for s in cfg.seeds)
 
 
 def test_config_from_dict_synthetic_defaults_horizon(tmp_path):

@@ -13,7 +13,7 @@ from twoside_sim import (FunctionConfigError, FunctionDomainError, ScalarFn,
                          weighted_sigmoid_sum)
 from twoside_sim.functions import FnGrid, FnVector
 
-from conftest import random_env, random_smooth_fn
+from conftest import random_env, random_smooth_fn, reference_slope, reference_value
 
 
 def central_diff(fn, x, h=1e-5):
@@ -192,8 +192,29 @@ def evaluation_points(rng, fns):
 
 
 def assert_entrywise_exact(got_value, got_deriv, fns, x):
-    np.testing.assert_array_equal(got_value, [fn_eval(fn, xi) for fn, xi in zip(fns, x)])
-    np.testing.assert_array_equal(got_deriv, [fn_deriv(fn, xi) for fn, xi in zip(fns, x)])
+    """Entry i equals the scalar reference formulas of fns[i] at x[i] bit for bit."""
+    np.testing.assert_array_equal(got_value, [reference_value(fn, xi) for fn, xi in zip(fns, x)])
+    np.testing.assert_array_equal(got_deriv, [reference_slope(fn, xi) for fn, xi in zip(fns, x)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_fn_eval_and_fn_deriv_follow_the_shape_of_x(seed):
+    """A float for a float or 0-d x, an array of x's shape for a 1-D or 2-D x,
+    every point equal to the scalar reference bit for bit, for every kind."""
+    rng = np.random.default_rng(seed)
+    for fn in one_of_each_kind(rng):
+        points = evaluation_points(rng, [fn] * 12)
+        for x in (float(points[0]), np.array(points[1]), points, points.reshape(3, 4),
+                  points.reshape(4, 3).T):
+            for call, reference in ((fn_eval, reference_value), (fn_deriv, reference_slope)):
+                got = call(fn, x)
+                want = [reference(fn, xi) for xi in np.ravel(x)]
+                if np.ndim(x) == 0:
+                    assert type(got) is float and got == want[0], (fn.kind, call)
+                else:
+                    assert isinstance(got, np.ndarray) and got.shape == x.shape, (fn.kind, call)
+                    np.testing.assert_array_equal(got.ravel(), want, err_msg=fn.kind)
 
 
 @settings(max_examples=80, deadline=None)

@@ -121,3 +121,10 @@ def test_config_dict_round_trip():
                                   lambda_max_range=(30.0, 60.0), eta=0.4,
                                   T=50, seed=123)
     assert SyntheticScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("bad", [(4.0, 8.0, 20.0), (4.0,), 5.0, ((4.0, 8.0),), ("4", "8"),
+                                 np.array([[4.0, 8.0]])])
+def test_range_fields_must_be_two_numbers(bad):
+    with pytest.raises(ValueError, match="tau_range"):
+        SyntheticScenarioConfig(tau_range=bad)
