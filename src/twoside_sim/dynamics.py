@@ -541,10 +541,7 @@ class _LinearizedMap:
     def __init__(self, env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray,
                  clipped: np.ndarray | None = None):
         self.env, self.rows = env, rows
-        # x is finite (a state's vectors, an iterate _image accepted or a tested
-        # Newton point), so f is read unchecked; s and e can overflow at a
-        # finite x, so the curves below keep their checks
-        f, self.df = env.f_grid._apply_both(x[env.K:])          # f_{k,l}, f_{k,l}' at provider_l
+        f, self.df = env.f_grid.value_and_deriv(x[env.K:])      # f_{k,l}, f_{k,l}' at provider_l
         s, e, _ = _served(env.B + f, rows, x[:env.K])
         self.dv = env.viewer_curves.value_and_deriv(s)[1]       # lambda_bar_k' at s_k
         self.dc = env.provider_curves.value_and_deriv(e)[1]     # lambda_bar_l' at e_l

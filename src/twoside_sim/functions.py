@@ -23,10 +23,11 @@ sigma = 1/2.
 
 Each kind is one kernel class at the end of this module, the only place its
 parameter checks, value and slope are written.  fn_eval / fn_deriv evaluate
-one function through a one-function kernel of its kind, built on first use
-and kept on the ScalarFn.  FnVector and FnGrid evaluate a whole side's
-curves, or the K x L population-effect grid, in a few array operations;
-every EnvironmentSpec builds them once, at construction.  Both take leading
+one function through a one-function kernel of its kind, built for the call.
+fn_deriv warns only when the slope is not finite, not when the value computed
+beside it overflows.  FnVector and FnGrid evaluate a whole side's curves, or
+the K x L population-effect grid, in a few array operations; every
+EnvironmentSpec builds them once, at construction.  Both take leading
 batch axes: row i of a batched call equals the unbatched call on row i bit
 for bit.  They have two calls, value and value_and_deriv, the latter
 returning value and slope from one pass.
@@ -132,24 +133,25 @@ def weighted_sigmoid_sum(weights, max_values, taus) -> ScalarFn:
 
 def fn_eval(fn: ScalarFn, x):
     """Evaluate fn at x: a float for a scalar or 0-d x, else an array of x's shape."""
-    return _pointwise(_kernel_of(fn).value, x)
+    return _pointwise(_KERNELS[fn.kind]([fn]).value, x)
 
 
 def fn_deriv(fn: ScalarFn, x):
     """Analytic derivative of fn at x (right-hand slope at table knots),
     returned as fn_eval returns the value."""
-    kernel = _kernel_of(fn)
-    return _pointwise(lambda x: kernel.value_and_deriv(x)[1], x)
+    kernel = _KERNELS[fn.kind]([fn])
+    return _pointwise(lambda x: _slope(kernel, x), x)
 
 
-def _kernel_of(fn: ScalarFn):
-    """fn as a one-function kernel of its kind, built on first use and kept
-    on fn, which never changes."""
-    kernel = fn.__dict__.get("_kernel")
-    if kernel is None:
-        kernel = _KERNELS[fn.kind]([fn])
-        object.__setattr__(fn, "_kernel", kernel)
-    return kernel
+def _slope(kernel, x: np.ndarray) -> np.ndarray:
+    """The kernel's slope at x, warning only if the slope is not finite: the
+    value computed beside it can overflow where the slope does not (a steep
+    linear curve, a saturating_exp far below a2)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = kernel.value_and_deriv(x)[1]
+    if not np.isfinite(slope).all():
+        kernel.value_and_deriv(x)       # warns, or raises, as numpy is set to
+    return slope
 
 
 def _pointwise(method, x):
@@ -254,9 +256,7 @@ class FnGrid:
     def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(value(x), the slope of entry (k, l) at x[..., l]) from one pass and
         one finiteness check; the value equals value(x) bit for bit."""
-        return self._apply_both(_finite_vector(x, self.shape[1]))
-
-    def _apply_both(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = _finite_vector(x, self.shape[1])
         if self._cells is not None:
             shape = x.shape[:-1] + self.shape
             value, deriv = self._cells._apply_both(np.tile(x, self.shape[0]))

@@ -49,7 +49,8 @@ class SyntheticScenarioConfig:
                      "quality_tau_range"):
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                    and all(isinstance(v, numbers.Real) for v in pair)):
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            for v in pair)):
                 raise ValueError(f"{name} must be two numbers (lo, hi), got {pair!r}")
             lo, hi = pair
             if not (0.0 < lo <= hi):

@@ -692,9 +692,8 @@ def test_jacobian_matches_finite_difference():
 
 
 def test_jacobian_refuses_a_population_effect_that_overflows():
-    """The population effects are read unchecked at the finite state, so an
-    f that overflows there must still raise, through the checked viewer
-    curves at the infinite payoffs."""
+    """An f that overflows at a finite state makes the payoffs infinite, and
+    the Jacobian raises instead of returning non-finite entries."""
     env = linear_env(2, 2, [1.0, 1.0], [1.0, 1.0], [[1e308, 1e308]] * 2, np.ones((2, 2)),
                      np.full(2, 0.5), np.full(2, 0.5))
     state = PopulationState(t=0, viewer=[1.0, 1.0], provider=[10.0, 10.0])

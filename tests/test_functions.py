@@ -217,6 +217,22 @@ def test_fn_eval_and_fn_deriv_follow_the_shape_of_x(seed):
                     np.testing.assert_array_equal(got.ravel(), want, err_msg=fn.kind)
 
 
+def test_fn_deriv_warns_only_when_the_slope_overflows():
+    """The value computed beside the slope may overflow where the slope does
+    not; fn_deriv then returns the slope without a warning, which the test
+    run would raise.  A slope that overflows still warns."""
+    steep = linear_fn(1e300)
+    assert fn_deriv(steep, 1e10) == 1e300
+    np.testing.assert_array_equal(fn_deriv(steep, np.array([[1e10], [-1e10]])),
+                                  np.full((2, 1), 1e300))
+    fn = saturating_exp(1e300, 0.5, 0.0, 0.0)
+    assert fn_deriv(fn, -39.0) == reference_slope(fn, -39.0)     # value 2.9e308
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert fn_deriv(fn, -3000.0) == np.inf
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        fn_deriv(fn, np.array([-39.0, -3000.0]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 12))
 def test_fn_vector_equals_scalar_evaluation_exactly(seed, n):

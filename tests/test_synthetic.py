@@ -124,7 +124,7 @@ def test_config_dict_round_trip():
 
 
 @pytest.mark.parametrize("bad", [(4.0, 8.0, 20.0), (4.0,), 5.0, ((4.0, 8.0),), ("4", "8"),
-                                 np.array([[4.0, 8.0]])])
+                                 np.array([[4.0, 8.0]]), (True, 2.0)])
 def test_range_fields_must_be_two_numbers(bad):
     with pytest.raises(ValueError, match="tau_range"):
         SyntheticScenarioConfig(tau_range=bad)
