@@ -24,10 +24,10 @@ from .dynamics import (_check_tol, find_fixed_point, fixed_point_residual,
 from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
-from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, ExperimentConfigError,
-                         PolicySpec, _fields_table, _read, build_policy, load_environment,
-                         resolve_environment, run_experiment)
-from .model import EnvironmentSpec, PopulationState, epsilon_greedy
+from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, PolicySpec, _from_config,
+                         build_policy, load_environment, resolve_environment, run_experiment)
+from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _fields_table,
+                    _read, epsilon_greedy)
 from .policies import LookaheadConfig
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
@@ -69,25 +69,12 @@ def _emit(record, args, filename: str) -> None:
         sys.stdout.write(text)
 
 
-def _from_config(build, payload, what: str):
-    """build(payload), mapping its complaints to ExperimentConfigError (exit 2):
-    the constructors' own range checks (ValueError) and ScalarFn.from_dict's
-    reading of an inline environment's curves (KeyError, TypeError).  The
-    keys and their JSON kinds are checked before, by experiment._read."""
-    try:
-        return build(payload)
-    except ExperimentConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as err:
-        raise ExperimentConfigError(f"invalid {what}: {err}") from err
-
-
 def _environment(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
     return resolve_environment(*load_environment(cfg))
 
 
 def _command_config(args, table: dict) -> dict:
-    """The --config JSON of a subcommand, read by `table` (see experiment._read)."""
+    """The --config JSON of a subcommand, read by `table` (see model._read)."""
     command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
     if not args.config:
         raise ExperimentConfigError(f"{command} requires --config")
@@ -106,10 +93,8 @@ def cmd_gen(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     if isinstance(cfg, dict) and set(cfg) == {"synthetic"}:
         cfg = cfg["synthetic"]  # accept the experiment-style environment block
-    seed = {} if args.seed is None else {"seed": args.seed}
-    scen = _from_config(lambda c: replace(SyntheticScenarioConfig.from_dict(c), **seed), cfg,
-                        "synthetic scenario")
-    env = gen_synthetic(scen)
+    scen = SyntheticScenarioConfig.from_dict(cfg)
+    env = gen_synthetic(scen if args.seed is None else replace(scen, seed=args.seed))
     text = env.to_json() + "\n"
     if args.out:
         out_dir = Path(args.out)
@@ -123,8 +108,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     if not args.config:
         raise ExperimentConfigError("run requires --config")
-    config = _from_config(ExperimentConfig.from_dict, _load_json(args.config),
-                          "experiment config")
+    config = ExperimentConfig.from_dict(_load_json(args.config))
     config = replace(config, **({"outputs": args.out} if args.out else {}),
                      **({} if args.seed is None else {"seeds": (args.seed,)}))
     summary = run_experiment(config)
@@ -155,16 +139,12 @@ def _preset_cases(args):
         raise ExperimentConfigError("either --preset or --config is required")
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": ("array of numbers", MISSING),
                                  "tol": (None, 1e-10), "max_iter": ("integer", 100000)})
-
-    def inputs(c):
-        env, init = _environment(c)
-        if c["policy"].shape != (env.K, env.L):
-            raise ExperimentConfigError(
-                f"policy shape {c['policy'].shape} does not match (K, L)={(env.K, env.L)}")
-        _check_tol(c["tol"])
-        return env, c["policy"], {"init": init}, c["tol"], c["max_iter"]
-
-    return _from_config(inputs, cfg, f"{args.command} config")
+    env, init = _environment(cfg)
+    if cfg["policy"].shape != (env.K, env.L):
+        raise ExperimentConfigError(
+            f"policy shape {cfg['policy'].shape} does not match (K, L)={(env.K, env.L)}")
+    _from_config(f"{args.command} config", _check_tol, cfg["tol"])
+    return env, cfg["policy"], {"init": init}, cfg["tol"], cfg["max_iter"]
 
 
 def cmd_fixed_point(args) -> int:
@@ -208,17 +188,12 @@ def cmd_stability(args) -> int:
 def cmd_regret(args) -> int:
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "T": ("integer", MISSING),
                                  "policies": ("array", MISSING), "seed": ("integer", 0)})
-
-    def inputs(c):
-        env, init = _environment(c)
-        if c["T"] < 1:
-            raise ExperimentConfigError("T must be >= 1")
-        specs = [PolicySpec.from_dict(p) for p in c["policies"]]
-        if len(specs) < 2:
-            raise ExperimentConfigError("regret needs at least 2 policies")
-        return env, init, specs
-
-    env, init, specs = _from_config(inputs, cfg, "regret config")
+    env, init = _environment(cfg)
+    if cfg["T"] < 1:
+        raise ExperimentConfigError("T must be >= 1")
+    specs = [PolicySpec.from_dict(p) for p in cfg["policies"]]
+    if len(specs) < 2:
+        raise ExperimentConfigError("regret needs at least 2 policies")
     seed = args.seed if args.seed is not None else cfg["seed"]
     trajectories = {
         spec.name: rollout(env, build_policy(env, spec), cfg["T"], init, seed=seed)
@@ -238,15 +213,10 @@ def cmd_estimate(args) -> int:
     etc_keys = _fields_table(ExploreCommitConfig)
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, **etc_keys, "lookahead": ("object", None),
                                  "seed": ("integer", 0), "b_known": ("boolean", True)})
-
-    def inputs(c):
-        env, init = _environment(c)
-        etc = ExploreCommitConfig(**{k: c[k] for k in etc_keys})
-        lookahead = None if c["lookahead"] is None else LookaheadConfig(
-            **_read(c["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
-        return env, init, etc, lookahead
-
-    env, init, etc, lookahead = _from_config(inputs, cfg, "estimate config")
+    env, init = _environment(cfg)
+    etc = ExploreCommitConfig(**{k: cfg[k] for k in etc_keys})
+    lookahead = None if cfg["lookahead"] is None else LookaheadConfig(
+        **_read(cfg["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
     seed = args.seed if args.seed is not None else cfg["seed"]
     blackbox = SimulatorBlackbox(env, init, seed=seed)
     traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=cfg["b_known"])
@@ -280,9 +250,8 @@ def cmd_oracle(args) -> int:
         _emit({"pi11": args.pi11, "r_tilde": value}, args, "counterexample.json")
         return 0
     cfg = _command_config(args, _ORACLE_TABLES[args.oracle_cmd])
-    params = _from_config(
-        lambda p: LinearGameParams(**_read(p, "params", _fields_table(LinearGameParams))),
-        cfg["params"], f"oracle {args.oracle_cmd} config")
+    params = _from_config(f"oracle {args.oracle_cmd} config", LinearGameParams,
+                          **_read(cfg["params"], "params", _fields_table(LinearGameParams)))
     pi = cfg.get("pi")
     if pi is not None and pi.shape != params.B.shape:
         raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")

@@ -12,7 +12,6 @@ optionally followed by multiplicative Gaussian noise and a clip at zero.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Callable, Sequence
@@ -21,7 +20,8 @@ import numpy as np
 
 from .functions import _row_dots
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    _frozen, _readonly, as_rows, greedy_rows, validate_policy)
+                    SpecValidationError, _frozen, _is, _readonly, as_rows, greedy_rows,
+                    validate_policy)
 from .policies import myopic_greedy
 
 
@@ -347,7 +347,7 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     several fixed points exist.  max_iter bounds the evaluations of F, each
     Newton trial counted as one.  Raises ConvergenceError when they run out,
     or its DivergenceError subclass as soon as a plain iterate overflows;
-    ValueError when tol is not a finite number >= 0.
+    SpecValidationError when tol is not a finite number >= 0.
     """
     _check_tol(tol)
     rows, x = _stacked(env, init, pi, "find_fixed_point")
@@ -449,8 +449,8 @@ def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, st
 
 
 def _check_tol(tol) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (_is(tol, float) and 0.0 <= tol < np.inf):
+        raise SpecValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | None = None):

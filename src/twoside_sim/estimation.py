@@ -19,8 +19,8 @@ import numpy as np
 from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _csv_text, _parse_csv,
                        _step_one, trajectory_header)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState, epsilon_greedy,
-                    _readonly, validate_policy)
+from .model import (EnvironmentSpec, ExperimentConfigError, Payoffs, PolicyMatrix,
+                    PopulationState, _check_kinds, _readonly, epsilon_greedy, validate_policy)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -369,14 +369,15 @@ class ExploreCommitConfig:
     refit_every: int = 1
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.T_b < 1:
-            raise ValueError("T_b must be >= 1")
+            raise ExperimentConfigError("T_b must be >= 1")
         if self.T <= self.T_b:
-            raise ValueError("T must exceed T_b")
+            raise ExperimentConfigError("T must exceed T_b")
         if not (0.0 <= self.beta <= 1.0):
-            raise ValueError("beta must be in [0, 1]")
+            raise ExperimentConfigError("beta must be in [0, 1]")
         if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
+            raise ExperimentConfigError("refit_every must be >= 1")
 
 
 def explore_then_commit(blackbox: SimulatorBlackbox, config: ExploreCommitConfig,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -21,70 +21,16 @@ import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
 from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
-from .model import EnvironmentSpec, PopulationState, epsilon_greedy
+from .functions import FunctionConfigError
+from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState,
+                    SpecValidationError, _check_kinds, _fields_table, _read, epsilon_greedy)
+from .oracles import OracleDomainError
 from .policies import (LookaheadConfig, interpolate, myopic_greedy,
                        optimize_lookahead, uniform_policy)
 from .synthetic import SyntheticScenarioConfig, gen_synthetic, sample_initial_state
 
 _POLICY_KINDS = ("uniform", "myopic", "epsilon_greedy", "lookahead")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
-
-
-class ExperimentConfigError(ValueError):
-    """The experiment configuration is invalid."""
-
-
-# the Python types json.load gives each JSON kind; a bool is no integer or number
-_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,),
-          "string": (str,), "object": (dict,), "array": (list,)}
-# the kind of each field annotation of a dataclass that mirrors a config block
-_FIELD_KINDS = {"int": "integer", "float": "number", "str": "string", "LookaheadConfig": "object",
-                "tuple[float, float]": "array of numbers", "np.ndarray": "array of numbers"}
-
-
-def _is(value, kind: str) -> bool:
-    if kind == "array of integers":
-        return type(value) is list and all(type(v) is int for v in value)
-    if kind == "array of numbers":      # nested to any depth
-        return type(value) is list and all(
-            _is(v, kind) if type(v) is list else type(v) in _TYPES["number"] for v in value)
-    return type(value) in _TYPES[kind]
-
-
-def _read(block, what: str, table: dict[str, tuple[str | None, Any]]) -> dict[str, Any]:
-    """Each key of the JSON object `block` by `table`, key -> (kind, default):
-    absent or null, its default (MISSING: required); else a value of its kind,
-    never cast, an "array of numbers" read as a float array (kind None: left
-    to the code that uses it).  An unknown key, a missing one or a value of
-    another kind is an ExperimentConfigError naming `what` and the key."""
-    if type(block) is not dict:
-        raise ExperimentConfigError(f"{what} must be a JSON object, got {block!r}")
-    unknown = sorted(set(block) - set(table))
-    if unknown:
-        raise ExperimentConfigError(f"{what}: unknown key(s) {unknown}")
-    values = {}
-    for key, (kind, default) in table.items():
-        value = block.get(key)
-        if value is None:
-            if default is MISSING:
-                raise ExperimentConfigError(f"{what} is missing required key {key!r}")
-            value = default
-        elif kind is not None and not _is(value, kind):
-            raise ExperimentConfigError(f"{what}: {key} must be a JSON {kind}, got {value!r}")
-        elif kind == "array of numbers":
-            try:
-                value = np.asarray(value, dtype=float)
-            except ValueError:
-                raise ExperimentConfigError(
-                    f"{what}: {key} must be a rectangular array, got {value!r}") from None
-        values[key] = value
-    return values
-
-
-def _fields_table(cls) -> dict[str, tuple[str, Any]]:
-    """The table of a block that mirrors dataclass `cls`: its fields' kinds and defaults."""
-    return {f.name: (_FIELD_KINDS[f.type.removesuffix(" | None")], f.default)
-            for f in fields(cls)}
 
 
 # the keys through which a config names its environment and initial populations
@@ -107,6 +53,7 @@ class PolicySpec:
     lookahead: LookaheadConfig | None = None
 
     def __post_init__(self):
+        _check_kinds(self)
         if not _NAME_RE.match(self.name):
             raise ExperimentConfigError(
                 f"policy name {self.name!r} must match {_NAME_RE.pattern}")
@@ -127,16 +74,8 @@ class PolicySpec:
                 object.__setattr__(self, "lookahead", LookaheadConfig())
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"name": self.name, "kind": self.kind}
-        if self.epsilon is not None:
-            d["epsilon"] = self.epsilon
-        if self.beta is not None:
-            d["beta"] = self.beta
-        if self.lookahead is not None:
-            d["lookahead"] = {"gamma": self.lookahead.gamma,
-                              "iterations": self.lookahead.iterations,
-                              "learning_rate": self.lookahead.learning_rate}
-        return d
+        """The fields that are not None, the look-ahead config as a dict."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PolicySpec":
@@ -151,26 +90,28 @@ def build_policy(env: EnvironmentSpec, spec: PolicySpec):
     """The policy a spec names, in the form rollout and lockstep_rollouts
     take: a PolicyMatrix (uniform, epsilon-greedy), myopic_greedy, or a
     per-step rule over (env, state) (look-ahead)."""
+    if spec.kind == "uniform":
+        return uniform_policy(env.K, env.L)
+    if spec.kind == "myopic":
+        return myopic_greedy
+    if spec.kind == "epsilon_greedy":
+        return epsilon_greedy(env.B, spec.epsilon)
+    cfg, beta = spec.lookahead, spec.beta       # look-ahead, the one kind left
+
+    def rule(e, s):
+        return interpolate(optimize_lookahead(e, s, cfg), myopic_greedy(e, s), beta)
+
+    return rule
+
+
+def _from_config(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its refusal of a config's value by a domain
+    type's own check (a SpecValidationError, FunctionConfigError or
+    OracleDomainError) raised as an ExperimentConfigError naming `what`."""
     try:
-        if spec.kind == "uniform":
-            return uniform_policy(env.K, env.L)
-        if spec.kind == "myopic":
-            return myopic_greedy
-        if spec.kind == "epsilon_greedy":
-            return epsilon_greedy(env.B, spec.epsilon)
-        if spec.kind == "lookahead":
-            cfg, beta = spec.lookahead, spec.beta
-
-            def rule(e, s):
-                return interpolate(optimize_lookahead(e, s, cfg),
-                                   myopic_greedy(e, s), beta)
-
-            return rule
-    except ExperimentConfigError:
-        raise
-    except Exception as err:
-        raise ExperimentConfigError(f"policy {spec.name!r}: {err}") from err
-    raise ExperimentConfigError(f"policy {spec.name!r}: unknown kind {spec.kind!r}")
+        return build(*args, **kwargs)
+    except (SpecValidationError, FunctionConfigError, OracleDomainError) as err:
+        raise ExperimentConfigError(f"invalid {what}: {err}") from err
 
 
 def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScenarioConfig,
@@ -191,10 +132,10 @@ def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScen
         if inline["noise"] is not None:
             inline["noise"] = _read(inline["noise"], "noise",
                                     {"relative_std": ("number", MISSING)})
-        environment = EnvironmentSpec.from_dict(inline)
+        environment = _from_config("inline environment", EnvironmentSpec.from_dict, inline)
     init = None
     if d["init"] is not None:
-        init = PopulationState(t=0, **_read(d["init"], "init", {
+        init = _from_config("init", PopulationState, t=0, **_read(d["init"], "init", {
             "viewer": ("array of numbers", MISSING), "provider": ("array of numbers", MISSING)}))
         if init.viewer.shape != (environment.K,) or init.provider.shape != (environment.L,):
             raise ExperimentConfigError(
@@ -226,12 +167,9 @@ class ExperimentConfig:
     init: PopulationState | None = None     # required for an inline environment
 
     def __post_init__(self):
+        _check_kinds(self)
         object.__setattr__(self, "policies", tuple(self.policies))
-        seeds = tuple(self.seeds)
-        for s in seeds:    # never cast: int(2.7) would run another seed
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise ExperimentConfigError(f"seeds must be integers, got {s!r}")
-        object.__setattr__(self, "seeds", tuple(map(int, seeds)))
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
         if not self.policies:
             raise ExperimentConfigError("at least one policy is required")
         names = [p.name for p in self.policies]
@@ -250,8 +188,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
         c = _read(d, "experiment config", {
-            **_ENVIRONMENT_KEYS, "policies": ("array", []), "T": ("integer", None),
-            "seeds": ("array of integers", [0]), "outputs": ("string", "out")})
+            **_ENVIRONMENT_KEYS, "policies": ("array", []), "T": (None, None),
+            "seeds": (None, [0]), "outputs": (None, "out")})
         environment, init = load_environment(c)
         default_T = environment.T if isinstance(environment, SyntheticScenarioConfig) else None
         T = default_T if c["T"] is None else c["T"]
@@ -259,7 +197,7 @@ class ExperimentConfig:
             raise ExperimentConfigError("T is required for inline environments")
         return cls(environment=environment,
                    policies=tuple(PolicySpec.from_dict(p) for p in c["policies"]),
-                   T=T, seeds=tuple(c["seeds"]), outputs=c["outputs"], init=init)
+                   T=T, seeds=c["seeds"], outputs=c["outputs"], init=init)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Any]:

@@ -42,7 +42,7 @@ import numpy as np
 
 
 class FunctionDomainError(ValueError):
-    """A parameter or evaluation point is outside the variant's domain."""
+    """An evaluation point is outside the variant's domain."""
 
 
 class FunctionConfigError(ValueError):
@@ -71,12 +71,57 @@ class ScalarFn:
 
     @staticmethod
     def from_dict(d: dict) -> "ScalarFn":
-        return ScalarFn(kind=d["kind"], params=dict(d["params"]))
+        if not (isinstance(d, dict) and isinstance(d.get("params"), dict)):
+            raise FunctionConfigError(
+                f"a curve must be an object {{'kind': ..., 'params': {{...}}}}, got {d!r}")
+        return ScalarFn(kind=d.get("kind"), params=dict(d["params"]))
 
 
-def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise FunctionDomainError(f"non-finite parameter {name!r}: {value!r}")
+def _is_numbers(value, ndim: int) -> bool:
+    """Whether `value` is a number (ndim 0: a Python or numpy int or float,
+    never a bool), or a rectangular list, tuple or numeric array of them with
+    ndim axes."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == ndim and value.dtype.kind in "iuf"
+    if ndim == 0:
+        return _is_number_type(type(value))
+    if not isinstance(value, (list, tuple)):
+        return False
+    if ndim == 1:       # each type among the entries, once
+        return all(map(_is_number_type, set(map(type, value))))
+    return all(_is_numbers(v, ndim - 1) for v in value) and len(set(map(np.shape, value))) < 2
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+
+
+def _finite(kind: str, params, *keys: str, ndim: int = 0) -> list[np.ndarray]:
+    """Parameters `keys`, all a `kind` curve has, as float arrays, each finite
+    numbers with ndim axes (0: a number); a missing one, an unknown one or one
+    of another kind is a FunctionConfigError naming the kind and the key."""
+    if not isinstance(params, dict):
+        raise FunctionConfigError(f"{kind} params must be a dict, got {params!r}")
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise FunctionConfigError(f"{kind}: unknown parameter(s) {unknown}")
+    out = []
+    for key in keys:
+        if key not in params:
+            raise FunctionConfigError(f"{kind} is missing parameter {key!r}")
+        value = params[key]
+        try:
+            arr = np.asarray(value, dtype=float) if _is_numbers(value, ndim) else None
+        except OverflowError:       # an int past the largest float
+            arr = None
+        if arr is None or not np.isfinite(arr).all():
+            raise FunctionConfigError(f"{kind} parameter {key!r} must be "
+                                      f"{_FINITE[ndim]}, got {value!r}")
+        out.append(arr)
+    return out
+
+
+_FINITE = ("a finite number", "a list of finite numbers", "a list of finite (x, y) pairs")
 
 
 def _jsonable_params(p: dict) -> dict:
@@ -305,11 +350,6 @@ def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
     return np.matmul(coef[..., None, :], comp[..., None])[..., 0, 0]
 
 
-def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
-    return (np.asarray([k[0] for k in knots], dtype=float),
-            np.asarray([k[1] for k in knots], dtype=float))
-
-
 # One class per kind, the one place its formulas are written: check(params)
 # is the parameter check ScalarFn runs at construction, and an instance built
 # from that kind's functions holds their parameters as arrays and applies the
@@ -322,9 +362,8 @@ def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
 class _Linear:
     @staticmethod
     def check(p):
-        _check_finite("slope", p["slope"])
-        _check_finite("intercept", p["intercept"])
-        if p["slope"] < 0:
+        slope, _ = _finite("linear", p, "slope", "intercept")
+        if slope < 0:
             raise FunctionConfigError("linear slope must be >= 0 for monotonicity")
 
     def __init__(self, fns):
@@ -342,9 +381,8 @@ class _Linear:
 class _SigmoidHalf:
     @staticmethod
     def check(p):
-        _check_finite("max", p["max"])
-        _check_finite("tau", p["tau"])
-        if p["max"] <= 0 or p["tau"] <= 0:
+        max_value, tau = _finite("sigmoid_half", p, "max", "tau")
+        if max_value <= 0 or tau <= 0:
             raise FunctionConfigError("sigmoid_half requires max > 0 and tau > 0")
 
     def __init__(self, fns):
@@ -363,9 +401,8 @@ class _SigmoidHalf:
 class _SaturatingExp:
     @staticmethod
     def check(p):
-        for name in ("a0", "a1", "a2", "a3"):
-            _check_finite(name, p[name])
-        if p["a0"] * p["a1"] < 0:
+        a0, a1, _, _ = _finite("saturating_exp", p, "a0", "a1", "a2", "a3")
+        if a0 * a1 < 0:
             raise FunctionConfigError(
                 "saturating_exp requires a0 * a1 >= 0 for monotonicity")
 
@@ -384,9 +421,8 @@ class _SaturatingExp:
 class _ScaledLogistic:
     @staticmethod
     def check(p):
-        for name in ("gain", "scale", "shift"):
-            _check_finite(name, p[name])
-        if p["gain"] * p["scale"] < 0:
+        gain, scale, _ = _finite("scaled_logistic", p, "gain", "scale", "shift")
+        if gain * scale < 0:
             raise FunctionConfigError(
                 "scaled_logistic requires gain * scale >= 0 for monotonicity")
 
@@ -406,12 +442,12 @@ class _ScaledLogistic:
 class _Table:
     @staticmethod
     def check(p):
-        knots = p["knots"]
+        (knots,) = _finite("table", p, "knots", ndim=2)
+        if knots.shape[1:] != (2,):
+            raise FunctionConfigError("table knots must be (x, y) pairs")
         if len(knots) < 2:
             raise FunctionConfigError("table requires at least 2 knots")
-        xs, ys = _knot_arrays(knots)
-        _check_finite("knots", xs)
-        _check_finite("knots", ys)
+        xs, ys = knots.T
         if np.any(np.diff(xs) <= 0):
             raise FunctionConfigError("table knot x values must be strictly increasing")
         if np.any(np.diff(ys) < 0):
@@ -420,7 +456,7 @@ class _Table:
     def __init__(self, fns):
         self.knots = []
         for fn in fns:
-            xs, ys = _knot_arrays(fn.params["knots"])
+            xs, ys = np.asarray(fn.params["knots"], dtype=float).T
             self.knots.append((xs, ys, np.diff(ys) / np.diff(xs)))
 
     def value(self, x):
@@ -445,12 +481,9 @@ class _WeightedSigmoidSum:
 
     @staticmethod
     def check(p):
-        w, m, t = (np.asarray(p[k], dtype=float) for k in ("weights", "max_values", "taus"))
-        for name, arr in (("weights", w), ("max_values", m), ("taus", t)):
-            _check_finite(name, arr)
-        if not (w.shape == m.shape == t.shape) or w.ndim != 1:
-            raise FunctionConfigError(
-                "weighted_sigmoid_sum arrays must be 1-d and equal length")
+        w, m, t = _finite("weighted_sigmoid_sum", p, "weights", "max_values", "taus", ndim=1)
+        if not (w.shape == m.shape == t.shape):
+            raise FunctionConfigError("weighted_sigmoid_sum arrays must be of equal length")
         if np.any(w < 0) or np.any(m <= 0) or np.any(t <= 0):
             raise FunctionConfigError(
                 "weighted_sigmoid_sum requires weights >= 0, max_values > 0, taus > 0")

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .functions import FnGrid, FnVector, ScalarFn
+from .functions import FnGrid, FnVector, ScalarFn, _is_numbers
 
 ROW_SUM_TOL = 1e-9
 
@@ -26,6 +29,81 @@ class PolicyValidationError(SpecValidationError):
     """A matrix is not a valid row-stochastic allocation policy."""
 
 
+class ExperimentConfigError(ValueError):
+    """The experiment configuration is invalid."""
+
+
+# the annotation each JSON kind of a _read table stands for; a config
+# dataclass states the kind of a field once, as its annotation (_check_kinds)
+_JSON_KINDS = {"integer": int, "number": float, "boolean": bool, "object": dict, "array": list,
+               "array of numbers": np.ndarray}
+
+
+def _is(value, kind) -> bool:
+    """Whether `value` is of `kind`, a field annotation.  A float is a Python
+    or numpy int or float, an int one of the ints, and a bool is neither; a
+    tuple[...] is a list, tuple or 1-d array of its entries; an np.ndarray is
+    rectangular numbers with one or two axes."""
+    if kind is float:
+        return _is_numbers(value, 0)
+    if kind is int:
+        return _is_numbers(value, 0) and isinstance(value, (int, np.integer))
+    if kind is np.ndarray:
+        return _is_numbers(value, 1) or _is_numbers(value, 2)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:                 # tuple[X, ...] holds any number of X
+        return (isinstance(value, (list, tuple)) or np.ndim(value) == 1) and (
+            all(_is(v, args[0]) for v in value) if args[1:] == (...,)
+            else len(value) == len(args) and all(map(_is, value, args)))
+    if origin is UnionType:
+        return any(_is(value, a) for a in args)
+    return isinstance(value, kind)
+
+
+_annotations = cache(get_type_hints)      # of a dataclass, evaluated once
+
+
+def _check_kinds(config, error=ExperimentConfigError) -> None:
+    """Refuse an init field of a dataclass built from a config that is not of
+    its annotated kind (see _is): an `error` naming the class and the field."""
+    kinds = _annotations(type(config))
+    for f in fields(config):
+        if f.init and not _is(value := getattr(config, f.name), kinds[f.name]):
+            raise error(f"{type(config).__name__}: {f.name} must be {f.type}, got {value!r}")
+
+
+def _fields_table(cls) -> dict[str, tuple[None, Any]]:
+    """The _read table of a block that mirrors config dataclass `cls`: each
+    field's default; the constructor checks the kinds."""
+    return {f.name: (None, f.default) for f in fields(cls)}
+
+
+def _read(block, what: str, table: dict[str, tuple[str | None, Any]]) -> dict[str, Any]:
+    """Each key of the JSON object `block` by `table`, key -> (kind, default):
+    absent or null, its default (MISSING: required); else a value of its kind
+    (_JSON_KINDS), never cast, an "array of numbers" read as a float array
+    (kind None: left to the code that uses it).  An unknown key, a missing one
+    or a value of another kind is an ExperimentConfigError naming `what` and the key."""
+    if type(block) is not dict:
+        raise ExperimentConfigError(f"{what} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ExperimentConfigError(f"{what}: unknown key(s) {unknown}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = block.get(key)
+        if value is None:
+            if default is MISSING:
+                raise ExperimentConfigError(f"{what} is missing required key {key!r}")
+            value = default
+        elif kind is not None and not _is(value, _JSON_KINDS[kind]):
+            raise ExperimentConfigError(f"{what}: {key} must be a JSON {kind}, got {value!r}")
+        elif kind == "array of numbers":
+            value = np.asarray(value, dtype=float)
+        values[key] = value
+    return values
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Multiplicative Gaussian population noise: pop *= (1 + N(0, relative_std^2))."""
@@ -33,7 +111,8 @@ class NoiseSpec:
     relative_std: float
 
     def __post_init__(self):
-        if not np.isfinite(self.relative_std) or self.relative_std < 0:
+        _check_kinds(self, SpecValidationError)
+        if not 0 <= self.relative_std < np.inf:
             raise SpecValidationError("relative_std must be finite and >= 0")
 
     @property
@@ -68,6 +147,9 @@ class EnvironmentSpec:
     f_grid: FnGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_kinds(self, SpecValidationError)
+        for name in ("K", "L", "seed"):      # as Python ints, for to_dict
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "B", _readonly(np.asarray(self.B, dtype=float)))
         object.__setattr__(self, "eta_viewer",
                            _readonly(np.asarray(self.eta_viewer, dtype=float)))
@@ -113,23 +195,26 @@ class EnvironmentSpec:
             "eta_viewer": self.eta_viewer.tolist(),
             "eta_provider": self.eta_provider.tolist(),
             "noise": None if self.noise is None else {"relative_std": self.noise.relative_std},
-            "seed": int(self.seed),
+            "seed": self.seed,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "EnvironmentSpec":
+        """The environment of to_dict's form, its values taken as they are."""
         noise = d.get("noise")
+        if not all(isinstance(row, (list, tuple)) for row in d["f"]):
+            raise SpecValidationError("f must be a K x L grid: a list of lists of curves")
         return EnvironmentSpec(
-            K=int(d["K"]),
-            L=int(d["L"]),
-            B=np.asarray(d["B"], dtype=float),
+            K=d["K"],
+            L=d["L"],
+            B=d["B"],
             f=tuple(tuple(ScalarFn.from_dict(fd) for fd in row) for row in d["f"]),
             lambda_bar_viewer=tuple(ScalarFn.from_dict(fd) for fd in d["lambda_bar_viewer"]),
             lambda_bar_provider=tuple(ScalarFn.from_dict(fd) for fd in d["lambda_bar_provider"]),
-            eta_viewer=np.asarray(d["eta_viewer"], dtype=float),
-            eta_provider=np.asarray(d["eta_provider"], dtype=float),
-            noise=None if noise is None else NoiseSpec(float(noise["relative_std"])),
-            seed=int(d.get("seed", 0)),
+            eta_viewer=d["eta_viewer"],
+            eta_provider=d["eta_provider"],
+            noise=None if noise is None else NoiseSpec(noise["relative_std"]),
+            seed=d.get("seed", 0),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

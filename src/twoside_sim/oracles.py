@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import payoffs
 from .functions import linear_fn, scaled_logistic
-from .model import (EnvironmentSpec, PopulationState, as_rows, epsilon_greedy,
-                    _readonly)
+from .model import (EnvironmentSpec, PopulationState, _check_kinds, _readonly, as_rows,
+                    epsilon_greedy)
 
 
 class OracleDomainError(ValueError):
@@ -82,6 +82,7 @@ class LinearGameParams:
     B: np.ndarray
 
     def __post_init__(self):
+        _check_kinds(self)
         for name in ("a0", "a1", "a2"):
             if not (getattr(self, name) > 0):
                 raise OracleDomainError(f"{name} must be > 0")

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (EnvironmentSpec, PolicyMatrix, PolicyValidationError,
-                    PopulationState, as_rows, greedy_rows, validate_policy)
+from .model import (EnvironmentSpec, ExperimentConfigError, PolicyMatrix,
+                    PolicyValidationError, PopulationState, _check_kinds, as_rows,
+                    greedy_rows, validate_policy)
 
 
 class OptimizationError(RuntimeError):
@@ -37,12 +38,13 @@ class LookaheadConfig:
     learning_rate: float = 0.05
 
     def __post_init__(self):
+        _check_kinds(self)
         if not (self.gamma > 0):
-            raise ValueError("gamma must be > 0")
+            raise ExperimentConfigError("gamma must be > 0")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ExperimentConfigError("iterations must be >= 1")
         if not (self.learning_rate >= 0):
-            raise ValueError("learning_rate must be >= 0")
+            raise ExperimentConfigError("learning_rate must be >= 0")
 
 
 def uniform_policy(K: int, L: int) -> PolicyMatrix:

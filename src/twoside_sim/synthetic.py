@@ -10,14 +10,14 @@ Reference-population maps are upper-half sigmoids with per-group scales.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .functions import sigmoid_half, weighted_sigmoid_sum
-from .model import EnvironmentSpec, PopulationState
+from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _check_kinds,
+                    _fields_table, _read)
 
 _INIT_PRESETS = {
     "small": (20.0, 10.0),
@@ -41,44 +41,33 @@ class SyntheticScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_kinds(self)
         if min(self.K, self.L, self.d) < 1:
-            raise ValueError("K, L, d must be >= 1")
+            raise ExperimentConfigError("K, L, d must be >= 1")
         if not (0.0 < self.feature_bernoulli_p < 1.0):
-            raise ValueError("feature_bernoulli_p must be in (0, 1)")
+            raise ExperimentConfigError("feature_bernoulli_p must be in (0, 1)")
         for name in ("lambda_max_range", "tau_range", "quality_max_range",
                      "quality_tau_range"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                            for v in pair)):
-                raise ValueError(f"{name} must be two numbers (lo, hi), got {pair!r}")
-            lo, hi = pair
+            lo, hi = getattr(self, name)
             if not (0.0 < lo <= hi):
-                raise ValueError(f"{name} must be a positive interval, got {(lo, hi)}")
+                raise ExperimentConfigError(f"{name} must be a positive interval, got {(lo, hi)}")
             object.__setattr__(self, name, (float(lo), float(hi)))
         if self.init not in _INIT_PRESETS:
-            raise ValueError(f"init must be one of {list(_INIT_PRESETS)}, got {self.init!r}")
+            raise ExperimentConfigError(
+                f"init must be one of {list(_INIT_PRESETS)}, got {self.init!r}")
         if not (0.0 <= self.eta <= 1.0):
-            raise ValueError("eta must be in [0, 1]")
+            raise ExperimentConfigError("eta must be in [0, 1]")
         if self.T < 1:
-            raise ValueError("T must be >= 1")
+            raise ExperimentConfigError("T must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ExperimentConfigError("seed must be >= 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "K": self.K, "L": self.L, "d": self.d,
-            "feature_bernoulli_p": self.feature_bernoulli_p,
-            "lambda_max_range": list(self.lambda_max_range),
-            "tau_range": list(self.tau_range),
-            "quality_max_range": list(self.quality_max_range),
-            "quality_tau_range": list(self.quality_tau_range),
-            "init": self.init, "eta": self.eta, "T": self.T, "seed": self.seed,
-        }
+        """The fields, the ranges as lists (a JSON block holds no tuples)."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SyntheticScenarioConfig":
-        from .experiment import _fields_table, _read     # experiment imports this module
         return cls(**_read(d, "synthetic scenario", _fields_table(cls)))
 
 

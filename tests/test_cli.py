@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from twoside_sim import EnvironmentSpec, linear_fn
+from twoside_sim import EnvironmentSpec, experiment, linear_fn
 from twoside_sim.cli import main
 
 
@@ -220,6 +220,13 @@ FIXED_POINT_CONFIG = {"environment": _two_group_inline(),
                       "init": {"viewer": [0.1, 0.1], "provider": [0.1]},
                       "policy": [[1.0], [1.0]]}
 
+
+def _inline_config(**keys):
+    """FIXED_POINT_CONFIG with `keys` of its inline environment replaced."""
+    inline = FIXED_POINT_CONFIG["environment"]["inline"]
+    return {**FIXED_POINT_CONFIG, "environment": {"inline": {**inline, **keys}}}
+
+
 # (command, key, payload): a value of the wrong type or shape for a command
 # that reads a config, or an unknown key in one of its blocks.  Each was once
 # reported as a runtime failure (exit 1), read as some other value (an
@@ -285,6 +292,11 @@ UNPARSABLE_VALUES = [
     ("estimate", "iters", {**MISSPELLED_KEYS["estimate"][1], "lookahead": {"iters": 2}}),
     ("gen", "tau_range", scenario_dict(tau_range=[4, 8, 20])),
     ("gen", "tau_range", scenario_dict(tau_range=[[4, 8]])),
+    ("fixed-point", "params", _inline_config(f=[[{"kind": "linear"}]] * 2)),
+    ("fixed-point", "slope", _inline_config(f=[[{"kind": "linear", "params": {}}]] * 2)),
+    ("fixed-point", "slope", _inline_config(f=[[{"kind": "linear", "params": {
+        "slope": True, "intercept": 0.0}}]] * 2)),
+    ("fixed-point", "grid", _inline_config(f=[5, 5])),
 ]
 
 
@@ -509,6 +521,20 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["fixed-point", "--config", cfg, "--quiet"])
     assert code == 1
     assert json.loads(err)["error"]["type"] == "ConvergenceError"
+
+
+# a program bug is a runtime failure, never reported as a config error
+@pytest.mark.parametrize("name,error", [("load_environment", TypeError("a bug")),
+                                        ("uniform_policy", ValueError("a bug"))])
+def test_program_bug_in_a_run_exits_1(tmp_path, capsys, monkeypatch, name, error):
+    def bug(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(experiment, name, bug)
+    cfg = write_json(tmp_path, "exp.json", RUN_CONFIG)
+    code, _, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(err)["error"] == {"type": type(error).__name__, "message": "a bug"}
 
 
 # ---------------------------------------------------------------------------

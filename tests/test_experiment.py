@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import random_env, random_state
 from twoside_sim import (DivergenceError, EnvironmentSpec, ExperimentConfig,
-                         ExperimentConfigError, LookaheadConfig, NoiseSpec,
+                         ExperimentConfigError, ExploreCommitConfig, LinearGameParams,
+                         LookaheadConfig, NoiseSpec,
                          PolicySpec, PopulationState, SyntheticScenarioConfig,
                          Trajectory, TrajectoryTable, build_policy,
                          empirical_regret_suite, epsilon_greedy, gen_synthetic,
@@ -91,6 +92,59 @@ def test_experiment_config_validation(tmp_path):
     cfg = ExperimentConfig(environment=scenario(), policies=uni, T=3,
                            seeds=(np.int64(4), np.int32(2), 7), outputs=str(tmp_path))
     assert cfg.seeds == (4, 2, 7) and all(type(s) is int for s in cfg.seeds)
+
+
+UNIFORM = (PolicySpec(name="u", kind="uniform"),)
+
+# (id, field, construction): a value of another kind than its field's
+# annotation, refused at construction by an error that names the field
+WRONG_KINDS = [
+    ("lookahead iterations", "iterations", lambda: LookaheadConfig(iterations=2.5)),
+    ("lookahead gamma", "gamma", lambda: LookaheadConfig(gamma=True)),
+    ("spec epsilon", "epsilon", lambda: PolicySpec("a", "epsilon_greedy", epsilon=True)),
+    ("spec lookahead", "lookahead",
+     lambda: PolicySpec("a", "lookahead", lookahead={"gamma": 1})),
+    ("spec name", "name", lambda: PolicySpec(name=5, kind="uniform")),
+    ("scenario K", "K", lambda: SyntheticScenarioConfig(K=2.5)),
+    ("scenario T", "T", lambda: SyntheticScenarioConfig(T=True)),
+    ("scenario seed", "seed", lambda: SyntheticScenarioConfig(seed=1.5)),
+    ("etc T_b", "T_b", lambda: ExploreCommitConfig(T_b=2.5, T=10, beta=0.5)),
+    ("etc refit_every", "refit_every",
+     lambda: ExploreCommitConfig(2, 10, 0.5, refit_every=True)),
+    ("linear game a0", "a0",
+     lambda: LinearGameParams(a0=True, a1=0.5, a2=0.5, b2=0.0, B=[[1.0]])),
+    ("experiment T", "T", lambda: ExperimentConfig(
+        environment=scenario(), policies=UNIFORM, T=2.5, seeds=(0,), outputs="out")),
+    ("experiment outputs", "outputs", lambda: ExperimentConfig(
+        environment=scenario(), policies=UNIFORM, T=2, seeds=(0,), outputs=5)),
+    ("experiment environment", "environment", lambda: ExperimentConfig(
+        environment=scenario().to_dict(), policies=UNIFORM, T=2, seeds=(0,), outputs="out")),
+    ("experiment policies", "policies", lambda: ExperimentConfig(
+        environment=scenario(), policies=({"name": "u", "kind": "uniform"},), T=2,
+        seeds=(0,), outputs="out")),
+    ("environment K", "K",
+     lambda: EnvironmentSpec.from_dict({**random_env(1, max_dim=2).to_dict(), "K": 1.7})),
+]
+
+
+@pytest.mark.parametrize("field,make", [case[1:] for case in WRONG_KINDS],
+                         ids=[case[0] for case in WRONG_KINDS])
+def test_constructors_refuse_a_value_of_another_kind(field, make):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        make()
+
+
+def test_constructors_take_numpy_numbers(tmp_path):
+    la = LookaheadConfig(gamma=np.float64(2.0), iterations=np.int64(3),
+                         learning_rate=np.float32(0.1))
+    spec = PolicySpec("la", "lookahead", beta=np.float64(0.5), lookahead=la)
+    scen = scenario(K=np.int64(3), eta=np.float64(0.3), tau_range=(np.int64(4), 8.0))
+    assert scen.tau_range == (4.0, 8.0)
+    ExploreCommitConfig(np.int64(2), np.int32(10), np.float64(0.5), refit_every=np.int64(2))
+    LinearGameParams(a0=np.float64(0.5), a1=0.5, a2=0.5, b2=np.int64(0), B=np.eye(2))
+    cfg = ExperimentConfig(environment=scen, policies=(spec,), T=np.int64(3),
+                           seeds=(np.int64(4),), outputs=str(tmp_path))
+    assert cfg.seeds == (4,) and type(cfg.seeds[0]) is int
 
 
 def test_config_from_dict_synthetic_defaults_horizon(tmp_path):

@@ -148,6 +148,32 @@ def test_round_trip_through_dict(seed):
         assert fn_eval(back, x) == fn_eval(fn, x)
 
 
+# (curve entry, words its refusal names): the kind and the key at fault
+@pytest.mark.parametrize("entry,names", [
+    ({"kind": "linear"}, ["params"]),
+    ([["linear", {"slope": 1.0}]], ["params"]),
+    ({"kind": "linear", "params": [1.0, 0.0]}, ["params"]),
+    ({"kind": "linear", "params": {}}, ["linear", "slope"]),
+    ({"kind": "linear", "params": {"slope": 1.0, "intercept": 0.0, "colour": 1.0}},
+     ["linear", "colour"]),
+    ({"kind": "linear", "params": {"slope": "a", "intercept": 0.0}}, ["linear", "slope"]),
+    ({"kind": "linear", "params": {"slope": True, "intercept": 0.0}}, ["linear", "slope"]),
+    ({"kind": "sigmoid_half", "params": {"max": 1.0, "tau": np.nan}}, ["sigmoid_half", "tau"]),
+    ({"kind": "sigmoid_half", "params": {"max": 10**400, "tau": 1.0}}, ["sigmoid_half", "max"]),
+    ({"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0]]}}, ["table", "knots"]),
+    ({"kind": "table", "params": {"knots": [[0.0, 0.0, 1.0], [1.0, 1.0, 2.0]]}},
+     ["table", "knots"]),
+    ({"kind": "weighted_sigmoid_sum",
+      "params": {"weights": [1.0], "max_values": ["1"], "taus": [1.0]}},
+     ["weighted_sigmoid_sum", "max_values"]),
+    ({"kind": "quadratic", "params": {}}, ["quadratic"]),
+])
+def test_from_dict_refuses_a_malformed_curve(entry, names):
+    with pytest.raises(FunctionConfigError) as err:
+        ScalarFn.from_dict(entry)
+    assert all(name in str(err.value) for name in names)
+
+
 def test_table_round_trip():
     fn = table_fn([(0.0, 0.0), (2.0, 1.0), (5.0, 1.5)])
     back = ScalarFn.from_dict(fn.to_dict())

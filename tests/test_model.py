@@ -90,11 +90,33 @@ def test_digest_is_kept_and_equals_a_recomputation():
     assert noisy.digest() != want
 
 
+# (key, value, the field named): from_dict takes each value as it is, never cast
+@pytest.mark.parametrize("key,value,field", [
+    ("K", 1.7, "K"), ("L", "2", "L"), ("seed", True, "seed"), ("seed", 1.0, "seed"),
+    ("noise", {"relative_std": "0.1"}, "relative_std"),
+    ("noise", {"relative_std": True}, "relative_std"),
+    ("B", [["1.5", "0.0"], ["0.0", "1.0"]], "B"),
+])
+def test_env_from_dict_refuses_a_value_of_another_kind(key, value, field):
+    with pytest.raises(SpecValidationError, match=field):
+        EnvironmentSpec.from_dict({**tiny_env().to_dict(), key: value})
+    text = json.dumps({**tiny_env().to_dict(), key: value})
+    with pytest.raises(SpecValidationError, match=field):
+        EnvironmentSpec.from_json(text)
+
+
+def test_env_takes_numpy_integers():
+    env = dataclasses.replace(tiny_env(), K=np.int64(2), seed=np.int32(3))
+    assert env.digest() == tiny_env(seed=3).digest()
+
+
 def test_noise_spec_validation():
     assert not NoiseSpec(0.0).active
     assert NoiseSpec(0.05).active
     with pytest.raises(SpecValidationError):
         NoiseSpec(-0.1)
+    with pytest.raises(SpecValidationError, match="relative_std"):
+        NoiseSpec(np.inf)
     assert not tiny_env().noise_active
     assert tiny_env(noise=NoiseSpec(0.02)).noise_active
 
