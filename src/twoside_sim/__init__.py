@@ -7,8 +7,8 @@ from .functions import (FunctionConfigError, FunctionDomainError, ScalarFn,
                         weighted_sigmoid_sum)
 from .model import (EnvironmentSpec, NoiseSpec, Payoffs, PolicyMatrix,
                     PolicyValidationError, PopulationState,
-                    SpecValidationError, as_rows, epsilon_greedy,
-                    greedy_rows, validate_policy)
+                    SpecValidationError, epsilon_greedy, greedy_rows,
+                    validate_policy)
 from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        DivergenceError, FixedPointPreconditionError,
                        StabilityReport, Trajectory, TrajectoryStep,

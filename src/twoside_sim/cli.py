@@ -27,7 +27,7 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
 from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, PolicySpec, _from_config,
                          build_policy, load_environment, resolve_environment, run_experiment)
 from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _fields_table,
-                    _read, epsilon_greedy)
+                    _policy_rows, _read, epsilon_greedy)
 from .policies import LookaheadConfig
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
@@ -140,11 +140,9 @@ def _preset_cases(args):
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": ("array of numbers", MISSING),
                                  "tol": (None, 1e-10), "max_iter": ("integer", 100000)})
     env, init = _environment(cfg)
-    if cfg["policy"].shape != (env.K, env.L):
-        raise ExperimentConfigError(
-            f"policy shape {cfg['policy'].shape} does not match (K, L)={(env.K, env.L)}")
+    policy = _from_config("policy", _policy_rows, cfg["policy"], env.K, env.L)
     _from_config(f"{args.command} config", _check_tol, cfg["tol"])
-    return env, cfg["policy"], {"init": init}, cfg["tol"], cfg["max_iter"]
+    return env, policy, {"init": init}, cfg["tol"], cfg["max_iter"]
 
 
 def cmd_fixed_point(args) -> int:
@@ -252,9 +250,7 @@ def cmd_oracle(args) -> int:
     cfg = _command_config(args, _ORACLE_TABLES[args.oracle_cmd])
     params = _from_config(f"oracle {args.oracle_cmd} config", LinearGameParams,
                           **_read(cfg["params"], "params", _fields_table(LinearGameParams)))
-    pi = cfg.get("pi")
-    if pi is not None and pi.shape != params.B.shape:
-        raise ExperimentConfigError(f"pi shape {pi.shape} does not match B's {params.B.shape}")
+    pi = _from_config("pi", _policy_rows, cfg["pi"], params.K, params.L) if "pi" in cfg else None
     if args.oracle_cmd == "linear-ne":
         ne = linear_ne(params, pi)
         env = linear_env(params)

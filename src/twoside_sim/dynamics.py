@@ -20,7 +20,7 @@ import numpy as np
 
 from .functions import _row_dots
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    SpecValidationError, _frozen, _is, _readonly, as_rows, greedy_rows,
+                    SpecValidationError, _frozen, _is, _policy_rows, _readonly, greedy_rows,
                     validate_policy)
 from .policies import myopic_greedy
 
@@ -58,11 +58,8 @@ def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
 
 
 def _checked(env: EnvironmentSpec, state: PopulationState, pi) -> np.ndarray | None:
-    """The rows of `pi` (None for None), after checking them and `state`
-    against the environment."""
-    rows = None if pi is None else as_rows(pi)
-    if rows is not None and rows.shape != (env.K, env.L):
-        raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
+    """_policy_rows of `pi` (None for None), with `state` checked against the environment."""
+    rows = None if pi is None else _policy_rows(pi, env.K, env.L)
     if state.viewer.shape != (env.K,) or state.provider.shape != (env.L,):
         raise ValueError("state dimensions do not match the environment")
     return rows
@@ -303,7 +300,7 @@ def _decider(env: EnvironmentSpec, policy):
             try:
                 if c not in failed:
                     state = PopulationState(t=t, viewer=viewer[c], provider=provider[c])
-                    rows[c] = _checked(env, state, validate_policy(policy(env, state)))
+                    rows[c] = _checked(env, state, policy(env, state))
             except Exception as err:
                 failed[c] = err
         return rows
@@ -482,7 +479,8 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
     (J - I)(J - I)^+ is a nonzero projector, so its norm is at least 1.
     """
     _check_tol(tol)
-    rows = as_rows(pi)              # find_fixed_point checks it against env
+    pi = validate_policy(pi)        # checked once, before any start, then passed along
+    rows = _policy_rows(pi, env.K, env.L)
     found: list[tuple] = []         # (point, x, lower bound, radius() taken once)
     for init in inits:
         try:

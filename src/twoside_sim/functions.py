@@ -35,6 +35,7 @@ returning value and slope from one pass.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -79,21 +80,28 @@ class ScalarFn:
 
 def _is_numbers(value, ndim: int) -> bool:
     """Whether `value` is a number (ndim 0: a Python or numpy int or float,
-    never a bool), or a rectangular list, tuple or numeric array of them with
-    ndim axes."""
+    never a bool, and never a Python int past the largest float), or a
+    rectangular list, tuple or numeric array of them with ndim axes."""
     if isinstance(value, np.ndarray):
         return value.ndim == ndim and value.dtype.kind in "iuf"
     if ndim == 0:
-        return _is_number_type(type(value))
+        return _is_number_type(type(value)) and _in_float_range(value)
     if not isinstance(value, (list, tuple)):
         return False
-    if ndim == 1:       # each type among the entries, once
-        return all(map(_is_number_type, set(map(type, value))))
+    if ndim == 1:       # each type among the entries, once; Python ints one by one
+        types = set(map(type, value))
+        return all(map(_is_number_type, types)) and (
+            not any(issubclass(t, int) for t in types) or all(map(_in_float_range, value)))
     return all(_is_numbers(v, ndim - 1) for v in value) and len(set(map(np.shape, value))) < 2
 
 
 def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+
+
+def _in_float_range(number) -> bool:
+    """False for a Python int past the largest float (float() refuses it)."""
+    return not isinstance(number, int) or abs(number) <= sys.float_info.max
 
 
 def _finite(kind: str, params, *keys: str, ndim: int = 0) -> list[np.ndarray]:
@@ -110,10 +118,7 @@ def _finite(kind: str, params, *keys: str, ndim: int = 0) -> list[np.ndarray]:
         if key not in params:
             raise FunctionConfigError(f"{kind} is missing parameter {key!r}")
         value = params[key]
-        try:
-            arr = np.asarray(value, dtype=float) if _is_numbers(value, ndim) else None
-        except OverflowError:       # an int past the largest float
-            arr = None
+        arr = np.asarray(value, dtype=float) if _is_numbers(value, ndim) else None
         if arr is None or not np.isfinite(arr).all():
             raise FunctionConfigError(f"{kind} parameter {key!r} must be "
                                       f"{_FINITE[ndim]}, got {value!r}")

@@ -287,7 +287,7 @@ class PolicyMatrix:
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise PolicyValidationError(
-                f"policy row {bad} sums to {sums[bad]!r}, expected 1 within {ROW_SUM_TOL}")
+                f"policy row {bad} sums to {float(sums[bad])!r}, expected 1 within {ROW_SUM_TOL}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -295,15 +295,19 @@ class PolicyMatrix:
         return self.rows.shape
 
 
-def as_rows(pi) -> np.ndarray:
-    """Accept a PolicyMatrix or a raw matrix and return the underlying array."""
-    return pi.rows if isinstance(pi, PolicyMatrix) else np.asarray(pi, dtype=float)
-
-
 def validate_policy(m) -> PolicyMatrix:
     """`m` as an allocation policy: a PolicyMatrix as it is (it was checked
     when made), anything else checked by the PolicyMatrix constructor."""
     return m if isinstance(m, PolicyMatrix) else PolicyMatrix(m)
+
+
+def _policy_rows(pi, K: int, L: int) -> np.ndarray:
+    """The rows of `pi` after the one check of a policy, made by every call that
+    takes one: entries and row sums (validate_policy), then the shape (K, L)."""
+    rows = validate_policy(pi).rows
+    if rows.shape != (K, L):
+        raise PolicyValidationError(f"policy shape {rows.shape} does not match (K, L)={(K, L)}")
+    return rows
 
 
 def greedy_rows(B) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import payoffs
 from .functions import linear_fn, scaled_logistic
-from .model import (EnvironmentSpec, PopulationState, _check_kinds, _readonly, as_rows,
+from .model import (EnvironmentSpec, PopulationState, _check_kinds, _policy_rows, _readonly,
                     epsilon_greedy)
 
 
@@ -117,16 +117,13 @@ def linear_env(params: LinearGameParams, eta_viewer: float = 0.5,
     )
 
 
-def _linear_system(params: LinearGameParams, pi) -> tuple[np.ndarray, np.ndarray]:
-    """(M, y) with M * viewer_eq = a1 * y: M = I - a0 a1 a2 pi pi^T and
-    y_k = sum_l pi[k,l] B[k,l] + a0 b2."""
-    rows = as_rows(pi)
-    if rows.shape != (params.K, params.L):
-        raise OracleDomainError(
-            f"policy shape {rows.shape} does not match B shape {params.B.shape}")
+def _linear_system(params: LinearGameParams, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows of pi, M, y) with M * viewer_eq = a1 * y: M = I - a0 a1 a2 pi pi^T
+    and y_k = sum_l pi[k,l] B[k,l] + a0 b2."""
+    rows = _policy_rows(pi, params.K, params.L)
     M = np.eye(params.K) - params.a0 * params.a1 * params.a2 * (rows @ rows.T)
     y = (rows * params.B).sum(axis=1) + params.a0 * params.b2
-    return M, y
+    return rows, M, y
 
 
 def _check_pd(M: np.ndarray) -> None:
@@ -143,10 +140,10 @@ def linear_ne(params: LinearGameParams, pi) -> PopulationState:
     viewer_eq = a1 * (I - a0 a1 a2 pi pi^T)^-1 [rowsum(pi*B) + a0 b2 1]
     provider_eq = a2 * pi^T viewer_eq + b2
     """
-    M, y = _linear_system(params, pi)
+    rows, M, y = _linear_system(params, pi)
     _check_pd(M)
     viewer_eq = params.a1 * np.linalg.solve(M, y)
-    provider_eq = params.a2 * (as_rows(pi).T @ viewer_eq) + params.b2
+    provider_eq = params.a2 * (rows.T @ viewer_eq) + params.b2
     if np.any(viewer_eq < 0) or np.any(provider_eq < 0):
         raise OracleDomainError(
             "equilibrium has negative populations; the unclipped closed form "
@@ -156,7 +153,7 @@ def linear_ne(params: LinearGameParams, pi) -> PopulationState:
 
 def linear_welfare(params: LinearGameParams, pi) -> float:
     """Closed-form equilibrium welfare R = a1 * || M^-1 y ||^2."""
-    M, y = _linear_system(params, pi)
+    _, M, y = _linear_system(params, pi)
     _check_pd(M)
     z = np.linalg.solve(M, y)
     return float(params.a1 * (z @ z))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (EnvironmentSpec, ExperimentConfigError, PolicyMatrix,
-                    PolicyValidationError, PopulationState, _check_kinds, as_rows,
+                    PolicyValidationError, PopulationState, _check_kinds, _policy_rows,
                     greedy_rows, validate_policy)
 
 
@@ -95,10 +95,8 @@ def interpolate(pi_lookahead, pi_myopic, beta: float) -> PolicyMatrix:
     """beta * pi_lookahead + (1 - beta) * pi_myopic, entrywise."""
     if not (0.0 <= beta <= 1.0):
         raise PolicyValidationError(f"beta must be in [0, 1], got {beta}")
-    a = as_rows(pi_lookahead)
-    b = as_rows(pi_myopic)
-    if a.shape != b.shape:
-        raise PolicyValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a = validate_policy(pi_lookahead).rows
+    b = _policy_rows(pi_myopic, *a.shape)
     return validate_policy(beta * a + (1.0 - beta) * b)
 
 
@@ -130,8 +128,9 @@ def _objective(pieces) -> float:
 
 
 def _checked_forward_pass(env: EnvironmentSpec, state: PopulationState, pi, gamma: float):
-    """(q, pieces) at `pi`, after checking its shape."""
-    rows = as_rows(pi)
+    """(q, pieces) at the candidate `pi`, its shape alone checked, not _policy_rows:
+    the finite-difference probe steps off the simplex, so any K x L matrix is scored."""
+    rows = pi.rows if isinstance(pi, PolicyMatrix) else np.asarray(pi, dtype=float)
     if rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
     q = _utilities(env, state)
@@ -152,7 +151,7 @@ def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
 def finite_difference_gradient(env: EnvironmentSpec, state: PopulationState, pi,
                                gamma: float, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of lookahead_objective, entry by entry."""
-    rows = np.array(as_rows(pi), dtype=float)
+    rows = np.array(pi.rows if isinstance(pi, PolicyMatrix) else pi, dtype=float)
     grad = np.empty_like(rows)
     for k in range(rows.shape[0]):
         for l in range(rows.shape[1]):
@@ -223,7 +222,7 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     if config is None:
         config = LookaheadConfig()
     q = _utilities(env, state)
-    init = 0.9 * greedy_rows(q) + 0.1 * as_rows(uniform_policy(env.K, env.L))
+    init = 0.9 * greedy_rows(q) + 0.1 * uniform_policy(env.K, env.L).rows
     theta = np.log(init)
     best_pi: np.ndarray | None = None
     best_obj = -np.inf

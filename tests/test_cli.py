@@ -297,6 +297,13 @@ UNPARSABLE_VALUES = [
     ("fixed-point", "slope", _inline_config(f=[[{"kind": "linear", "params": {
         "slope": True, "intercept": 0.0}}]] * 2)),
     ("fixed-point", "grid", _inline_config(f=[5, 5])),
+    ("fixed-point", "policy", {**MISSPELLED_KEYS["fixed-point"][1],
+                               "policy": np.full((3, 3), 0.7 / 3).tolist()}),
+    ("stability", "policy", {**MISSPELLED_KEYS["stability"][1],
+                             "policy": np.full((3, 3), 0.7 / 3).tolist()}),
+    ("oracle linear-ne", "pi", {"params": LINEAR_PARAMS, "pi": [[0.7]]}),
+    ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [[0.7]]}),
+    ("gen", "tau_range", scenario_dict(tau_range=[4, int("9" * 400)])),
 ]
 
 

@@ -9,13 +9,14 @@ from scipy.optimize import linear_sum_assignment
 import twoside_sim.dynamics as dynamics
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
-                         FixedPointPreconditionError, FunctionDomainError, NoiseSpec,
-                         PolicyValidationError, PopulationState, SyntheticScenarioConfig,
-                         assemble_jacobian, closed_form_eigenvalues,
+                         FixedPointPreconditionError, FunctionDomainError, LinearGameParams,
+                         NoiseSpec, PolicyValidationError, PopulationState,
+                         SyntheticScenarioConfig, assemble_jacobian, closed_form_eigenvalues,
                          enumerate_fixed_points, epsilon_greedy,
                          find_fixed_point, fixed_point_residual, fn_deriv,
-                         fn_eval, gen_synthetic, jacobian_eigenvalues,
-                         linear_fn, lockstep_rollouts, myopic_greedy,
+                         fn_eval, game_utilities, gen_synthetic, gradient_ascent_update,
+                         interpolate, jacobian_eigenvalues, linear_fn, linear_ne,
+                         linear_welfare, lockstep_rollouts, myopic_greedy,
                          parse_trajectory_csv, payoffs, rollout, saturating_exp, scaled_logistic, step, table_fn,
                          three_equilibria_env,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
@@ -226,6 +227,50 @@ def test_rollout_propagates_policy_rule_errors():
 
     with pytest.raises(PolicyValidationError):
         rollout(env, bad_rule, 3, init)
+
+
+# --- the policy check: every call that takes a policy ---
+
+CHECK_ENV = linear_env(2, 1, [0.5, 0.5], [0.5], [[0.1], [0.1]], B=[[1.0], [0.5]],
+                       eta_v=[0.5, 0.5], eta_p=[0.5])       # one rate per side: a closed form
+CHECK_AT = PopulationState(t=0, viewer=[1.0, 1.0], provider=[1.0])
+CHECK_PARAMS = LinearGameParams(a0=0.1, a1=0.5, a2=0.5, b2=0.0, B=[[1.0], [0.5]])
+CHECK_POLICY = [[1.0], [1.0]]
+
+
+def at_fixed_point(call):
+    """call(env, pi, fp) at CHECK_POLICY's fixed point from CHECK_AT."""
+    return lambda pi: call(CHECK_ENV, pi, find_fixed_point(CHECK_ENV, CHECK_POLICY, CHECK_AT))
+
+
+POLICY_CALLS = {
+    "payoffs": lambda pi: payoffs(CHECK_ENV, CHECK_AT, pi),
+    "step": lambda pi: step(CHECK_ENV, CHECK_AT, pi),
+    "rollout": lambda pi: rollout(CHECK_ENV, pi, 2, CHECK_AT),
+    "find_fixed_point": lambda pi: find_fixed_point(CHECK_ENV, pi, CHECK_AT),
+    "enumerate_fixed_points": lambda pi: enumerate_fixed_points(CHECK_ENV, pi, [CHECK_AT]),
+    "enumerate_fixed_points no inits": lambda pi: enumerate_fixed_points(CHECK_ENV, pi, []),
+    "fixed_point_residual": lambda pi: fixed_point_residual(CHECK_ENV, pi, CHECK_AT),
+    "assemble_jacobian": lambda pi: assemble_jacobian(CHECK_ENV, pi, CHECK_AT),
+    "closed_form_eigenvalues": lambda pi: closed_form_eigenvalues(CHECK_ENV, pi, CHECK_AT),
+    "jacobian_eigenvalues": at_fixed_point(jacobian_eigenvalues),
+    "game_utilities": lambda pi: game_utilities(CHECK_ENV, pi, CHECK_AT),
+    "gradient_ascent_update": lambda pi: gradient_ascent_update(CHECK_ENV, pi, CHECK_AT),
+    "linear_ne": lambda pi: linear_ne(CHECK_PARAMS, pi),
+    "linear_welfare": lambda pi: linear_welfare(CHECK_PARAMS, pi),
+    "interpolate": lambda pi: interpolate(pi, CHECK_POLICY, 0.5),
+}
+NOT_POLICIES = {"rows sum to 0.7": [[0.7], [0.7]], "wrong shape": [[0.5, 0.5], [0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("bad", NOT_POLICIES.values(), ids=list(NOT_POLICIES))
+@pytest.mark.parametrize("call", POLICY_CALLS.values(), ids=list(POLICY_CALLS))
+def test_every_call_that_takes_a_policy_refuses_a_matrix_that_is_not_one(call, bad):
+    """A K x L row-stochastic matrix is taken; one whose rows sum to 0.7 or of
+    another shape is a PolicyValidationError, an empty `inits` included."""
+    call(CHECK_POLICY)
+    with pytest.raises(PolicyValidationError):
+        call(bad)
 
 
 # --- fixed points ---

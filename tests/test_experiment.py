@@ -124,6 +124,9 @@ WRONG_KINDS = [
         seeds=(0,), outputs="out")),
     ("environment K", "K",
      lambda: EnvironmentSpec.from_dict({**random_env(1, max_dim=2).to_dict(), "K": 1.7})),
+    ("lookahead gamma past the float range", "gamma", lambda: LookaheadConfig(gamma=10**400)),
+    ("environment B past the float range", "B", lambda: EnvironmentSpec.from_dict(
+        {**random_env(1, max_dim=2).to_dict(), "B": [[10**400]]})),
 ]
 
 
