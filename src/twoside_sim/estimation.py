@@ -129,14 +129,25 @@ def _fit_curves(curves) -> list[SaturatingExpFit]:
 
 
 def _profile(t: np.ndarray, yc: np.ndarray, log_rate: np.ndarray):
-    """Best a0 >= 0, the SSE and mean(g) of curves (B, n) at rates (B, m)."""
-    g = -np.expm1(-np.exp(log_rate)[..., None] * t[:, None, :])
-    g_mean = g.mean(axis=-1)
-    gc = g - g_mean[..., None]
-    cov = np.sum(gc * yc[:, None, :], axis=-1)
-    a0 = np.where(cov > 0.0, cov / np.sum(gc * gc, axis=-1), 0.0)
-    resid = yc[:, None, :] - a0[..., None] * gc
-    return a0, np.sum(resid * resid, axis=-1), g_mean
+    """Best a0 >= 0, the SSE and mean(g) of curves (B, n) at rates (B, m),
+    where g = 1 - exp(-r t).
+
+    It works in place on h = expm1(-r t) = -g and one scratch buffer.  IEEE
+    negation is exact, so each sum of h is minus that sum of g, and the
+    results equal those of the formula written in g bit for bit."""
+    n = t.shape[-1]
+    h = np.multiply(-np.exp(log_rate)[..., None], t[:, None, :])
+    np.expm1(h, out=h)
+    h_mean = np.add.reduce(h, axis=-1) / n
+    h -= h_mean[..., None]                                # -(g - mean(g))
+    scratch = np.multiply(h, yc[:, None, :])
+    cov = -np.add.reduce(scratch, axis=-1)
+    np.multiply(h, h, out=scratch)
+    a0 = np.where(cov > 0.0, cov / np.add.reduce(scratch, axis=-1), 0.0)
+    h *= a0[..., None]
+    h += yc[:, None, :]                                   # the residuals
+    np.multiply(h, h, out=h)
+    return a0, np.add.reduce(h, axis=-1), -h_mean
 
 
 def _fit_batch(X: np.ndarray, Y: np.ndarray) -> list[SaturatingExpFit]:
@@ -158,12 +169,14 @@ def _fit_batch(X: np.ndarray, Y: np.ndarray) -> list[SaturatingExpFit]:
     best, best_sse = np.take_along_axis(grid, j, 1), np.take_along_axis(sse, j, 1)
     a = np.take_along_axis(grid, np.maximum(j - 1, 0), 1)
     b = np.take_along_axis(grid, np.minimum(j + 1, J), 1)
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    step = _GOLDEN * (b - a)
+    c, d = b - step, a + step
     fc, fd = _profile(t, yc, c)[1], _profile(t, yc, d)[1]
     for _ in range(_GOLDEN_STEPS):
         left = fc < fd          # the minimum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        step = _GOLDEN * (b - a)
+        new = np.where(left, b - step, a + step)
         f_new = _profile(t, yc, new)[1]
         c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
                         np.where(left, f_new, fd), np.where(left, fc, f_new))

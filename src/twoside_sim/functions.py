@@ -146,35 +146,49 @@ def _jsonable_params(p: dict) -> dict:
 
 
 def linear_fn(slope: float, intercept: float = 0.0) -> ScalarFn:
-    return ScalarFn("linear", {"slope": float(slope), "intercept": float(intercept)})
+    return ScalarFn("linear", {"slope": _float(slope), "intercept": _float(intercept)})
 
 
 def sigmoid_half(max_value: float, tau: float) -> ScalarFn:
     """Upper half of a sigmoid: max * (sigma(x / tau) - 0.5); zero at x = 0."""
-    return ScalarFn("sigmoid_half", {"max": float(max_value), "tau": float(tau)})
+    return ScalarFn("sigmoid_half", {"max": _float(max_value), "tau": _float(tau)})
 
 
 def saturating_exp(a0: float, a1: float, a2: float, a3: float) -> ScalarFn:
     return ScalarFn("saturating_exp",
-                    {"a0": float(a0), "a1": float(a1), "a2": float(a2), "a3": float(a3)})
+                    {"a0": _float(a0), "a1": _float(a1), "a2": _float(a2), "a3": _float(a3)})
 
 
 def scaled_logistic(gain: float, scale: float, shift: float) -> ScalarFn:
     return ScalarFn("scaled_logistic",
-                    {"gain": float(gain), "scale": float(scale), "shift": float(shift)})
+                    {"gain": _float(gain), "scale": _float(scale), "shift": _float(shift)})
 
 
 def table_fn(knots: list[tuple[float, float]]) -> ScalarFn:
-    return ScalarFn("table", {"knots": [(float(x), float(y)) for x, y in knots]})
+    return ScalarFn("table", {"knots": [(_float(x), _float(y)) for x, y in knots]})
 
 
 def weighted_sigmoid_sum(weights, max_values, taus) -> ScalarFn:
     """Non-negatively weighted sum of sigmoid_half components."""
     return ScalarFn("weighted_sigmoid_sum", {
-        "weights": [float(w) for w in np.asarray(weights, dtype=float)],
-        "max_values": [float(m) for m in np.asarray(max_values, dtype=float)],
-        "taus": [float(t) for t in np.asarray(taus, dtype=float)],
-    })
+        "weights": _floats(weights), "max_values": _floats(max_values), "taus": _floats(taus)})
+
+
+# A number float() cannot hold, an int past the largest float, is kept as
+# given, so that the kind's parameter check refuses it by name, as from_dict does.
+
+def _float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
+def _floats(values) -> list:
+    try:
+        return [float(v) for v in np.asarray(values, dtype=float)]
+    except OverflowError:
+        return list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +301,7 @@ class FnGrid:
         shared = _shared_sigmoid_components(grid)
         if shared is None:
             self._cells = FnVector(fn for row in grid for fn in row)
+            self._cell_columns = np.tile(np.arange(self.shape[1]), self.shape[0])   # cell -> l
         else:
             self._cells = None
             self._weights, max_values, taus = shared   # (K, d), (L, d), (L, d)
@@ -296,20 +311,22 @@ class FnGrid:
     def value(self, x) -> np.ndarray:
         return self._apply(_finite_vector(x, self.shape[1]))
 
+    def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(value(x), the slope of entry (k, l) at x[..., l]) from one pass and
+        one finiteness check; the value equals value(x) bit for bit."""
+        return self._apply_both(_finite_vector(x, self.shape[1]))
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._cells is not None:
-            return self._cells._apply(np.tile(x, self.shape[0])).reshape(
+            return self._cells._apply(x[..., self._cell_columns]).reshape(
                 x.shape[:-1] + self.shape)
         comp = self._half_max * np.tanh(x[..., None] / self._two_taus)     # (..., L, d)
         return self._weights @ comp.swapaxes(-1, -2)
 
-    def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(value(x), the slope of entry (k, l) at x[..., l]) from one pass and
-        one finiteness check; the value equals value(x) bit for bit."""
-        x = _finite_vector(x, self.shape[1])
+    def _apply_both(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._cells is not None:
             shape = x.shape[:-1] + self.shape
-            value, deriv = self._cells._apply_both(np.tile(x, self.shape[0]))
+            value, deriv = self._cells._apply_both(x[..., self._cell_columns])
             return value.reshape(shape), deriv.reshape(shape)
         th = np.tanh(x[..., None] / self._two_taus)                        # (..., L, d)
         return (self._weights @ (self._half_max * th).swapaxes(-1, -2),

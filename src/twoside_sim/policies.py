@@ -10,10 +10,12 @@ simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import _finite_vector
 from .model import (EnvironmentSpec, ExperimentConfigError, PolicyMatrix,
                     PolicyValidationError, PopulationState, _check_kinds, _policy_rows,
                     greedy_rows, validate_policy)
@@ -60,8 +62,8 @@ def myopic_greedy(env: EnvironmentSpec, state: PopulationState) -> PolicyMatrix:
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift for overflow safety."""
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    z = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    return z / np.add.reduce(z, axis=1, keepdims=True)
 
 
 def softmax_myopic(env: EnvironmentSpec, reference_exposure: np.ndarray,
@@ -76,19 +78,20 @@ def softmax_myopic(env: EnvironmentSpec, reference_exposure: np.ndarray,
     e = np.asarray(reference_exposure, dtype=float)
     if e.shape != (env.L,):
         raise ValueError(f"reference_exposure must have length L={env.L}")
-    _, pi_soft, _, _ = _softened_myopic(env, e, gamma)
-    return validate_policy(pi_soft)
+    return validate_policy(_softened_myopic(env, e, gamma, _finite_vector)[-1])
 
 
-def _softened_myopic(env: EnvironmentSpec, e: np.ndarray, gamma: float):
-    """(w, pi_soft, d_provider, df): the anticipated utilities
-    w = B + f(lambda_bar(e)), the softened myopic policy softmax(gamma * w),
-    and the slopes of lambda_bar at e and of f at lambda_bar(e), taken in the
-    same kernel passes as the values."""
-    ref_provider, d_provider = env.provider_curves.value_and_deriv(e)
-    f_ref, df = env.f_grid.value_and_deriv(ref_provider)
+def _softened_myopic(env: EnvironmentSpec, e: np.ndarray, gamma: float, check):
+    """(ref_provider, d_provider, w, df, pi_soft): the reference provider
+    populations lambda_bar(e) and their slopes, the anticipated utilities
+    w = B + f(lambda_bar(e)) and the slopes of f there, taken in the same
+    kernel passes as the values, and the softened myopic policy
+    softmax(gamma * w).  Each kernel input passes through check(x, n), which
+    returns x or raises."""
+    ref_provider, d_provider = env.provider_curves._apply_both(check(e, env.L))
+    f_ref, df = env.f_grid._apply_both(check(ref_provider, env.L))
     w = env.B + f_ref
-    return w, row_softmax(gamma * w), d_provider, df
+    return ref_provider, d_provider, w, df, row_softmax(gamma * w)
 
 
 def interpolate(pi_lookahead, pi_myopic, beta: float) -> PolicyMatrix:
@@ -109,32 +112,48 @@ def _utilities(env: EnvironmentSpec, state: PopulationState) -> np.ndarray:
     return env.B + env.f_grid.value(state.provider)
 
 
-def _lookahead_pieces(env: EnvironmentSpec, state: PopulationState, q: np.ndarray,
-                      rows: np.ndarray, gamma: float):
-    """Shared forward pass under `rows` at utilities q: anticipated viewers and
-    their slopes, anticipated utilities w, the softened policy and its
-    curve slopes, and the per-row mean utility."""
-    s = (rows * q).sum(axis=1)
-    e = rows.T @ state.viewer
-    big_lambda, d_viewer = env.viewer_curves.value_and_deriv(s)   # anticipated viewers
-    w, pi_soft, d_provider, df = _softened_myopic(env, e, gamma)
-    w_mean = (pi_soft * w).sum(axis=1)
-    return big_lambda, d_viewer, d_provider, w, pi_soft, df, w_mean
+class _Lookahead:
+    """The look-ahead objective at one state: q and the viewer populations
+    are fixed, and objective(rows, check) is the one forward pass, whose
+    pieces gradient() reads.  check(x, n) takes each kernel input and
+    returns it or raises: _finite_vector for the public calls, _unchecked
+    for the ascent, which tests its iterates itself."""
+
+    def __init__(self, env: EnvironmentSpec, state: PopulationState, gamma: float):
+        self.env, self.gamma = env, gamma
+        self.viewer, self.q = state.viewer, _utilities(env, state)
+
+    def objective(self, rows: np.ndarray, check) -> float:
+        env = self.env
+        self.s = np.add.reduce(rows * self.q, axis=1)
+        self.e = rows.T @ self.viewer
+        self.big_lambda, self.d_viewer = env.viewer_curves._apply_both(check(self.s, env.K))
+        (self.ref_provider, self.d_provider, self.w, self.df,
+         self.pi_soft) = _softened_myopic(env, self.e, self.gamma, check)
+        self.w_mean = np.add.reduce(self.pi_soft * self.w, axis=1)
+        return float(self.big_lambda @ self.w_mean)
+
+    def gradient(self) -> np.ndarray:
+        """The gradient of the objective at the rows of the last pass."""
+        # welfare response to exposure l: every row's softened mass and utility at l
+        # move through lambda_bar_l; softmax reweighting contributes the gamma term.
+        col = np.add.reduce(self.big_lambda[:, None] * self.pi_soft * self.df
+                            * (1.0 + self.gamma * (self.w - self.w_mean[:, None])), axis=0)
+        return ((self.d_viewer * self.w_mean)[:, None] * self.q
+                + self.viewer[:, None] * (self.d_provider * col))
 
 
-def _objective(pieces) -> float:
-    big_lambda, w_mean = pieces[0], pieces[-1]
-    return float(big_lambda @ w_mean)
+def _unchecked(x: np.ndarray, n: int) -> np.ndarray:
+    return x
 
 
-def _checked_forward_pass(env: EnvironmentSpec, state: PopulationState, pi, gamma: float):
-    """(q, pieces) at the candidate `pi`, its shape alone checked, not _policy_rows:
+def _candidate_rows(env: EnvironmentSpec, pi) -> np.ndarray:
+    """The rows of a candidate `pi`, its shape alone checked, not _policy_rows:
     the finite-difference probe steps off the simplex, so any K x L matrix is scored."""
     rows = pi.rows if isinstance(pi, PolicyMatrix) else np.asarray(pi, dtype=float)
     if rows.shape != (env.K, env.L):
         raise ValueError(f"policy shape {rows.shape} does not match (K, L)={(env.K, env.L)}")
-    q = _utilities(env, state)
-    return q, _lookahead_pieces(env, state, q, rows, gamma)
+    return rows
 
 
 def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
@@ -144,22 +163,23 @@ def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
     Accepts any correctly shaped finite matrix (the gradient check probes
     points just off the simplex); use validate_policy for simplex checking.
     """
-    _, pieces = _checked_forward_pass(env, state, pi, gamma)
-    return _objective(pieces)
+    rows = _candidate_rows(env, pi)
+    return _Lookahead(env, state, gamma).objective(rows, _finite_vector)
 
 
 def finite_difference_gradient(env: EnvironmentSpec, state: PopulationState, pi,
                                gamma: float, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of lookahead_objective, entry by entry."""
-    rows = np.array(pi.rows if isinstance(pi, PolicyMatrix) else pi, dtype=float)
+    rows = np.array(_candidate_rows(env, pi))
+    look = _Lookahead(env, state, gamma)
     grad = np.empty_like(rows)
     for k in range(rows.shape[0]):
         for l in range(rows.shape[1]):
             orig = rows[k, l]
             rows[k, l] = orig + h
-            up = lookahead_objective(env, state, rows, gamma)
+            up = look.objective(rows, _finite_vector)
             rows[k, l] = orig - h
-            down = lookahead_objective(env, state, rows, gamma)
+            down = look.objective(rows, _finite_vector)
             rows[k, l] = orig
             grad[k, l] = (up - down) / (2.0 * h)
     return grad
@@ -175,19 +195,10 @@ def lookahead_gradient(env: EnvironmentSpec, state: PopulationState, pi,
     logits).  Table curves enter through their right-hand slopes, so at a
     table knot this is the one-sided derivative from the right.
     """
-    q, pieces = _checked_forward_pass(env, state, pi, gamma)
-    return _analytic_gradient(state, gamma, q, pieces)
-
-
-def _analytic_gradient(state: PopulationState, gamma: float, q: np.ndarray,
-                       pieces) -> np.ndarray:
-    """lookahead_gradient from the forward pass made at the same policy."""
-    big_lambda, d_viewer, d_provider, w, pi_soft, df, w_mean = pieces
-    # welfare response to exposure l: every row's softened mass and utility at l
-    # move through lambda_bar_l; softmax reweighting contributes the gamma term.
-    col = (big_lambda[:, None] * pi_soft * df
-           * (1.0 + gamma * (w - w_mean[:, None]))).sum(axis=0)
-    return (d_viewer * w_mean)[:, None] * q + np.outer(state.viewer, d_provider * col)
+    rows = _candidate_rows(env, pi)
+    look = _Lookahead(env, state, gamma)
+    look.objective(rows, _finite_vector)
+    return look.gradient()
 
 
 def check_gradient(env: EnvironmentSpec, state: PopulationState, pi, gamma: float,
@@ -221,27 +232,55 @@ def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,
     """
     if config is None:
         config = LookaheadConfig()
-    q = _utilities(env, state)
-    init = 0.9 * greedy_rows(q) + 0.1 * uniform_policy(env.K, env.L).rows
+    return validate_policy(_ascend(_Lookahead(env, state, config.gamma), config)[0])
+
+
+@dataclass(frozen=True)
+class _AscentAccount:
+    """What one ascent did: the objective at its start, at its best iterate
+    and at its last; the iteration of the best; and the max-norm of the last
+    logit gradient it stepped along."""
+
+    start: float
+    best: float
+    end: float
+    best_iteration: int
+    last_gradient_max: float
+
+
+def _ascend(look: _Lookahead, config: LookaheadConfig) -> tuple[np.ndarray, _AscentAccount]:
+    """optimize_lookahead's ascent: the best iterate's rows and the account.
+
+    Each iterate makes one unchecked forward pass and one scalar finiteness
+    test of its objective and its curve inputs s, e and lambda_bar(e).  When
+    that fails, the checked pass is rerun: it raises the FunctionDomainError
+    of a non-finite curve input; else the objective is not finite, an
+    OptimizationError (or a finite sum overflowed, and the ascent goes on).
+    """
+    init = 0.9 * greedy_rows(look.q) + 0.1 * uniform_policy(look.env.K, look.env.L).rows
     theta = np.log(init)
     best_pi: np.ndarray | None = None
-    best_obj = -np.inf
+    best_obj, best_it = -np.inf, 0
     # an overflow shows up as a non-finite objective, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations + 1):
             pi = row_softmax(theta)
-            pieces = _lookahead_pieces(env, state, q, pi, config.gamma)   # one forward pass
-            obj = _objective(pieces)
-            if not np.isfinite(obj):
-                raise OptimizationError(
-                    f"non-finite objective {obj!r} at iteration {it}", iteration=it)
+            obj = look.objective(pi, _unchecked)
+            if not math.isfinite(obj + np.add.reduce(look.s) + np.add.reduce(look.e)
+                                 + np.add.reduce(look.ref_provider)):
+                look.objective(pi, _finite_vector)
+                if not math.isfinite(obj):
+                    raise OptimizationError(
+                        f"non-finite objective {obj!r} at iteration {it}", iteration=it)
+            if it == 0:
+                start = obj
             if obj > best_obj:
-                best_obj = obj
-                best_pi = pi
+                best_pi, best_obj, best_it = pi, obj, it
             if it == config.iterations:
                 break
-            grad_pi = _analytic_gradient(state, config.gamma, q, pieces)
+            grad_pi = look.gradient()
             # chain through the row-softmax: dJ/dtheta = pi * (G - <pi, G>_row)
-            grad_theta = pi * (grad_pi - (pi * grad_pi).sum(axis=1, keepdims=True))
+            grad_theta = pi * (grad_pi - np.add.reduce(pi * grad_pi, axis=1, keepdims=True))
             theta = theta + config.learning_rate * grad_theta
-    return validate_policy(best_pi)
+    return best_pi, _AscentAccount(start=start, best=best_obj, end=obj, best_iteration=best_it,
+                                   last_gradient_max=float(np.abs(grad_theta).max()))

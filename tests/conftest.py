@@ -85,6 +85,46 @@ def reference_slope(fn, x: float) -> float:
     return float((0.25 * w * m / t) @ (1.0 - th * th))
 
 
+def assert_bitwise_equal(got, want) -> None:
+    """Equal shapes and equal bytes: -0.0 differs from 0.0 and a NaN equals itself."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+def reference_profile(t, yc, log_rate):
+    """estimation._profile written in g = 1 - exp(-r t) with a new array per
+    step, the reference the in-place profile is tested against: the best
+    a0 >= 0, the SSE and mean(g) of curves (B, n) at rates (B, m)."""
+    g = -np.expm1(-np.exp(log_rate)[..., None] * t[:, None, :])
+    g_mean = g.mean(axis=-1)
+    gc = g - g_mean[..., None]
+    cov = np.sum(gc * yc[:, None, :], axis=-1)
+    a0 = np.where(cov > 0.0, cov / np.sum(gc * gc, axis=-1), 0.0)
+    resid = yc[:, None, :] - a0[..., None] * gc
+    return a0, np.sum(resid * resid, axis=-1), g_mean
+
+
+def reference_lookahead(env: EnvironmentSpec, state: PopulationState, rows, gamma: float):
+    """(objective, gradient) of the look-ahead at `rows` through the checked
+    public curve calls, written apart from the package's forward pass as the
+    reference it is tested against."""
+    q = env.B + env.f_grid.value(state.provider)
+    s = (rows * q).sum(axis=1)
+    e = rows.T @ state.viewer
+    big_lambda, d_viewer = env.viewer_curves.value_and_deriv(s)
+    ref_provider, d_provider = env.provider_curves.value_and_deriv(e)
+    f_ref, df = env.f_grid.value_and_deriv(ref_provider)
+    w = env.B + f_ref
+    logits = gamma * w
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    pi_soft = z / z.sum(axis=1, keepdims=True)
+    w_mean = (pi_soft * w).sum(axis=1)
+    col = (big_lambda[:, None] * pi_soft * df
+           * (1.0 + gamma * (w - w_mean[:, None]))).sum(axis=0)
+    gradient = (d_viewer * w_mean)[:, None] * q + np.outer(state.viewer, d_provider * col)
+    return float(big_lambda @ w_mean), gradient
+
+
 def random_env(seed: int, max_dim: int = 5, noise_std: float = 0.0) -> EnvironmentSpec:
     rng = np.random.default_rng(seed)
     K = int(rng.integers(1, max_dim + 1))

@@ -25,7 +25,8 @@ from twoside_sim import (DegenerateDesignError, DivergenceError, EnvironmentSpec
                          saturating_exp, step)
 import twoside_sim.estimation as estimation_module
 
-from conftest import assert_columns_stack_steps, random_env, random_policy, random_state
+from conftest import (assert_bitwise_equal, assert_columns_stack_steps, random_env, random_policy,
+                      random_state, reference_profile)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -215,6 +216,31 @@ def test_fit_of_decreasing_data_is_the_flat_member():
     assert (fit.a0, fit.a1, fit.a2) == (0.0, 0.0, 0.0)
     assert fit.a3 == pytest.approx(y.mean(), rel=1e-14)
     assert fit.rmse == pytest.approx(np.std(y), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), case=st.sampled_from(["noise", "constant", "one_rate", "grid"]))
+def test_profile_equals_the_reference_bit_for_bit(seed, case):
+    """The in-place profile in h = -g equals the formula in g, outputs and
+    signed zeros alike: random batches, constant data (a0 = 0), one rate per
+    curve and the fit's grid of rates."""
+    rng = np.random.default_rng(seed)
+    B, n = int(rng.integers(1, 7)), int(rng.integers(4, 50))
+    X = np.sort(rng.uniform(-20.0, rng.uniform(0.0, 300.0), (B, n)), axis=1)
+    t = X - X[:, :1]
+    Y = (np.full((B, n), rng.normal()) if case == "constant"
+         else rng.normal(0.0, 10 ** rng.uniform(-2, 2), (B, n)) + np.sqrt(t))
+    y_off = Y - Y[:, :1]
+    yc = y_off - y_off.mean(axis=1, keepdims=True)
+    if case == "grid":
+        log_rate = np.minimum(-6.0 + 0.1 * np.arange(150), rng.uniform(-2.0, 3.0, (B, 1)))
+    else:
+        log_rate = rng.uniform(-12.0, 3.0, (B, 1 if case == "one_rate" else int(rng.integers(2, 30))))
+    got, want = estimation_module._profile(t, yc, log_rate), reference_profile(t, yc, log_rate)
+    for g, w in zip(got, want):
+        assert_bitwise_equal(g, w)
+    if case == "constant":
+        assert not got[0].any()
 
 
 def test_fit_takes_no_initial_guess():

@@ -174,6 +174,26 @@ def test_from_dict_refuses_a_malformed_curve(entry, names):
     assert all(name in str(err.value) for name in names)
 
 
+@pytest.mark.parametrize("make,args,kind,params", [
+    (linear_fn, (10**400,), "linear", {"slope": 10**400, "intercept": 0.0}),
+    (sigmoid_half, (1.0, 10**400), "sigmoid_half", {"max": 1.0, "tau": 10**400}),
+    (saturating_exp, (1.0, 0.5, 0.0, -10**400), "saturating_exp",
+     {"a0": 1.0, "a1": 0.5, "a2": 0.0, "a3": -10**400}),
+    (scaled_logistic, (1.0, 10**400, 0.0), "scaled_logistic",
+     {"gain": 1.0, "scale": 10**400, "shift": 0.0}),
+    (table_fn, ([(0.0, 0.0), (10**400, 1.0)],), "table",
+     {"knots": [(0.0, 0.0), (10**400, 1.0)]}),
+    (weighted_sigmoid_sum, ([1.0], [10**400], [1.0]), "weighted_sigmoid_sum",
+     {"weights": [1.0], "max_values": [10**400], "taus": [1.0]}),
+])
+def test_helpers_refuse_an_int_past_the_float_range_as_from_dict_does(make, args, kind, params):
+    with pytest.raises(FunctionConfigError) as want:
+        ScalarFn.from_dict({"kind": kind, "params": params})
+    with pytest.raises(FunctionConfigError) as got:
+        make(*args)
+    assert str(got.value) == str(want.value)
+
+
 def test_table_round_trip():
     fn = table_fn([(0.0, 0.0), (2.0, 1.0), (5.0, 1.5)])
     back = ScalarFn.from_dict(fn.to_dict())

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twoside_sim import (EnvironmentSpec, GradientCheckError, LookaheadConfig,
-                         OptimizationError, PolicyValidationError,
+from twoside_sim import (EnvironmentSpec, FunctionDomainError, GradientCheckError,
+                         LookaheadConfig, OptimizationError, PolicyValidationError,
                          PopulationState, SyntheticScenarioConfig,
                          check_gradient, counterexample_env, find_fixed_point,
                          finite_difference_gradient, fn_eval, gen_synthetic,
@@ -14,9 +14,10 @@ from twoside_sim import (EnvironmentSpec, GradientCheckError, LookaheadConfig,
                          lookahead_objective, myopic_greedy, optimize_lookahead,
                          sample_initial_state, softmax_myopic, table_fn,
                          uniform_policy, validate_policy)
-from twoside_sim.policies import row_softmax
+from twoside_sim.policies import _ascend, _Lookahead, row_softmax
 
-from conftest import random_env, random_policy, random_state
+from conftest import (assert_bitwise_equal, random_env, random_policy, random_state,
+                      reference_lookahead)
 
 
 def flat_env(B, eta=0.5):
@@ -309,7 +310,31 @@ def table_instance():
     return env, PopulationState(t=0, viewer=[1.0], provider=[0.5, 0.5])
 
 
+def huge_sum_instance():
+    """Finite curve inputs whose sum is past the largest float: s = [1e308, 1e308]."""
+    env = EnvironmentSpec(
+        K=2, L=1, B=[[1e308], [1e308]],
+        f=((linear_fn(0.0),), (linear_fn(0.0),)),
+        lambda_bar_viewer=(linear_fn(0.0, 1e-10), linear_fn(0.0, 1e-10)),
+        lambda_bar_provider=(linear_fn(0.5),),
+        eta_viewer=[0.5, 0.5], eta_provider=[0.5],
+    )
+    return env, PopulationState(t=0, viewer=[1.0, 1.0], provider=[1.0])
+
+
 @pytest.mark.parametrize("instance", [synthetic_instance, random_instance, table_instance])
+@pytest.mark.parametrize("gamma", [0.4, 2.5])
+def test_lookahead_pass_equals_the_reference_bit_for_bit(instance, gamma):
+    env, state = instance()
+    for seed in range(4):
+        rows = random_policy(seed, env.K, env.L)
+        objective, gradient = reference_lookahead(env, state, rows, gamma)
+        assert_bitwise_equal(lookahead_objective(env, state, rows, gamma), objective)
+        assert_bitwise_equal(lookahead_gradient(env, state, rows, gamma), gradient)
+
+
+@pytest.mark.parametrize("instance", [synthetic_instance, random_instance, table_instance,
+                                      huge_sum_instance])
 def test_optimizer_equals_ascent_through_public_functions(instance):
     env, state = instance()
     cfg = LookaheadConfig(iterations=40, learning_rate=0.1)
@@ -330,6 +355,61 @@ def test_optimizer_reports_overflow_with_iteration():
     with pytest.raises(OptimizationError) as exc:
         optimize_lookahead(env, state, LookaheadConfig(iterations=3))
     assert exc.value.iteration == 0
+    assert str(exc.value) == "non-finite objective inf at iteration 0"
+
+
+def non_finite_instance(at):
+    """An instance whose look-ahead pass at the ascent's start puts a
+    non-finite number into a curve: s (utilities at the largest float), e
+    (viewer populations near it) or lambda_bar(e) (a steep provider curve)."""
+    big = np.finfo(float).max
+    K, L, B, viewer, lam_c = {
+        "s": (1, 2, [[big, big]], [1.0], 0.5),
+        "e": (2, 2, [[1.0, 0.5], [1.0, 0.5]], [1e308, 1e308], 0.5),
+        "lambda_bar(e)": (1, 1, [[1.0]], [1e10], 1e300),
+    }[at]
+    env = EnvironmentSpec(
+        K=K, L=L, B=B,
+        f=tuple(tuple(linear_fn(0.0) for _ in range(L)) for _ in range(K)),
+        lambda_bar_viewer=tuple(linear_fn(0.5) for _ in range(K)),
+        lambda_bar_provider=tuple(linear_fn(lam_c) for _ in range(L)),
+        eta_viewer=[0.5] * K, eta_provider=[0.5] * L,
+    )
+    return env, PopulationState(t=0, viewer=viewer, provider=[1.0] * L)
+
+
+@pytest.mark.parametrize("at", ["s", "e", "lambda_bar(e)"])
+def test_optimizer_raises_what_the_objective_raises_at_its_start(at):
+    """The ascent's unchecked pass, on failing its finiteness test, raises
+    what the checked pass raises at the same iterate, and warns of nothing."""
+    env, state = non_finite_instance(at)
+    cfg = LookaheadConfig(iterations=3)
+    start = row_softmax(np.log(0.9 * myopic_greedy(env, state).rows
+                               + 0.1 * uniform_policy(env.K, env.L).rows))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Exception) as want:
+        lookahead_objective(env, state, start, cfg.gamma)
+    assert want.type is FunctionDomainError
+    with pytest.raises(Exception) as got:
+        optimize_lookahead(env, state, cfg)
+    assert got.type is want.type and str(got.value) == str(want.value)
+
+
+def test_ascent_account_on_the_comparison_instance():
+    """Criterion 9's first state: the account's best is at least its start and
+    is the objective of the policy optimize_lookahead returns."""
+    scen = SyntheticScenarioConfig(
+        K=10, L=10, d=20, T=200, seed=57, feature_bernoulli_p=0.8, eta=0.3,
+        lambda_max_range=(200.0, 400.0), tau_range=(4.0, 20.0),
+        quality_max_range=(0.5, 16.0), quality_tau_range=(100.0, 200.0), init="small")
+    env, state = gen_synthetic(scen), sample_initial_state(scen)
+    cfg = LookaheadConfig(iterations=100)
+    rows, account = _ascend(_Lookahead(env, state, cfg.gamma), cfg)
+    pi = optimize_lookahead(env, state, cfg)
+    assert np.array_equal(pi.rows, rows)
+    assert account.best >= account.start
+    assert account.best == lookahead_objective(env, state, pi, cfg.gamma)
+    assert account.end <= account.best and 0 <= account.best_iteration <= cfg.iterations
+    assert 0.0 < account.last_gradient_max < np.inf
 
 
 def test_config_validation():
