@@ -18,10 +18,9 @@ from .dynamics import (ClosedFormDomainError, ConvergenceError,
                        jacobian_eigenvalues, lockstep_rollouts,
                        parse_trajectory_csv, payoffs, rollout, step,
                        trajectory_header, trajectory_to_csv, welfare)
-from .policies import (GradientCheckError, LookaheadConfig, OptimizationError,
-                       check_gradient, finite_difference_gradient, interpolate,
-                       lookahead_gradient, lookahead_objective, myopic_greedy,
-                       optimize_lookahead, softmax_myopic, uniform_policy)
+from .policies import (LookaheadConfig, OptimizationError, finite_difference_gradient,
+                       interpolate, lookahead_gradient, lookahead_objective,
+                       myopic_greedy, optimize_lookahead, softmax_myopic, uniform_policy)
 from .oracles import (LinearGameParams, OracleDomainError,
                       THREE_EQUILIBRIA_INITS, counterexample_env,
                       counterexample_welfare, epsilon_welfare_bounds,

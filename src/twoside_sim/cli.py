@@ -1,6 +1,6 @@
-"""Command-line surface: scenario generation, experiment runs, fixed-point
-and stability analysis, regret comparison, dynamics estimation, and the
-closed-form oracles.
+"""Command-line surface: scenario generation, experiment runs (trajectories,
+pairwise regret and summary), fixed-point and stability analysis, dynamics
+estimation, and the closed-form oracles.
 
 Usage errors and invalid configs exit 2, the latter with an
 ExperimentConfigError record on stderr; runtime failures print a JSON error
@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
 from .dynamics import (_check_tol, find_fixed_point, fixed_point_residual,
-                       jacobian_eigenvalues, rollout, trajectory_to_csv)
+                       jacobian_eigenvalues, trajectory_to_csv)
 from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          explore_then_commit, interaction_log_to_csv,
                          InteractionLog)
-from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, PolicySpec, _from_config,
-                         build_policy, load_environment, resolve_environment, run_experiment)
+from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, _from_config, load_environment,
+                         resolve_environment, run_experiment)
 from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _fields_table,
                     _policy_rows, _read, epsilon_greedy)
 from .policies import LookaheadConfig
@@ -91,8 +90,6 @@ def _state_record(state: PopulationState) -> dict:
 
 def cmd_gen(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    if isinstance(cfg, dict) and set(cfg) == {"synthetic"}:
-        cfg = cfg["synthetic"]  # accept the experiment-style environment block
     scen = SyntheticScenarioConfig.from_dict(cfg)
     env = gen_synthetic(scen if args.seed is None else replace(scen, seed=args.seed))
     text = env.to_json() + "\n"
@@ -180,30 +177,6 @@ def cmd_stability(args) -> int:
             "analytic_eigenvalues": None if analytic is None else _complex_pairs(analytic),
         })
     _emit(records, args, "stability.json")
-    return 0
-
-
-def cmd_regret(args) -> int:
-    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "T": ("integer", MISSING),
-                                 "policies": ("array", MISSING), "seed": ("integer", 0)})
-    env, init = _environment(cfg)
-    if cfg["T"] < 1:
-        raise ExperimentConfigError("T must be >= 1")
-    specs = [PolicySpec.from_dict(p) for p in cfg["policies"]]
-    if len(specs) < 2:
-        raise ExperimentConfigError("regret needs at least 2 policies")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    trajectories = {
-        spec.name: rollout(env, build_policy(env, spec), cfg["T"], init, seed=seed)
-        for spec in specs}
-    suite = empirical_regret_suite(env, trajectories)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, report in suite.reports.items():
-            (out_dir / f"regret_{name}_{seed}.csv").write_text(
-                regret_report_to_csv(report), newline="")
-    _emit(suite_summary(suite), args, "regret_summary.json")
     return 0
 
 
@@ -304,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
         configured(p).add_argument("--seed", type=int, help="seed override")
 
     seeded(sub.add_parser("gen", help="generate a synthetic environment"))
-    seeded(sub.add_parser("run", help="run an experiment config"))
+    seeded(sub.add_parser("run", help="run an experiment config: trajectories, "
+                                      "pairwise regret and summary"))
     for name in ("fixed-point", "stability"):
         p = configured(sub.add_parser(name, help=f"{name.replace('-', ' ')} analysis"))
         p.add_argument("--preset", help="built-in instance (sigmoid-triple)")
         p.add_argument("--init", help="preset initial condition (low|mid|high)")
-    seeded(sub.add_parser("regret", help="pairwise regret decomposition"))
     seeded(sub.add_parser("estimate", help="explore-then-commit estimation"))
 
     oracle = sub.add_parser("oracle", help="closed-form oracle evaluations")
@@ -328,7 +301,6 @@ _DISPATCH = {
     "run": cmd_run,
     "fixed-point": cmd_fixed_point,
     "stability": cmd_stability,
-    "regret": cmd_regret,
     "estimate": cmd_estimate,
     "oracle": cmd_oracle,
 }

@@ -446,7 +446,7 @@ def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, st
 
 
 def _check_tol(tol) -> None:
-    if not (_is(tol, float) and 0.0 <= tol < np.inf):
+    if not (_is(tol, float) and tol >= 0.0):
         raise SpecValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
 

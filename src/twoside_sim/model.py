@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from types import UnionType
@@ -40,16 +41,17 @@ _JSON_KINDS = {"integer": int, "number": float, "boolean": bool, "object": dict,
 
 
 def _is(value, kind) -> bool:
-    """Whether `value` is of `kind`, a field annotation.  A float is a Python
-    or numpy int or float, an int one of the ints, and a bool is neither; a
-    tuple[...] is a list, tuple or 1-d array of its entries; an np.ndarray is
-    rectangular numbers with one or two axes."""
+    """Whether `value` is of `kind`, a field annotation.  A float is a finite
+    Python or numpy int or float, an int one of the ints, and a bool is
+    neither; a tuple[...] is a list, tuple or 1-d array of its entries; an
+    np.ndarray is rectangular finite numbers with one or two axes."""
     if kind is float:
-        return _is_numbers(value, 0)
+        return _is_numbers(value, 0) and math.isfinite(value)
     if kind is int:
         return _is_numbers(value, 0) and isinstance(value, (int, np.integer))
     if kind is np.ndarray:
-        return _is_numbers(value, 1) or _is_numbers(value, 2)
+        return (_is_numbers(value, 1) or _is_numbers(value, 2)) and bool(
+            np.isfinite(np.asarray(value, dtype=float)).all())
     origin, args = get_origin(kind), get_args(kind)
     if origin is tuple:                 # tuple[X, ...] holds any number of X
         return (isinstance(value, (list, tuple)) or np.ndim(value) == 1) and (
@@ -112,8 +114,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_kinds(self, SpecValidationError)
-        if not 0 <= self.relative_std < np.inf:
-            raise SpecValidationError("relative_std must be finite and >= 0")
+        if self.relative_std < 0:
+            raise SpecValidationError("relative_std must be >= 0")
 
     @property
     def active(self) -> bool:
@@ -172,7 +174,7 @@ class EnvironmentSpec:
                              ("eta_provider", self.eta_provider, self.L)):
             if eta.shape != (n,):
                 raise SpecValidationError(f"{name} must have length {n}")
-            if np.any(eta < 0) or np.any(eta > 1) or not np.all(np.isfinite(eta)):
+            if np.any(eta < 0) or np.any(eta > 1):
                 raise SpecValidationError(f"{name} entries must lie in [0, 1]")
         if self.seed < 0:
             raise SpecValidationError("seed must be a non-negative integer")

@@ -82,15 +82,13 @@ class LinearGameParams:
     B: np.ndarray
 
     def __post_init__(self):
-        _check_kinds(self)
+        _check_kinds(self, OracleDomainError)
         for name in ("a0", "a1", "a2"):
             if not (getattr(self, name) > 0):
                 raise OracleDomainError(f"{name} must be > 0")
-        if not np.isfinite(self.b2):
-            raise OracleDomainError("b2 must be finite")
         B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or not np.all(np.isfinite(B)):
-            raise OracleDomainError("B must be a finite 2-d matrix")
+        if B.ndim != 2:
+            raise OracleDomainError("B must be a 2-d matrix")
         object.__setattr__(self, "B", _readonly(B))
 
     @property

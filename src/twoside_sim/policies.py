@@ -29,10 +29,6 @@ class OptimizationError(RuntimeError):
         self.iteration = iteration
 
 
-class GradientCheckError(RuntimeError):
-    """Analytic gradient disagreed with the finite-difference probe."""
-
-
 @dataclass(frozen=True)
 class LookaheadConfig:
     gamma: float = 1.0            # inverse temperature of the softmax myopic map
@@ -160,8 +156,8 @@ def lookahead_objective(env: EnvironmentSpec, state: PopulationState, pi,
                         gamma: float) -> float:
     """Anticipated welfare one reaction ahead of deploying `pi` at `state`.
 
-    Accepts any correctly shaped finite matrix (the gradient check probes
-    points just off the simplex); use validate_policy for simplex checking.
+    Accepts any correctly shaped finite matrix (the finite-difference probe
+    steps just off the simplex); use validate_policy for simplex checking.
     """
     rows = _candidate_rows(env, pi)
     return _Lookahead(env, state, gamma).objective(rows, _finite_vector)
@@ -199,28 +195,6 @@ def lookahead_gradient(env: EnvironmentSpec, state: PopulationState, pi,
     look = _Lookahead(env, state, gamma)
     look.objective(rows, _finite_vector)
     return look.gradient()
-
-
-def check_gradient(env: EnvironmentSpec, state: PopulationState, pi, gamma: float,
-                   h: float = 1e-6, tol: float = 1e-4) -> float:
-    """Compare analytic vs finite-difference gradients; raise if they disagree.
-
-    Entries where both magnitudes fall below 1e-8 are compared absolutely
-    (against 1e-8); the rest by relative error against the larger magnitude.
-    Returns the worst relative discrepancy seen.
-    """
-    analytic = lookahead_gradient(env, state, pi, gamma)
-    fd = finite_difference_gradient(env, state, pi, gamma, h)
-    diff = np.abs(analytic - fd)
-    scale = np.maximum(np.abs(analytic), np.abs(fd))
-    tiny = scale < 1e-8
-    bad_tiny = tiny & (diff > 1e-8)
-    rel = np.where(tiny, 0.0, diff / np.maximum(scale, 1e-300))
-    if np.any(bad_tiny) or np.any(rel > tol):
-        worst = float(np.max(np.where(tiny, diff, rel)))
-        raise GradientCheckError(
-            f"gradient check failed: worst discrepancy {worst:.3e} (tol {tol:.1e})")
-    return float(np.max(rel))
 
 
 def optimize_lookahead(env: EnvironmentSpec, state: PopulationState,

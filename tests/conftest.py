@@ -91,6 +91,19 @@ def assert_bitwise_equal(got, want) -> None:
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
 
 
+def gradient_gap(analytic, fd) -> float:
+    """Worst gap between an analytic gradient and a finite-difference one:
+    entries where both magnitudes are below 1e-8 must agree to 1e-8
+    absolutely (inf when they do not), the rest are compared relative to the
+    larger magnitude."""
+    diff = np.abs(analytic - fd)
+    scale = np.maximum(np.abs(analytic), np.abs(fd))
+    tiny = scale < 1e-8
+    rel = np.where(tiny, np.where(diff > 1e-8, np.inf, 0.0),
+                   diff / np.maximum(scale, 1e-300))
+    return float(np.max(rel))
+
+
 def reference_profile(t, yc, log_rate):
     """estimation._profile written in g = 1 - exp(-r t) with a new array per
     step, the reference the in-place profile is tested against: the best

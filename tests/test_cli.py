@@ -7,13 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from twoside_sim import EnvironmentSpec, experiment, linear_fn
+from twoside_sim import (EnvironmentSpec, empirical_regret_suite, experiment, linear_fn,
+                         regret_report_to_csv, rollout, suite_summary, trajectory_to_csv)
 from twoside_sim.cli import main
 
 
 def write_json(tmp_path, name, payload):
+    """payload as a JSON file, an infinity written as 1e400: a number past the
+    float range, which the JSON reader takes for an infinity."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -70,7 +73,7 @@ def test_missing_config_file_exits_2(capsys):
     assert record["type"] == "ExperimentConfigError" and "not found" in record["message"]
 
 
-@pytest.mark.parametrize("command", ["gen", "run", "regret", "fixed-point"])
+@pytest.mark.parametrize("command", ["gen", "run", "fixed-point"])
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command):
     cfg = write_json(tmp_path, "cfg.json", [{"synthetic": scenario_dict()}])
     out = tmp_path / "out"
@@ -108,13 +111,16 @@ def test_gen_prints_unless_quiet(tmp_path, capsys):
     assert code == 0 and out == ""
 
 
-def test_gen_accepts_experiment_style_environment_block(tmp_path, capsys):
-    bare = write_json(tmp_path, "bare.json", scenario_dict())
-    wrapped = write_json(tmp_path, "wrapped.json", {"synthetic": scenario_dict()})
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(capsys, ["gen", "--config", bare, "--out", str(a), "--quiet"])[0] == 0
-    assert run_cli(capsys, ["gen", "--config", wrapped, "--out", str(b), "--quiet"])[0] == 0
-    assert (a / "environment.json").read_bytes() == (b / "environment.json").read_bytes()
+def test_gen_refuses_a_wrapped_scenario(tmp_path, capsys):
+    """gen reads the bare scenario; the {"synthetic": ...} block is the
+    environment form of the other subcommands' configs."""
+    cfg = write_json(tmp_path, "wrapped.json", {"synthetic": scenario_dict()})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, ["gen", "--config", cfg, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "synthetic" in record["message"]
+    assert not out.exists()
 
 
 def test_gen_with_unknown_key_is_config_error(tmp_path, capsys):
@@ -187,9 +193,9 @@ def _two_group_inline():
 
 # one misspelled optional key per command, each of which the command once ignored
 MISSPELLED_KEYS = {
-    "regret": ("polcies", {"environment": {"synthetic": scenario_dict()}, "T": 3,
-                           "policies": [{"name": "u", "kind": "uniform"},
-                                        {"name": "g", "kind": "myopic"}]}),
+    "run": ("polcies", {"environment": {"synthetic": scenario_dict()}, "T": 3,
+                        "policies": [{"name": "u", "kind": "uniform"},
+                                     {"name": "g", "kind": "myopic"}]}),
     "estimate": ("refit_evry", {"environment": {"synthetic": scenario_dict(K=2, L=2, d=2)},
                                 "T_b": 6, "T": 8, "beta": 0.5,
                                 "lookahead": {"iterations": 2}}),
@@ -235,8 +241,6 @@ def _inline_config(**keys):
 # unknown key, a value a flag replaces) or refused by a message that did not
 # name the key.
 UNPARSABLE_VALUES = [
-    ("regret", "T", {**MISSPELLED_KEYS["regret"][1], "T": "three"}),
-    ("regret", "seed", {**MISSPELLED_KEYS["regret"][1], "seed": 2.7}),
     ("run", "seeds", {**RUN_CONFIG, "seeds": [2.7]}),
     ("run", "T", {**RUN_CONFIG, "T": True}),
     ("estimate", "seed", {**MISSPELLED_KEYS["estimate"][1], "seed": "one"}),
@@ -304,6 +308,9 @@ UNPARSABLE_VALUES = [
     ("oracle linear-ne", "pi", {"params": LINEAR_PARAMS, "pi": [[0.7]]}),
     ("oracle linear-welfare", "pi", {"params": LINEAR_PARAMS, "pi": [[0.7]]}),
     ("gen", "tau_range", scenario_dict(tau_range=[4, int("9" * 400)])),
+    ("gen", "tau_range", scenario_dict(tau_range=[np.inf, np.inf])),
+    ("run", "B", {**RUN_CONFIG, "init": FIXED_POINT_CONFIG["init"],
+                  "environment": _inline_config(B=[[np.inf], [1.0]])["environment"]}),
 ]
 
 
@@ -332,14 +339,13 @@ def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payloa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "regret"])
-def test_init_of_the_wrong_length_is_config_error(tmp_path, capsys, command):
+def test_init_of_the_wrong_length_is_config_error(tmp_path, capsys):
     cfg = write_json(tmp_path, "cfg.json", {
         "environment": _two_group_inline(), "T": 2,
         "init": {"viewer": [1.0], "provider": [1.0]},
         "policies": [{"name": "u", "kind": "uniform"}, {"name": "g", "kind": "myopic"}]})
     out = tmp_path / "out"
-    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    code, stdout, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
     assert record["type"] == "ExperimentConfigError" and "K=2" in record["message"]
@@ -352,15 +358,14 @@ REMOVED_SYNTHETIC_INIT = {"init": "custom", "init_viewer": [1.0, 2.0],
                           "init_provider": [3.0, 4.0]}
 
 
-@pytest.mark.parametrize("command", ["run", "regret"])
 @pytest.mark.parametrize("key", sorted(REMOVED_SYNTHETIC_INIT))
-def test_synthetic_custom_init_is_config_error(tmp_path, capsys, command, key):
+def test_synthetic_custom_init_is_config_error(tmp_path, capsys, key):
     scenario = scenario_dict(K=2, L=2, d=2, **{key: REMOVED_SYNTHETIC_INIT[key]})
     cfg = write_json(tmp_path, "cfg.json", {
         "environment": {"synthetic": scenario}, "T": 2,
         "policies": [{"name": "u", "kind": "uniform"}, {"name": "g", "kind": "myopic"}]})
     out = tmp_path / "out"
-    code, stdout, err = run_cli(capsys, [command, "--config", cfg, "--out", str(out)])
+    code, stdout, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
     assert code == 2 and stdout == ""
     record = json.loads(err)["error"]
     assert record["type"] == "ExperimentConfigError" and key in record["message"]
@@ -369,7 +374,7 @@ def test_synthetic_custom_init_is_config_error(tmp_path, capsys, command, key):
 
 
 # ---------------------------------------------------------------------------
-# run / regret / estimate
+# run / estimate
 
 
 def test_run_emits_files_and_summary(tmp_path, capsys):
@@ -390,20 +395,31 @@ def test_run_emits_files_and_summary(tmp_path, capsys):
     assert (out / "regret_greedy_0.csv").exists()
 
 
-def test_regret_subcommand(tmp_path, capsys):
+def test_run_regret_is_the_suite_of_its_own_trajectories(tmp_path, capsys):
+    """A one-seed run writes the regret CSVs of the regret suite of the
+    trajectories it wrote, and that suite's summary under its seed."""
+    policies = [{"name": "u", "kind": "uniform"}, {"name": "m", "kind": "myopic"},
+                {"name": "e", "kind": "epsilon_greedy", "epsilon": 0.2}]
+    payload = {"environment": {"synthetic": scenario_dict(K=3, L=4, T=7)},
+               "policies": policies, "seeds": [5]}
     out = tmp_path / "out"
-    cfg = write_json(tmp_path, "regret.json", {
-        "environment": {"synthetic": scenario_dict()},
-        "T": 4,
-        "policies": [{"name": "uni", "kind": "uniform"},
-                     {"name": "greedy", "kind": "myopic"}],
-    })
-    code, stdout, _ = run_cli(capsys, ["regret", "--config", cfg, "--out", str(out)])
+    cfg = write_json(tmp_path, "exp.json", payload)
+    code, stdout, _ = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
     assert code == 0
-    summary = json.loads(stdout)
-    assert summary["baseline"] in {"uni", "greedy"}
-    assert (out / "regret_uni_0.csv").exists()
-    assert (out / "regret_summary.json").exists()
+    config = experiment.ExperimentConfig.from_dict(payload)
+    env, init = config.resolve()
+    trajectories = {}
+    for spec in config.policies:
+        traj = rollout(env, experiment.build_policy(env, spec), config.T, init, seed=5)
+        assert (out / f"trajectory_{spec.name}_5.csv").read_bytes() == \
+            trajectory_to_csv(traj).encode()
+        trajectories[spec.name] = traj
+    suite = empirical_regret_suite(env, trajectories)
+    assert sorted(suite.reports) == ["e", "m", "u"]
+    for name, report in suite.reports.items():
+        assert (out / f"regret_{name}_5.csv").read_bytes() == \
+            regret_report_to_csv(report).encode()
+    assert json.loads(stdout)["regret"] == {"5": suite_summary(suite)}
 
 
 def test_estimate_subcommand(tmp_path, capsys):

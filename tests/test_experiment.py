@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from conftest import random_env, random_state
 from twoside_sim import (DivergenceError, EnvironmentSpec, ExperimentConfig,
                          ExperimentConfigError, ExploreCommitConfig, LinearGameParams,
-                         LookaheadConfig, NoiseSpec,
+                         LookaheadConfig, NoiseSpec, OracleDomainError,
                          PolicySpec, PopulationState, SyntheticScenarioConfig,
                          Trajectory, TrajectoryTable, build_policy,
                          empirical_regret_suite, epsilon_greedy, gen_synthetic,
                          interpolate, linear_fn, myopic_greedy, optimize_lookahead,
                          parse_trajectory_csv, payoffs, regret_report_to_csv, rollout,
-                         run_experiment, sample_initial_state, step, suite_summary,
-                         table_fn, trajectory_to_csv, uniform_policy, welfare)
+                         run_experiment, sample_initial_state, SpecValidationError, step,
+                         suite_summary, table_fn, trajectory_to_csv, uniform_policy, welfare)
 
 
 def scenario(**over):
@@ -134,6 +134,41 @@ WRONG_KINDS = [
                          ids=[case[0] for case in WRONG_KINDS])
 def test_constructors_refuse_a_value_of_another_kind(field, make):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        make()
+
+
+# (id, error, field, construction): a non-finite number where a field's
+# annotation asks for a float or an array of them, refused at construction by
+# the class's named error; each was once accepted and failed later, if at all
+NON_FINITE = [
+    ("lookahead gamma", ExperimentConfigError, "gamma", lambda: LookaheadConfig(gamma=np.inf)),
+    ("lookahead learning_rate", ExperimentConfigError, "learning_rate",
+     lambda: LookaheadConfig(learning_rate=np.inf)),
+    ("scenario tau_range", ExperimentConfigError, "tau_range",
+     lambda: SyntheticScenarioConfig(tau_range=(np.inf, np.inf))),
+    ("scenario lambda_max_range", ExperimentConfigError, "lambda_max_range",
+     lambda: SyntheticScenarioConfig(lambda_max_range=(40.0, np.inf))),
+    ("scenario quality_max_range", ExperimentConfigError, "quality_max_range",
+     lambda: SyntheticScenarioConfig(quality_max_range=(0.5, np.inf))),
+    ("scenario quality_tau_range", ExperimentConfigError, "quality_tau_range",
+     lambda: SyntheticScenarioConfig(quality_tau_range=(np.inf, np.inf))),
+    ("environment B nan", SpecValidationError, "B",
+     lambda: dataclasses.replace(random_env(1, max_dim=1), B=[[np.nan]])),
+    ("environment B inf", SpecValidationError, "B",
+     lambda: dataclasses.replace(random_env(1, max_dim=1), B=[[np.inf]])),
+    ("linear game a0", OracleDomainError, "a0",
+     lambda: LinearGameParams(a0=np.inf, a1=0.5, a2=0.5, b2=0.0, B=[[1.0]])),
+    ("linear game a1", OracleDomainError, "a1",
+     lambda: LinearGameParams(a0=0.5, a1=np.inf, a2=0.5, b2=0.0, B=[[1.0]])),
+    ("linear game a2", OracleDomainError, "a2",
+     lambda: LinearGameParams(a0=0.5, a1=0.5, a2=np.inf, b2=0.0, B=[[1.0]])),
+]
+
+
+@pytest.mark.parametrize("error,field,make", [case[1:] for case in NON_FINITE],
+                         ids=[case[0] for case in NON_FINITE])
+def test_constructors_refuse_non_finite_numbers(error, field, make):
+    with pytest.raises(error, match=rf"\b{field}\b"):
         make()
 
 

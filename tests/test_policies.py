@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twoside_sim import (EnvironmentSpec, FunctionDomainError, GradientCheckError,
-                         LookaheadConfig, OptimizationError, PolicyValidationError,
+from twoside_sim import (EnvironmentSpec, FunctionDomainError, LookaheadConfig,
+                         OptimizationError, PolicyValidationError,
                          PopulationState, SyntheticScenarioConfig,
-                         check_gradient, counterexample_env, find_fixed_point,
+                         counterexample_env, find_fixed_point,
                          finite_difference_gradient, fn_eval, gen_synthetic,
                          interpolate, linear_fn, lookahead_gradient,
                          lookahead_objective, myopic_greedy, optimize_lookahead,
@@ -16,8 +16,8 @@ from twoside_sim import (EnvironmentSpec, FunctionDomainError, GradientCheckErro
                          uniform_policy, validate_policy)
 from twoside_sim.policies import _ascend, _Lookahead, row_softmax
 
-from conftest import (assert_bitwise_equal, random_env, random_policy, random_state,
-                      reference_lookahead)
+from conftest import (assert_bitwise_equal, gradient_gap, random_env, random_policy,
+                      random_state, reference_lookahead)
 
 
 def flat_env(B, eta=0.5):
@@ -139,23 +139,15 @@ def test_objective_rejects_wrong_shape():
 
 def richardson_gap(env, state, rows, gamma, h=1e-3):
     """Worst gap between the analytic gradient and the Richardson extrapolation
-    (4*D(h/2) - D(h))/3 of central differences, by check_gradient's rule:
-    entries where both magnitudes are below 1e-8 must agree to 1e-8 absolutely,
-    the rest are compared relative to the larger magnitude.
+    (4*D(h/2) - D(h))/3 of central differences, by conftest.gradient_gap.
 
     The extrapolation cancels the h^2 truncation term, so the step can be large
     enough that round-off in an objective of order 1e3 stays far below 1e-4 of
     a gradient entry of order 1e-4."""
     coarse = finite_difference_gradient(env, state, rows, gamma, h)
     fine = finite_difference_gradient(env, state, rows, gamma, h / 2)
-    fd = (4.0 * fine - coarse) / 3.0
-    analytic = lookahead_gradient(env, state, rows, gamma)
-    diff = np.abs(analytic - fd)
-    scale = np.maximum(np.abs(analytic), np.abs(fd))
-    tiny = scale < 1e-8
-    rel = np.where(tiny, np.where(diff > 1e-8, np.inf, 0.0),
-                   diff / np.maximum(scale, 1e-300))
-    return float(np.max(rel))
+    return gradient_gap(lookahead_gradient(env, state, rows, gamma),
+                        (4.0 * fine - coarse) / 3.0)
 
 
 def with_tables(env, seed):
@@ -211,8 +203,8 @@ def test_gradient_is_tight_on_smooth_instances():
     env = counterexample_env()
     state = PopulationState(t=0, viewer=[0.8], provider=[0.4, 0.7])
     rows = np.array([[0.6, 0.4]])
-    worst = check_gradient(env, state, rows, 1.0, h=1e-6, tol=1e-6)
-    assert worst <= 1e-6
+    assert gradient_gap(lookahead_gradient(env, state, rows, 1.0),
+                        finite_difference_gradient(env, state, rows, 1.0, h=1e-6)) <= 1e-6
 
 
 def test_table_environments_fall_back_to_finite_differences():
@@ -233,15 +225,6 @@ def test_table_environments_fall_back_to_finite_differences():
     got = lookahead_gradient(env, state, rows, 1.0)
     np.testing.assert_allclose(got, finite_difference_gradient(env, state, rows, 1.0),
                                rtol=1e-7)
-
-
-def test_gradient_checker_detects_discrepancies():
-    env = counterexample_env()
-    state = PopulationState(t=0, viewer=[0.8], provider=[0.4, 0.7])
-    rows = np.array([[0.6, 0.4]])
-    with pytest.raises(GradientCheckError):
-        # an absurd step makes the probe itself wrong, which must be reported
-        check_gradient(env, state, rows, 1.0, h=0.5, tol=1e-10)
 
 
 # --- optimizer ---
