@@ -25,8 +25,8 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
                          InteractionLog)
 from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, _from_config, load_environment,
                          resolve_environment, run_experiment)
-from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _fields_table,
-                    _policy_rows, _read, epsilon_greedy)
+from .kinds import ExperimentConfigError, _fields_table, _read
+from .model import EnvironmentSpec, PopulationState, _policy_rows, epsilon_greedy
 from .policies import LookaheadConfig
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
@@ -73,7 +73,7 @@ def _environment(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
 
 
 def _command_config(args, table: dict) -> dict:
-    """The --config JSON of a subcommand, read by `table` (see model._read)."""
+    """The --config JSON of a subcommand, read by `table` (see kinds._read)."""
     command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
     if not args.config:
         raise ExperimentConfigError(f"{command} requires --config")
@@ -134,11 +134,11 @@ def _preset_cases(args):
                                     "it needs --preset")
     if not args.config:
         raise ExperimentConfigError("either --preset or --config is required")
-    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": ("array of numbers", MISSING),
-                                 "tol": (None, 1e-10), "max_iter": ("integer", 100000)})
+    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": (None, MISSING),
+                                 "tol": (None, 1e-10), "max_iter": (None, 100000)})
     env, init = _environment(cfg)
     policy = _from_config("policy", _policy_rows, cfg["policy"], env.K, env.L)
-    _from_config(f"{args.command} config", _check_tol, cfg["tol"])
+    _from_config(f"{args.command} config", _check_tol, cfg["tol"], cfg["max_iter"])
     return env, policy, {"init": init}, cfg["tol"], cfg["max_iter"]
 
 
@@ -182,14 +182,14 @@ def cmd_stability(args) -> int:
 
 def cmd_estimate(args) -> int:
     etc_keys = _fields_table(ExploreCommitConfig)
-    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, **etc_keys, "lookahead": ("object", None),
-                                 "seed": ("integer", 0), "b_known": ("boolean", True)})
+    cfg = _command_config(args, {**_ENVIRONMENT_KEYS, **etc_keys, "lookahead": (None, None),
+                                 "seed": (None, 0), "b_known": (bool, True)})
     env, init = _environment(cfg)
     etc = ExploreCommitConfig(**{k: cfg[k] for k in etc_keys})
     lookahead = None if cfg["lookahead"] is None else LookaheadConfig(
         **_read(cfg["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
     seed = args.seed if args.seed is not None else cfg["seed"]
-    blackbox = SimulatorBlackbox(env, init, seed=seed)
+    blackbox = _from_config("estimate config", SimulatorBlackbox, env, init, seed=seed)
     traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=cfg["b_known"])
     if args.out:
         out_dir = Path(args.out)
@@ -209,10 +209,10 @@ def cmd_estimate(args) -> int:
 
 
 # the config table of each oracle subcommand that reads a config
-_PI = {"params": ("object", MISSING), "pi": ("array of numbers", MISSING)}
+_PI = {"params": (None, MISSING), "pi": (None, MISSING)}
 _ORACLE_TABLES = {"linear-ne": _PI, "linear-welfare": _PI, "epsilon-bounds": {
-    "params": ("object", MISSING),
-    "epsilon_grid": ("array of numbers", np.round(np.linspace(0, 1, 21), 10))}}
+    "params": (None, MISSING),
+    "epsilon_grid": (tuple[float, ...], np.round(np.linspace(0, 1, 21), 10))}}
 
 
 def cmd_oracle(args) -> int:
@@ -244,7 +244,7 @@ def cmd_oracle(args) -> int:
         return 0
     # epsilon-bounds: argparse admits no other subcommand
     rows = []
-    for eps in cfg["epsilon_grid"].tolist():
+    for eps in np.asarray(cfg["epsilon_grid"], dtype=float).tolist():
         g, h = epsilon_welfare_bounds(params, params.B, eps)
         R = linear_welfare(params, epsilon_greedy(params.B, eps))
         rows.append({"epsilon": eps, "g": g, "h": h, "welfare": R,

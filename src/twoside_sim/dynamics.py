@@ -19,8 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functions import _row_dots
+from .kinds import _is
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    SpecValidationError, _frozen, _is, _policy_rows, _readonly, greedy_rows,
+                    SpecValidationError, _frozen, _policy_rows, _readonly, greedy_rows,
                     validate_policy)
 from .policies import myopic_greedy
 
@@ -344,9 +345,10 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     several fixed points exist.  max_iter bounds the evaluations of F, each
     Newton trial counted as one.  Raises ConvergenceError when they run out,
     or its DivergenceError subclass as soon as a plain iterate overflows;
-    SpecValidationError when tol is not a finite number >= 0.
+    SpecValidationError when tol is not a finite number >= 0 or max_iter is
+    not an integer.
     """
-    _check_tol(tol)
+    _check_tol(tol, max_iter)
     rows, x = _stacked(env, init, pi, "find_fixed_point")
     t, K = init.t, env.K            # t is x's timestep; F(x) is at t + 1
     fx = _image(env, rows, x, t)
@@ -445,9 +447,12 @@ def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, st
     return None if failed else np.maximum(fx, 0.0)
 
 
-def _check_tol(tol) -> None:
+def _check_tol(tol, max_iter: int = 1) -> None:
+    """Refuse a tol that is not a finite number >= 0 or a max_iter not an integer."""
     if not (_is(tol, float) and tol >= 0.0):
         raise SpecValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not _is(max_iter, int):
+        raise SpecValidationError(f"max_iter must be an integer, got {max_iter!r}")
 
 
 def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | None = None):
@@ -478,7 +483,7 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
     tol / ||J - I||_inf (half, for round-off) merge without a pseudo-inverse:
     (J - I)(J - I)^+ is a nonzero projector, so its norm is at least 1.
     """
-    _check_tol(tol)
+    _check_tol(tol, max_iter)
     pi = validate_policy(pi)        # checked once, before any start, then passed along
     rows = _policy_rows(pi, env.K, env.L)
     found: list[tuple] = []         # (point, x, lower bound, radius() taken once)

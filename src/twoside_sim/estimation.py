@@ -19,8 +19,9 @@ import numpy as np
 from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _csv_text, _parse_csv,
                        _step_one, trajectory_header)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .model import (EnvironmentSpec, ExperimentConfigError, Payoffs, PolicyMatrix,
-                    PopulationState, _check_kinds, _readonly, epsilon_greedy, validate_policy)
+from .kinds import ExperimentConfigError, _check_kinds, _is
+from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
+                    SpecValidationError, _readonly, epsilon_greedy, validate_policy)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -347,6 +348,8 @@ class SimulatorBlackbox:
     """
 
     def __init__(self, env: EnvironmentSpec, init: PopulationState, seed: int = 0):
+        if not _is(seed, int):
+            raise SpecValidationError(f"seed must be an integer, got {seed!r}")
         self._env = env
         self._init = init
         self.seed = int(seed)

@@ -22,8 +22,8 @@ import numpy as np
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
 from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
 from .functions import FunctionConfigError
-from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState,
-                    SpecValidationError, _check_kinds, _fields_table, _read, epsilon_greedy)
+from .kinds import ExperimentConfigError, _check_kinds, _fields_table, _read
+from .model import EnvironmentSpec, PopulationState, SpecValidationError, epsilon_greedy
 from .oracles import OracleDomainError
 from .policies import (LookaheadConfig, interpolate, myopic_greedy,
                        optimize_lookahead, uniform_policy)
@@ -34,14 +34,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
 # the keys through which a config names its environment and initial populations
-_ENVIRONMENT_KEYS = {"environment": ("object", MISSING), "init": ("object", None)}
-# an inline environment is EnvironmentSpec's JSON form; ScalarFn.from_dict
-# reads the curve entries of f and the two lambda_bar lists
-_INLINE_KEYS = {"K": ("integer", MISSING), "L": ("integer", MISSING), "seed": ("integer", 0),
-                "B": ("array of numbers", MISSING), "eta_viewer": ("array of numbers", MISSING),
-                "eta_provider": ("array of numbers", MISSING), "f": ("array", MISSING),
-                "lambda_bar_viewer": ("array", MISSING), "lambda_bar_provider": ("array", MISSING),
-                "noise": ("object", None)}
+_ENVIRONMENT_KEYS = {"environment": (None, MISSING), "init": (None, None)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScen
     'environment' block {'synthetic': {...}} or {'inline': {...}}, and an
     optional 'init' block with K viewer and L provider entries."""
     blocks = _read(d["environment"], "environment",
-                   {"synthetic": ("object", None), "inline": ("object", None)})
+                   {"synthetic": (None, None), "inline": (None, None)})
     if (blocks["synthetic"] is None) == (blocks["inline"] is None):
         raise ExperimentConfigError(
             "environment must be {'synthetic': {...}} or {'inline': {...}}")
@@ -128,15 +121,12 @@ def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScen
         environment: EnvironmentSpec | SyntheticScenarioConfig = (
             SyntheticScenarioConfig.from_dict(blocks["synthetic"]))
     else:
-        inline = _read(blocks["inline"], "inline environment", _INLINE_KEYS)
-        if inline["noise"] is not None:
-            inline["noise"] = _read(inline["noise"], "noise",
-                                    {"relative_std": ("number", MISSING)})
-        environment = _from_config("inline environment", EnvironmentSpec.from_dict, inline)
+        environment = _from_config("inline environment", EnvironmentSpec.from_dict,
+                                   blocks["inline"])
     init = None
     if d["init"] is not None:
-        init = _from_config("init", PopulationState, t=0, **_read(d["init"], "init", {
-            "viewer": ("array of numbers", MISSING), "provider": ("array of numbers", MISSING)}))
+        init = _from_config("init", PopulationState, t=0, **_read(
+            d["init"], "init", dict.fromkeys(("viewer", "provider"), (None, MISSING))))
         if init.viewer.shape != (environment.K,) or init.provider.shape != (environment.L,):
             raise ExperimentConfigError(
                 f"init has {len(init.viewer)} viewer and {len(init.provider)} provider "
@@ -188,7 +178,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
         c = _read(d, "experiment config", {
-            **_ENVIRONMENT_KEYS, "policies": ("array", []), "T": (None, None),
+            **_ENVIRONMENT_KEYS, "policies": (list, []), "T": (None, None),
             "seeds": (None, [0]), "outputs": (None, "out")})
         environment, init = load_environment(c)
         default_T = environment.T if isinstance(environment, SyntheticScenarioConfig) else None

@@ -35,11 +35,12 @@ returning value and slope from one pass.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any
 
 import numpy as np
+
+from .kinds import _read
 
 
 class FunctionDomainError(ValueError):
@@ -72,61 +73,18 @@ class ScalarFn:
 
     @staticmethod
     def from_dict(d: dict) -> "ScalarFn":
-        if not (isinstance(d, dict) and isinstance(d.get("params"), dict)):
-            raise FunctionConfigError(
-                f"a curve must be an object {{'kind': ..., 'params': {{...}}}}, got {d!r}")
-        return ScalarFn(kind=d.get("kind"), params=dict(d["params"]))
+        fn = _read(d, "curve {kind, params}", {"kind": (None, MISSING), "params": (dict, MISSING)},
+                   FunctionConfigError)
+        return ScalarFn(kind=fn["kind"], params=dict(fn["params"]))
 
 
-def _is_numbers(value, ndim: int) -> bool:
-    """Whether `value` is a number (ndim 0: a Python or numpy int or float,
-    never a bool, and never a Python int past the largest float), or a
-    rectangular list, tuple or numeric array of them with ndim axes."""
-    if isinstance(value, np.ndarray):
-        return value.ndim == ndim and value.dtype.kind in "iuf"
-    if ndim == 0:
-        return _is_number_type(type(value)) and _in_float_range(value)
-    if not isinstance(value, (list, tuple)):
-        return False
-    if ndim == 1:       # each type among the entries, once; Python ints one by one
-        types = set(map(type, value))
-        return all(map(_is_number_type, types)) and (
-            not any(issubclass(t, int) for t in types) or all(map(_in_float_range, value)))
-    return all(_is_numbers(v, ndim - 1) for v in value) and len(set(map(np.shape, value))) < 2
-
-
-def _is_number_type(t: type) -> bool:
-    return issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
-
-
-def _in_float_range(number) -> bool:
-    """False for a Python int past the largest float (float() refuses it)."""
-    return not isinstance(number, int) or abs(number) <= sys.float_info.max
-
-
-def _finite(kind: str, params, *keys: str, ndim: int = 0) -> list[np.ndarray]:
-    """Parameters `keys`, all a `kind` curve has, as float arrays, each finite
-    numbers with ndim axes (0: a number); a missing one, an unknown one or one
-    of another kind is a FunctionConfigError naming the kind and the key."""
-    if not isinstance(params, dict):
-        raise FunctionConfigError(f"{kind} params must be a dict, got {params!r}")
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise FunctionConfigError(f"{kind}: unknown parameter(s) {unknown}")
-    out = []
-    for key in keys:
-        if key not in params:
-            raise FunctionConfigError(f"{kind} is missing parameter {key!r}")
-        value = params[key]
-        arr = np.asarray(value, dtype=float) if _is_numbers(value, ndim) else None
-        if arr is None or not np.isfinite(arr).all():
-            raise FunctionConfigError(f"{kind} parameter {key!r} must be "
-                                      f"{_FINITE[ndim]}, got {value!r}")
-        out.append(arr)
-    return out
-
-
-_FINITE = ("a finite number", "a list of finite numbers", "a list of finite (x, y) pairs")
+def _params(kind: str, params, **annotations) -> list[np.ndarray]:
+    """The parameters of a `kind` curve, each required and of its annotation
+    (float, or np.ndarray for finite numbers in one or two axes), read by
+    kinds._read and returned as float arrays."""
+    read = _read(params, f"{kind} params", {key: (a, MISSING) for key, a in annotations.items()},
+                 FunctionConfigError)
+    return [np.asarray(value, dtype=float) for value in read.values()]
 
 
 def _jsonable_params(p: dict) -> dict:
@@ -384,7 +342,7 @@ def _row_dots(coef: np.ndarray, comp: np.ndarray) -> np.ndarray:
 class _Linear:
     @staticmethod
     def check(p):
-        slope, _ = _finite("linear", p, "slope", "intercept")
+        slope, _ = _params("linear", p, slope=float, intercept=float)
         if slope < 0:
             raise FunctionConfigError("linear slope must be >= 0 for monotonicity")
 
@@ -403,7 +361,7 @@ class _Linear:
 class _SigmoidHalf:
     @staticmethod
     def check(p):
-        max_value, tau = _finite("sigmoid_half", p, "max", "tau")
+        max_value, tau = _params("sigmoid_half", p, max=float, tau=float)
         if max_value <= 0 or tau <= 0:
             raise FunctionConfigError("sigmoid_half requires max > 0 and tau > 0")
 
@@ -423,7 +381,7 @@ class _SigmoidHalf:
 class _SaturatingExp:
     @staticmethod
     def check(p):
-        a0, a1, _, _ = _finite("saturating_exp", p, "a0", "a1", "a2", "a3")
+        a0, a1, _, _ = _params("saturating_exp", p, a0=float, a1=float, a2=float, a3=float)
         if a0 * a1 < 0:
             raise FunctionConfigError(
                 "saturating_exp requires a0 * a1 >= 0 for monotonicity")
@@ -443,7 +401,7 @@ class _SaturatingExp:
 class _ScaledLogistic:
     @staticmethod
     def check(p):
-        gain, scale, _ = _finite("scaled_logistic", p, "gain", "scale", "shift")
+        gain, scale, _ = _params("scaled_logistic", p, gain=float, scale=float, shift=float)
         if gain * scale < 0:
             raise FunctionConfigError(
                 "scaled_logistic requires gain * scale >= 0 for monotonicity")
@@ -464,7 +422,7 @@ class _ScaledLogistic:
 class _Table:
     @staticmethod
     def check(p):
-        (knots,) = _finite("table", p, "knots", ndim=2)
+        (knots,) = _params("table", p, knots=np.ndarray)
         if knots.shape[1:] != (2,):
             raise FunctionConfigError("table knots must be (x, y) pairs")
         if len(knots) < 2:
@@ -503,9 +461,10 @@ class _WeightedSigmoidSum:
 
     @staticmethod
     def check(p):
-        w, m, t = _finite("weighted_sigmoid_sum", p, "weights", "max_values", "taus", ndim=1)
-        if not (w.shape == m.shape == t.shape):
-            raise FunctionConfigError("weighted_sigmoid_sum arrays must be of equal length")
+        w, m, t = _params("weighted_sigmoid_sum", p, weights=np.ndarray, max_values=np.ndarray,
+                          taus=np.ndarray)
+        if not (w.ndim == 1 and w.shape == m.shape == t.shape):
+            raise FunctionConfigError("weighted_sigmoid_sum arrays must be lists of equal length")
         if np.any(w < 0) or np.any(m <= 0) or np.any(t <= 0):
             raise FunctionConfigError(
                 "weighted_sigmoid_sum requires weights >= 0, max_values > 0, taus > 0")

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
-from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .functions import FnGrid, FnVector, ScalarFn, _is_numbers
+from .functions import FnGrid, FnVector, ScalarFn
+from .kinds import _check_kinds, _fields_table, _read
 
 ROW_SUM_TOL = 1e-9
 
@@ -28,82 +25,6 @@ class SpecValidationError(ValueError):
 
 class PolicyValidationError(SpecValidationError):
     """A matrix is not a valid row-stochastic allocation policy."""
-
-
-class ExperimentConfigError(ValueError):
-    """The experiment configuration is invalid."""
-
-
-# the annotation each JSON kind of a _read table stands for; a config
-# dataclass states the kind of a field once, as its annotation (_check_kinds)
-_JSON_KINDS = {"integer": int, "number": float, "boolean": bool, "object": dict, "array": list,
-               "array of numbers": np.ndarray}
-
-
-def _is(value, kind) -> bool:
-    """Whether `value` is of `kind`, a field annotation.  A float is a finite
-    Python or numpy int or float, an int one of the ints, and a bool is
-    neither; a tuple[...] is a list, tuple or 1-d array of its entries; an
-    np.ndarray is rectangular finite numbers with one or two axes."""
-    if kind is float:
-        return _is_numbers(value, 0) and math.isfinite(value)
-    if kind is int:
-        return _is_numbers(value, 0) and isinstance(value, (int, np.integer))
-    if kind is np.ndarray:
-        return (_is_numbers(value, 1) or _is_numbers(value, 2)) and bool(
-            np.isfinite(np.asarray(value, dtype=float)).all())
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is tuple:                 # tuple[X, ...] holds any number of X
-        return (isinstance(value, (list, tuple)) or np.ndim(value) == 1) and (
-            all(_is(v, args[0]) for v in value) if args[1:] == (...,)
-            else len(value) == len(args) and all(map(_is, value, args)))
-    if origin is UnionType:
-        return any(_is(value, a) for a in args)
-    return isinstance(value, kind)
-
-
-_annotations = cache(get_type_hints)      # of a dataclass, evaluated once
-
-
-def _check_kinds(config, error=ExperimentConfigError) -> None:
-    """Refuse an init field of a dataclass built from a config that is not of
-    its annotated kind (see _is): an `error` naming the class and the field."""
-    kinds = _annotations(type(config))
-    for f in fields(config):
-        if f.init and not _is(value := getattr(config, f.name), kinds[f.name]):
-            raise error(f"{type(config).__name__}: {f.name} must be {f.type}, got {value!r}")
-
-
-def _fields_table(cls) -> dict[str, tuple[None, Any]]:
-    """The _read table of a block that mirrors config dataclass `cls`: each
-    field's default; the constructor checks the kinds."""
-    return {f.name: (None, f.default) for f in fields(cls)}
-
-
-def _read(block, what: str, table: dict[str, tuple[str | None, Any]]) -> dict[str, Any]:
-    """Each key of the JSON object `block` by `table`, key -> (kind, default):
-    absent or null, its default (MISSING: required); else a value of its kind
-    (_JSON_KINDS), never cast, an "array of numbers" read as a float array
-    (kind None: left to the code that uses it).  An unknown key, a missing one
-    or a value of another kind is an ExperimentConfigError naming `what` and the key."""
-    if type(block) is not dict:
-        raise ExperimentConfigError(f"{what} must be a JSON object, got {block!r}")
-    unknown = sorted(set(block) - set(table))
-    if unknown:
-        raise ExperimentConfigError(f"{what}: unknown key(s) {unknown}")
-    values = {}
-    for key, (kind, default) in table.items():
-        value = block.get(key)
-        if value is None:
-            if default is MISSING:
-                raise ExperimentConfigError(f"{what} is missing required key {key!r}")
-            value = default
-        elif kind is not None and not _is(value, _JSON_KINDS[kind]):
-            raise ExperimentConfigError(f"{what}: {key} must be a JSON {kind}, got {value!r}")
-        elif kind == "array of numbers":
-            value = np.asarray(value, dtype=float)
-        values[key] = value
-    return values
 
 
 @dataclass(frozen=True)
@@ -200,24 +121,23 @@ class EnvironmentSpec:
             "seed": self.seed,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "EnvironmentSpec":
-        """The environment of to_dict's form, its values taken as they are."""
-        noise = d.get("noise")
-        if not all(isinstance(row, (list, tuple)) for row in d["f"]):
+    @classmethod
+    def from_dict(cls, d: dict) -> "EnvironmentSpec":
+        """The environment of to_dict's form, its values taken as they are:
+        the block read by the init fields, each curve a ScalarFn.from_dict
+        entry of a JSON array, the noise block by NoiseSpec's fields."""
+        curves = ("f", "lambda_bar_viewer", "lambda_bar_provider")
+        table = {**_fields_table(cls), **dict.fromkeys(curves, (list, MISSING))}
+        e = _read(d, cls.__name__, table, SpecValidationError)
+        if e["noise"] is not None:
+            e["noise"] = NoiseSpec(**_read(e["noise"], "noise", _fields_table(NoiseSpec),
+                                           SpecValidationError))
+        if not all(isinstance(row, (list, tuple)) for row in e["f"]):
             raise SpecValidationError("f must be a K x L grid: a list of lists of curves")
-        return EnvironmentSpec(
-            K=d["K"],
-            L=d["L"],
-            B=d["B"],
-            f=tuple(tuple(ScalarFn.from_dict(fd) for fd in row) for row in d["f"]),
-            lambda_bar_viewer=tuple(ScalarFn.from_dict(fd) for fd in d["lambda_bar_viewer"]),
-            lambda_bar_provider=tuple(ScalarFn.from_dict(fd) for fd in d["lambda_bar_provider"]),
-            eta_viewer=d["eta_viewer"],
-            eta_provider=d["eta_provider"],
-            noise=None if noise is None else NoiseSpec(noise["relative_std"]),
-            seed=d.get("seed", 0),
-        )
+        e["f"] = tuple(tuple(map(ScalarFn.from_dict, row)) for row in e["f"])
+        for key in curves[1:]:
+            e[key] = tuple(map(ScalarFn.from_dict, e[key]))
+        return cls(**e)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -248,6 +168,7 @@ class PopulationState:
     provider: np.ndarray  # length L, >= 0
 
     def __post_init__(self):
+        _check_kinds(self, SpecValidationError)
         object.__setattr__(self, "viewer",
                            _readonly(np.asarray(self.viewer, dtype=float)))
         object.__setattr__(self, "provider",
@@ -257,16 +178,17 @@ class PopulationState:
         for name, v in (("viewer", self.viewer), ("provider", self.provider)):
             if v.ndim != 1:
                 raise SpecValidationError(f"{name} populations must be a vector")
-            if np.any(v < 0) or not np.all(np.isfinite(v)):
-                raise SpecValidationError(f"{name} populations must be finite and >= 0")
+            if np.any(v < 0):
+                raise SpecValidationError(f"{name} populations must be >= 0")
 
 
 @dataclass(frozen=True)
 class PolicyMatrix:
     """A K x L row-stochastic allocation of provider groups to viewer groups.
 
-    Valid by construction: entries must be finite, non-negative and at most 1,
-    and each row must sum to 1 within ROW_SUM_TOL, else PolicyValidationError.
+    Valid by construction: entries must be finite numbers (never bools or
+    strings), non-negative and at most 1, and each row must sum to 1 within
+    ROW_SUM_TOL, else PolicyValidationError.
     Entries are kept bit-for-bit as given (no renormalizing division): several
     policy constructors guarantee exact algebraic identities — e.g. the
     epsilon-greedy convex combination and interpolation endpoints — that a
@@ -276,11 +198,10 @@ class PolicyMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
+        _check_kinds(self, PolicyValidationError)
         rows = _readonly(np.asarray(self.rows, dtype=float))
         if rows.ndim != 2:
             raise PolicyValidationError(f"policy must be a 2-d matrix, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise PolicyValidationError("policy entries must be finite")
         if np.any(rows < 0):
             raise PolicyValidationError("policy entries must be >= 0")
         if np.any(rows > 1 + ROW_SUM_TOL):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import payoffs
 from .functions import linear_fn, scaled_logistic
-from .model import (EnvironmentSpec, PopulationState, _check_kinds, _policy_rows, _readonly,
-                    epsilon_greedy)
+from .kinds import _check_kinds
+from .model import EnvironmentSpec, PopulationState, _policy_rows, _readonly, epsilon_greedy
 
 
 class OracleDomainError(ValueError):

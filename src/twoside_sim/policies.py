@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import _finite_vector
-from .model import (EnvironmentSpec, ExperimentConfigError, PolicyMatrix,
-                    PolicyValidationError, PopulationState, _check_kinds, _policy_rows,
-                    greedy_rows, validate_policy)
+from .kinds import ExperimentConfigError, _check_kinds
+from .model import (EnvironmentSpec, PolicyMatrix, PolicyValidationError, PopulationState,
+                    _policy_rows, greedy_rows, validate_policy)
 
 
 class OptimizationError(RuntimeError):

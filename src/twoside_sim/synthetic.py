@@ -16,8 +16,8 @@ from typing import Any
 import numpy as np
 
 from .functions import sigmoid_half, weighted_sigmoid_sum
-from .model import (EnvironmentSpec, ExperimentConfigError, PopulationState, _check_kinds,
-                    _fields_table, _read)
+from .kinds import ExperimentConfigError, _check_kinds, _fields_table, _read
+from .model import EnvironmentSpec, PopulationState
 
 _INIT_PRESETS = {
     "small": (20.0, 10.0),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from twoside_sim import (EnvironmentSpec, empirical_regret_suite, experiment, linear_fn,
-                         regret_report_to_csv, rollout, suite_summary, trajectory_to_csv)
+                         parse_trajectory_csv, regret_report_to_csv, rollout, suite_summary,
+                         trajectory_to_csv)
 from twoside_sim.cli import main
 
 
@@ -311,6 +312,11 @@ UNPARSABLE_VALUES = [
     ("gen", "tau_range", scenario_dict(tau_range=[np.inf, np.inf])),
     ("run", "B", {**RUN_CONFIG, "init": FIXED_POINT_CONFIG["init"],
                   "environment": _inline_config(B=[[np.inf], [1.0]])["environment"]}),
+    ("run", "colour", {**RUN_CONFIG, "init": FIXED_POINT_CONFIG["init"], "environment":
+                       _inline_config(noise={"relative_std": 0.05, "colour": 1})["environment"]}),
+    ("run", "relative_std", {**RUN_CONFIG, "init": FIXED_POINT_CONFIG["init"], "environment":
+                             _inline_config(noise={"relative_std": "0.05"})["environment"]}),
+    ("fixed-point", "init", {k: v for k, v in FIXED_POINT_CONFIG.items() if k != "init"}),
 ]
 
 
@@ -335,6 +341,8 @@ def test_unparsable_value_is_config_error(tmp_path, capsys, command, key, payloa
     record = json.loads(err)["error"]
     assert record["type"] == "ExperimentConfigError" and key in record["message"]
     assert key != "tol" or "tol must be a finite number" in record["message"]
+    # a JSON number past the float range is read as an infinity, refused as not finite
+    assert "Infinity" not in json.dumps(payload) or "finite" in record["message"]
     assert "__init__" not in record["message"]     # the block is named, not a constructor
     assert not out.exists()
 
@@ -420,6 +428,19 @@ def test_run_regret_is_the_suite_of_its_own_trajectories(tmp_path, capsys):
         assert (out / f"regret_{name}_5.csv").read_bytes() == \
             regret_report_to_csv(report).encode()
     assert json.loads(stdout)["regret"] == {"5": suite_summary(suite)}
+
+
+def test_inline_noise_block_gives_each_seed_its_own_trajectory(tmp_path, capsys):
+    inline = _inline_config(noise={"relative_std": 0.05})["environment"]
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path, "exp.json", {
+        "environment": inline, "init": FIXED_POINT_CONFIG["init"], "T": 4, "seeds": [1, 2],
+        "policies": [{"name": "u", "kind": "uniform"}]})
+    code, _, _ = run_cli(capsys, ["run", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 0
+    one, two = (parse_trajectory_csv((out / f"trajectory_u_{seed}.csv").read_text())
+                for seed in (1, 2))
+    assert not np.array_equal(one.lambda_viewer, two.lambda_viewer)
 
 
 def test_estimate_subcommand(tmp_path, capsys):

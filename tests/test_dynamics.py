@@ -10,7 +10,7 @@ import twoside_sim.dynamics as dynamics
 from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          DivergenceError, EnvironmentSpec,
                          FixedPointPreconditionError, FunctionDomainError, LinearGameParams,
-                         NoiseSpec, PolicyValidationError, PopulationState,
+                         NoiseSpec, PolicyValidationError, PopulationState, SpecValidationError,
                          SyntheticScenarioConfig, assemble_jacobian, closed_form_eigenvalues,
                          enumerate_fixed_points, epsilon_greedy,
                          find_fixed_point, fixed_point_residual, fn_deriv,
@@ -804,6 +804,15 @@ def test_fixed_point_calls_refuse_a_tol_that_is_not_a_finite_number(tol):
         with pytest.raises(ValueError, match="tol must be a finite number") as err:
             call()
         assert not isinstance(err.value, FixedPointPreconditionError)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 1e5, True, "100"])
+def test_fixed_point_searches_refuse_a_max_iter_that_is_not_an_integer(max_iter):
+    env, start = three_equilibria_env(), PopulationState(t=0, viewer=[0.3], provider=[0.9])
+    for call in (lambda: find_fixed_point(env, [[1.0]], start, max_iter=max_iter),
+                 lambda: enumerate_fixed_points(env, [[1.0]], [start], max_iter=max_iter)):
+        with pytest.raises(SpecValidationError, match="max_iter must be an integer"):
+            call()
 
 
 def test_not_a_fixed_point_is_a_precondition_error():

@@ -414,6 +414,12 @@ def test_blackbox_observes_before_advancing():
     np.testing.assert_array_equal(again.payoffs.s, rec.payoffs.s)
 
 
+@pytest.mark.parametrize("seed", [2.7, True, "3"])
+def test_blackbox_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimulatorBlackbox(sat_env(), START, seed=seed)
+
+
 def test_blackbox_reset_reproduces_noisy_runs():
     env = sat_env(noise=None)
     noisy = EnvironmentSpec.from_dict({**env.to_dict(), "noise": {"relative_std": 0.05}})

@@ -168,8 +168,9 @@ NON_FINITE = [
 @pytest.mark.parametrize("error,field,make", [case[1:] for case in NON_FINITE],
                          ids=[case[0] for case in NON_FINITE])
 def test_constructors_refuse_non_finite_numbers(error, field, make):
-    with pytest.raises(error, match=rf"\b{field}\b"):
+    with pytest.raises(error, match=rf"\b{field}\b") as err:
         make()
+    assert "finite" in str(err.value)
 
 
 def test_constructors_take_numpy_numbers(tmp_path):

@@ -167,6 +167,7 @@ def test_round_trip_through_dict(seed):
       "params": {"weights": [1.0], "max_values": ["1"], "taus": [1.0]}},
      ["weighted_sigmoid_sum", "max_values"]),
     ({"kind": "quadratic", "params": {}}, ["quadratic"]),
+    ({"kind": "linear", "params": {"slope": 1.0, "intercept": 0.0}, "colour": 1}, ["colour"]),
 ])
 def test_from_dict_refuses_a_malformed_curve(entry, names):
     with pytest.raises(FunctionConfigError) as err:

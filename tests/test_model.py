@@ -133,6 +133,34 @@ def test_population_state_rejects_bad_values():
         PopulationState(t=-1, viewer=[1.0], provider=[1.0])
 
 
+# (construction, error, field named): a value of another kind than the
+# field's annotation, refused by the domain's error; each was once accepted,
+# cast, ignored, or refused by a bare KeyError
+OTHER_KINDS = [
+    ("state t float", SpecValidationError, "t",
+     lambda: PopulationState(t=2.5, viewer=[5.0], provider=[5.0])),
+    ("state t bool", SpecValidationError, "t",
+     lambda: PopulationState(t=True, viewer=[5.0], provider=[5.0])),
+    ("state viewer strings", SpecValidationError, "viewer",
+     lambda: PopulationState(t=0, viewer=["5", "5"], provider=[5.0])),
+    ("state provider bools", SpecValidationError, "provider",
+     lambda: PopulationState(t=0, viewer=[5.0], provider=[True])),
+    ("policy strings", PolicyValidationError, "rows", lambda: validate_policy([["0.5", "0.5"]])),
+    ("policy bools", PolicyValidationError, "rows", lambda: validate_policy([[True, False]])),
+    ("environment missing keys", SpecValidationError, "L",
+     lambda: EnvironmentSpec.from_dict({"K": 1})),
+    ("environment noise key", SpecValidationError, "colour", lambda: EnvironmentSpec.from_dict(
+        {**tiny_env().to_dict(), "noise": {"relative_std": 0.1, "colour": 1}})),
+]
+
+
+@pytest.mark.parametrize("error,field,make", [case[1:] for case in OTHER_KINDS],
+                         ids=[case[0] for case in OTHER_KINDS])
+def test_model_types_refuse_a_value_of_another_kind(error, field, make):
+    with pytest.raises(error, match=rf"\b{field}\b"):
+        make()
+
+
 # --- policies ---
 
 
