@@ -86,9 +86,10 @@ def step(env: EnvironmentSpec, state: PopulationState, pi,
     """Advance the populations by one timestep (one cell of _step_cells).
 
     Noise (when configured and rng given) multiplies each new population by
-    (1 + xi) with xi ~ Normal(0, relative_std^2), viewer draws before provider
-    draws, and the result is clipped at zero.  Raises DivergenceError, carrying
-    `state`, when the welfare, payoffs or new populations are not finite.
+    (1 + xi) with xi ~ Normal(0, relative_std^2), one row of K viewer draws
+    then L provider draws from rng, and the result is clipped at zero.
+    Raises DivergenceError, carrying `state`, when the welfare, payoffs or new
+    populations are not finite.
     """
     if env.noise_active and rng is None:
         raise ValueError("environment has noise configured; step needs an rng")
@@ -98,46 +99,56 @@ def step(env: EnvironmentSpec, state: PopulationState, pi,
 
 def _step_one(env: EnvironmentSpec, state: PopulationState, pi, rng):
     """(q, s, e, welfare, next viewer, next provider) of `pi` deployed at
-    `state`, by _step_cells with one cell; raises that cell's failure."""
+    `state`, by _step_cells with one cell and one row of noise from `rng`;
+    raises that cell's failure."""
     rows, failed = _checked(env, state, pi), {}
-    q, _, s, e, w, viewer, provider = _step_cells(
-        env, state.t, state.viewer[None], state.provider[None], lambda q: rows, [rng], failed)
+    noise = _noise_factors(env, rng, 1) if env.noise_active else None
+    q, s, e, w, viewer, provider = _step_cells(
+        env, state.t, state.viewer[None], state.provider[None], lambda q: rows, noise, failed)
     if failed:
         raise failed[0]
     return q[0], s[0], e[0], float(w[0]), viewer[0], provider[0]
 
 
+def _noise_factors(env: EnvironmentSpec, rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """1 + xi over `shape` rows of K + L draws, xi ~ Normal(0, relative_std^2),
+    viewer draws before provider draws.  A generator's normal draws do not
+    depend on the batch size, so a (T, K + L) block holds the rows that T
+    one-row draws would give, in order."""
+    return 1.0 + rng.normal(0.0, env.noise.relative_std, (*shape, env.K + env.L))
+
+
 def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.ndarray,
-                decide: Callable, rngs: Sequence, failed: dict):
+                decide: Callable, noise: np.ndarray | None, failed: dict):
     """The one step of the dynamics, for S cells at time t: populations
     `viewer` (S, K) and `provider` (S, L), policy rows decide(q), (S, K, L) or
-    one (K, L) for all, at q = B + f(provider), _update, then noise from rngs[i].
-    Returns (q, rows, s, e, welfare, next viewer, next provider).
+    one (K, L) for all, at q = B + f(provider), _update, then the new
+    populations times the cells' noise factors `noise` (S, K + L), when given.
+    Returns (q, s, e, welfare, next viewer, next provider).
 
     After the update, a cell that fails a check (welfare, payoffs, new
     populations, in that order) gets its DivergenceError in `failed` (cell
-    -> error) and then stays where it is, so the other cells go on.
+    -> error) and then stays where it is, so the other cells go on.  One
+    finite sum of all of them passes every cell at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q = env.B + env.f_grid.value(provider)
     rows = decide(q)
     with np.errstate(over="ignore", invalid="ignore"):
         s, e, w, new_viewer, new_provider = _update(env, q, rows, viewer, provider)
-        if env.noise_active:
-            xi_viewer, xi_provider = np.empty(viewer.shape), np.empty(provider.shape)
-            for c, rng in enumerate(rngs):
-                xi_viewer[c] = rng.normal(0.0, env.noise.relative_std, env.K)
-                xi_provider[c] = rng.normal(0.0, env.noise.relative_std, env.L)
-            new_viewer = new_viewer * (1.0 + xi_viewer)
-            new_provider = new_provider * (1.0 + xi_provider)
-    _fail_non_finite(failed, "welfare", t, viewer, provider, w)
-    _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
-    _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
+        if noise is not None:
+            new_viewer *= noise[:, :env.K]
+            new_provider *= noise[:, env.K:]
+        total = w.sum() + s.sum() + e.sum() + new_viewer.sum() + new_provider.sum()
+    if not math.isfinite(total):    # any inf or nan makes the sum inf or nan
+        _fail_non_finite(failed, "welfare", t, viewer, provider, w)
+        _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
+        _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
     new_viewer, new_provider = np.maximum(new_viewer, 0.0), np.maximum(new_provider, 0.0)
     if failed:
         dead = list(failed)
         new_viewer[dead], new_provider[dead] = viewer[dead], provider[dead]
-    return q, rows, s, e, w, new_viewer, new_provider
+    return q, s, e, w, new_viewer, new_provider
 
 
 def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, viewer: np.ndarray,
@@ -244,64 +255,99 @@ def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
 
 def lockstep_rollouts(env: EnvironmentSpec, policy, T: int, init: PopulationState,
                       seeds: Sequence[int]) -> list:
-    """Run one policy from `init` for T steps on every seed at once, one
-    _step_cells call per step; cell i draws its noise from a generator
-    seeded with seeds[i].
+    """Run one policy from `init` for T steps on every seed at once: the
+    one-policy case of _lockstep_grid, one _step_cells call per step.
 
     `policy` is a matrix (checked once and broadcast), myopic_greedy (the
     greedy rows of the step's own q), or a rule (env, state) -> policy
-    asked cell by cell.  Cell i's result is what rollout gives on seeds[i]
-    alone, bit for bit: its Trajectory, or the exception that ended it.
+    asked cell by cell.  Cell i's noise comes from a generator seeded with
+    seeds[i], and its result is what rollout gives on seeds[i] alone, bit
+    for bit: its Trajectory, or the exception that ended it.  Without noise
+    every seed gives the same run, so one cell is stepped for all of them.
+    """
+    return _lockstep_grid(env, [policy], T, init, seeds)
+
+
+def _lockstep_grid(env: EnvironmentSpec, policies: Sequence, T: int, init: PopulationState,
+                   seeds: Sequence[int]) -> list:
+    """Every (policy, seed) cell from `init` for T steps, one _step_cells call
+    per step for the whole grid; the results policy-major, (p, i) at
+    p * len(seeds) + i, each as lockstep_rollouts describes it.
+
+    The cells are laid out policy-major, each policy deciding for its own
+    block.  Each cell's noise is drawn once, as a (T, K + L) block from its
+    seed's generator.  Without noise a cell's run does not depend on its
+    seed, so each block is one cell and every seed's result is built from it.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
-    fixed, decide = _decider(env, policy)
-    _checked(env, init, fixed)
+    deciders = [_decider(env, policy) for policy in policies]
+    _checked(env, init, None)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    S, K, L = len(seeds), env.K, env.L
-    viewer, provider, s, e = (np.empty((T, S, n)) for n in (K, L, K, L))
-    w, q = np.empty((T, S)), np.empty((T, S, K, L))
-    rows = np.empty((T, S, K, L)) if fixed is None else np.broadcast_to(fixed.rows, (T, S, K, L))
+    n = len(seeds) if env.noise_active else 1
+    S, K, L = len(policies) * n, env.K, env.L
+    blocks = [slice(p * n, (p + 1) * n) for p in range(len(policies))]
+    noise = None
+    if env.noise_active:
+        noise = np.tile(np.stack([_noise_factors(env, rng, T) for rng in rngs], axis=1),
+                        (1, len(policies), 1))
+    viewer, provider, s, e = (np.empty((T, S, m)) for m in (K, L, K, L))
+    w, q, rows = np.empty((T, S)), np.empty((T, S, K, L)), np.empty((S, K, L))
+    # a constant policy's column is its matrix broadcast over (T, cells)
+    columns = [np.empty((T, n, K, L)) if fixed is None else np.broadcast_to(fixed, (T, n, K, L))
+               for fixed, _ in deciders]
+    for block, (fixed, _) in zip(blocks, deciders):
+        if fixed is not None:
+            rows[block] = fixed
     viewer[0], provider[0] = init.viewer, init.provider
     failed: dict[int, BaseException] = {}
+
+    def decide(q_i):        # the rows at step i of the loop below
+        for block, (fixed, rule), column in zip(blocks, deciders, columns):
+            if fixed is None:
+                rows[block] = column[i] = rule(t, viewer[i], provider[i], q_i, block, failed)
+        return rows
+
     for i in range(T):
         t = init.t + i
-        q[i], rows_i, s[i], e[i], w[i], next_viewer, next_provider = _step_cells(
-            env, t, viewer[i], provider[i],
-            lambda q_i: decide(t, viewer[i], provider[i], q_i, failed), rngs, failed)
-        if fixed is None:
-            rows[i] = rows_i
+        q[i], s[i], e[i], w[i], next_viewer, next_provider = _step_cells(
+            env, t, viewer[i], provider[i], decide, None if noise is None else noise[i], failed)
         if len(failed) == S:
             break
         if i + 1 < T:
             viewer[i + 1], provider[i + 1] = next_viewer, next_provider
-    for column in (viewer, provider, s, e, w, q, rows):
+    for column in (viewer, provider, s, e, w, q, *columns):
         column.flags.writeable = False
     t_column, digest = _readonly(np.arange(init.t, init.t + T)), env.digest()
-    return [failed[c] if c in failed else Trajectory(
-        table=TrajectoryTable(t=t_column, lambda_viewer=viewer[:, c], lambda_provider=provider[:, c],
-                              s=s[:, c], e=e[:, c], welfare=w[:, c]),
-        q=q[:, c], policy=rows[:, c], env_digest=digest, seed=seed, init=init)
-        for c, seed in enumerate(seeds)]
+    results = []
+    for block, column in zip(blocks, columns):
+        for j, seed in enumerate(seeds):
+            c = block.start + j % n
+            results.append(failed[c] if c in failed else Trajectory(
+                table=TrajectoryTable(t=t_column, lambda_viewer=viewer[:, c],
+                                      lambda_provider=provider[:, c], s=s[:, c], e=e[:, c],
+                                      welfare=w[:, c]),
+                q=q[:, c], policy=column[:, j % n], env_digest=digest, seed=seed, init=init))
+    return results
 
 
 def _decider(env: EnvironmentSpec, policy):
-    """(fixed, decide(t, viewer, provider, q, failed) -> rows of every cell):
-    `fixed` is a constant policy's PolicyMatrix, else None.  A rule that
-    raises, or returns an invalid policy, for a cell fails that cell."""
+    """(fixed, rule(t, viewer, provider, q, block, failed) -> rows of the
+    cells in `block`): `fixed` is a constant policy's checked rows and rule
+    None, else fixed is None.  A rule that raises, or returns an invalid
+    policy, for a cell fails that cell."""
     if not callable(policy):
-        fixed = validate_policy(policy)
-        return fixed, lambda *_: fixed.rows
+        return _policy_rows(policy, env.K, env.L), None
     if policy is myopic_greedy:
-        return None, lambda t, viewer, provider, q, failed: greedy_rows(q)
+        return None, lambda t, viewer, provider, q, block, failed: greedy_rows(q[block])
 
-    def per_cell(t, viewer, provider, q, failed):
-        rows = np.zeros(q.shape)
-        for c in range(len(rows)):
+    def per_cell(t, viewer, provider, q, block, failed):
+        rows = np.zeros(q[block].shape)
+        for c in range(block.start, block.stop):
             try:
                 if c not in failed:
                     state = PopulationState(t=t, viewer=viewer[c], provider=provider[c])
-                    rows[c] = _checked(env, state, policy(env, state))
+                    rows[c - block.start] = _checked(env, state, policy(env, state))
             except Exception as err:
                 failed[c] = err
         return rows

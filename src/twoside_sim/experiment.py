@@ -1,12 +1,14 @@
 """Batch experiment orchestration: run named policies across seeds, emit
 trajectory and regret CSVs plus a JSON summary.
 
-The seeds of one policy run in lockstep (see dynamics.lockstep_rollouts),
-policy after policy in config order.  Each (policy, seed) cell draws its
-noise from its own seed and writes only its own files, and equals its run
-alone bit for bit; the summary is assembled after all cells finish.  A run
-that fails raises the error of its first failed cell in config order
-(policies, then seeds), after writing the files of the cells before it.
+Every (policy, seed) cell of the grid runs in one lockstep, one array step
+per timestep (see dynamics.lockstep_rollouts).  Each cell draws its noise
+from its own seed and writes only its own files, and equals its run alone
+bit for bit; without noise, one cell per policy is stepped and its run is
+written for every seed.  The files are written in config order (policies,
+then seeds) and the summary is assembled after all cells finish.  A run that
+fails raises the error of its first failed cell in config order, after
+writing the files of the cells before it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import MISSING, asdict, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
-from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
+from .dynamics import Trajectory, _lockstep_grid, trajectory_to_csv
 from .functions import FunctionConfigError
 from .kinds import ExperimentConfigError, _check_kinds, _fields_table, _read
 from .model import EnvironmentSpec, PopulationState, SpecValidationError, epsilon_greedy
@@ -196,17 +199,16 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
     env, init = config.resolve()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policies = {spec.name: build_policy(env, spec) for spec in config.policies}
+    runs = _lockstep_grid(env, [build_policy(env, spec) for spec in config.policies],
+                          config.T, init, config.seeds)
 
     results: dict[tuple[str, int], Trajectory] = {}
-    for spec in config.policies:
-        runs = lockstep_rollouts(env, policies[spec.name], config.T, init, config.seeds)
-        for seed, traj in zip(config.seeds, runs):
-            if not isinstance(traj, Trajectory):
-                raise traj     # the first failed cell in config order, as run one by one
-            path = out_dir / f"trajectory_{spec.name}_{seed}.csv"
-            path.write_text(trajectory_to_csv(traj), newline="")
-            results[(spec.name, seed)] = traj
+    for (spec, seed), traj in zip(product(config.policies, config.seeds), runs):
+        if not isinstance(traj, Trajectory):
+            raise traj     # the first failed cell in config order, as run one by one
+        path = out_dir / f"trajectory_{spec.name}_{seed}.csv"
+        path.write_text(trajectory_to_csv(traj), newline="")
+        results[(spec.name, seed)] = traj
 
     summary: dict[str, Any] = {
         "environment_digest": env.digest(),

@@ -328,7 +328,7 @@ def one_cell_image(env, rows, x, t=0):
     """F(x) by the noiseless one-cell _step_cells: the point, or the cell's error."""
     failed = {}
     *_, viewer, provider = dynamics._step_cells(env, t, x[None, :env.K], x[None, env.K:],
-                                                lambda q: rows, (None,), failed)
+                                                lambda q: rows, None, failed)
     return failed[0] if failed else np.concatenate([viewer[0], provider[0]])
 
 

@@ -21,7 +21,7 @@ from twoside_sim import (DegenerateDesignError, DivergenceError, EnvironmentSpec
                          epsilon_greedy,
                          explore_then_commit, fit_dynamics, fit_saturating_exp,
                          fn_eval, interaction_log_to_csv, linear_fn, myopic_greedy,
-                         parse_interaction_csv, recover_reference, rollout,
+                         parse_interaction_csv, payoffs, recover_reference, rollout,
                          saturating_exp, step)
 import twoside_sim.estimation as estimation_module
 
@@ -431,6 +431,40 @@ def test_blackbox_reset_reproduces_noisy_runs():
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.state.viewer, b.state.viewer)
         np.testing.assert_array_equal(a.payoffs.q, b.payoffs.q)
+
+
+def noisy_step_reference(env, state, pi, rng):
+    """The next populations of a noisy step, from the public payoffs and
+    fn_eval: the noiseless update times (1 + xi), K viewer draws and then L
+    provider draws from `rng`, clipped at zero."""
+    p = payoffs(env, state, pi)
+    std = env.noise.relative_std
+    return [np.maximum(((1.0 - eta) * pop + eta * np.array([fn_eval(f, x) for f, x in
+                                                           zip(curves, served)]))
+                       * (1.0 + rng.normal(0.0, std, len(pop))), 0.0)
+            for eta, pop, curves, served in (
+                (env.eta_viewer, state.viewer, env.lambda_bar_viewer, p.s),
+                (env.eta_provider, state.provider, env.lambda_bar_provider, p.e))]
+
+
+def test_noisy_blackbox_and_step_draw_viewer_then_provider_each_step():
+    env = sat_env(noise=NoiseSpec(relative_std=0.05))
+    box, rng = SimulatorBlackbox(env, START, seed=7), np.random.default_rng(7)
+    state, pi = START, epsilon_greedy(env.B, 0.2)
+    for i in range(12):
+        deployed = pi if i % 2 else myopic_greedy(env, state)
+        viewer, provider = noisy_step_reference(env, state, deployed, rng)
+        assert box.step(deployed).state is state
+        state = box.state
+        assert_bitwise_equal(state.viewer, viewer)
+        assert_bitwise_equal(state.provider, provider)
+    # step() with one generator over the whole run
+    state, ours, theirs = START, np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(12):
+        viewer, provider = noisy_step_reference(env, state, pi, theirs)
+        state = step(env, state, pi, ours)
+        assert_bitwise_equal(state.viewer, viewer)
+        assert_bitwise_equal(state.provider, provider)
 
 
 def test_blackbox_step_diverges_where_rollout_does():

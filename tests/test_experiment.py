@@ -17,10 +17,12 @@ from twoside_sim import (DivergenceError, EnvironmentSpec, ExperimentConfig,
                          PolicySpec, PopulationState, SyntheticScenarioConfig,
                          Trajectory, TrajectoryTable, build_policy,
                          empirical_regret_suite, epsilon_greedy, gen_synthetic,
-                         interpolate, linear_fn, myopic_greedy, optimize_lookahead,
+                         interpolate, linear_fn, lockstep_rollouts, myopic_greedy,
+                         optimize_lookahead,
                          parse_trajectory_csv, payoffs, regret_report_to_csv, rollout,
                          run_experiment, sample_initial_state, SpecValidationError, step,
                          suite_summary, table_fn, trajectory_to_csv, uniform_policy, welfare)
+from twoside_sim import dynamics
 
 
 def scenario(**over):
@@ -373,6 +375,93 @@ def test_divergence_raises_the_first_failed_cell_in_config_order(tmp_path):
     for name, seed in written:
         assert ((tmp_path / f"trajectory_{name}_{seed}.csv").read_text()
                 == trajectory_to_csv(serial[name, seed]))
+
+
+def assert_same_run(got, want):
+    """Two cells' results are equal bit for bit: trajectories column by
+    column, or errors of one type and message at one last state."""
+    if not isinstance(want, Trajectory):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, DivergenceError):
+            assert got.last_state.t == want.last_state.t
+            assert np.array_equal(got.last_state.viewer, want.last_state.viewer)
+            assert np.array_equal(got.last_state.provider, want.last_state.provider)
+        return
+    assert got.seed == want.seed and got.env_digest == want.env_digest
+    for name in ("t", "lambda_viewer", "lambda_provider", "s", "e", "welfare"):
+        assert np.array_equal(getattr(got.table, name), getattr(want.table, name)), name
+    assert np.array_equal(got.q, want.q) and np.array_equal(got.policy, want.policy)
+
+
+def test_mixed_noisy_grid_steps_every_cell_as_its_lone_rollout(tmp_path):
+    """Uniform, myopic, epsilon-greedy and look-ahead cells step together;
+    one myopic cell diverges (and the look-ahead rule fails on the same seed)."""
+    env = diverging_env()
+    init = PopulationState(t=0, viewer=[1.0], provider=[1.0, 1.0])
+    kinds = dict(KINDS, epsilon_greedy=dict(kind="epsilon_greedy", epsilon=0.0))
+    specs = tuple(PolicySpec(name=kind, **spec) for kind, spec in kinds.items())
+    seeds, T = (2, 1, 7, 0), 157
+    lone = {}
+    for spec in specs:
+        for seed in seeds:
+            try:
+                lone[spec.name, seed] = rollout(env, build_policy(env, spec), T, init, seed=seed)
+            except Exception as err:
+                lone[spec.name, seed] = err
+    failed = [key for key, run in lone.items() if not isinstance(run, Trajectory)]
+    assert failed == [("myopic", 1), ("lookahead", 1)]
+    assert isinstance(lone["myopic", 1], DivergenceError)
+    grid = dynamics._lockstep_grid(env, [build_policy(env, spec) for spec in specs], T, init,
+                                   seeds)
+    for key, got in zip(lone, grid):
+        assert_same_run(got, lone[key])
+    with pytest.raises(DivergenceError) as exc:
+        run_experiment(ExperimentConfig(environment=env, init=init, policies=specs, T=T,
+                                        seeds=seeds, outputs=str(tmp_path)))
+    assert_same_run(exc.value, lone["myopic", 1])
+    # the files of the cells before it in config order, and no summary
+    written = [("uniform", seed) for seed in seeds] + [("myopic", 2)]
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"trajectory_{name}_{seed}.csv" for name, seed in written}
+    for name, seed in written:
+        assert ((tmp_path / f"trajectory_{name}_{seed}.csv").read_text()
+                == trajectory_to_csv(lone[name, seed]))
+
+
+def count_step_cells(monkeypatch) -> list[int]:
+    """The number of cells of every _step_cells call from now on."""
+    cells, step_cells = [], dynamics._step_cells
+
+    def counted(env, t, viewer, *args):
+        cells.append(len(viewer))
+        return step_cells(env, t, viewer, *args)
+
+    monkeypatch.setattr(dynamics, "_step_cells", counted)
+    return cells
+
+
+def test_a_noisy_grid_is_one_step_call_per_timestep(tmp_path, monkeypatch):
+    env = random_env(5, max_dim=3, noise_std=0.05)
+    specs = tuple(PolicySpec(name=kind, **KINDS[kind]) for kind in KINDS)
+    cells = count_step_cells(monkeypatch)
+    run_experiment(ExperimentConfig(environment=env, init=random_state(5, env), policies=specs,
+                                    T=7, seeds=(4, 0, 9), outputs=str(tmp_path)))
+    assert cells == [len(specs) * 3] * 7
+
+
+def test_a_noiseless_grid_steps_one_cell_per_policy(monkeypatch):
+    """Without noise a cell's run does not depend on its seed: one cell per
+    policy is stepped, and every seed's files are the reference bytes."""
+    scen = scenario(K=4, L=3, d=4, T=8, seed=5)
+    env, init = gen_synthetic(scen), sample_initial_state(scen)
+    assert not env.noise_active
+    specs = tuple(PolicySpec(name=kind, **KINDS[kind]) for kind in ("uniform", "lookahead"))
+    cells = count_step_cells(monkeypatch)
+    assert_run_equals_reference(env, init, specs, 8, (0, 3))
+    # run_experiment's calls, then the reference's one-cell step() calls
+    assert cells[:8] == [len(specs)] * 8 and set(cells[8:]) == {1}
+    runs = lockstep_rollouts(env, build_policy(env, specs[1]), 8, init, (0, 3))
+    assert [run.seed for run in runs] == [0, 3]
 
 
 KINDS = {

@@ -195,6 +195,32 @@ def test_helpers_refuse_an_int_past_the_float_range_as_from_dict_does(make, args
     assert str(got.value) == str(want.value)
 
 
+def test_helpers_refuse_a_list_of_lists_as_from_dict_does():
+    params = {"weights": [[1.0]], "max_values": [[1.0]], "taus": [[1.0]]}
+    with pytest.raises(FunctionConfigError) as want:
+        ScalarFn.from_dict({"kind": "weighted_sigmoid_sum", "params": params})
+    with pytest.raises(FunctionConfigError) as got:
+        weighted_sigmoid_sum([[1.0]], [[1.0]], [[1.0]])
+    assert str(got.value) == str(want.value)
+    assert "weighted_sigmoid_sum" in str(got.value)
+
+
+def test_a_curve_keeps_its_parameters_when_the_caller_changes_them():
+    params = {"slope": 1.0, "intercept": 0.0}
+    line = ScalarFn("linear", params)
+    params["slope"] = -5.0
+    assert fn_eval(line, 2.0) == 2.0 and line.params["slope"] == 1.0
+    weights = [1.0, 1.0]
+    wss = ScalarFn("weighted_sigmoid_sum",
+                   {"weights": weights, "max_values": [1.0, 2.0], "taus": [1.0, 3.0]})
+    weights[0] = -3.0
+    assert fn_eval(wss, 1.0) < fn_eval(wss, 2.0) and wss.params["weights"] == [1.0, 1.0]
+    knots = [[0.0, 0.0], [1.0, 1.0]]
+    table = ScalarFn("table", {"knots": knots})
+    knots[1][1] = -1.0
+    assert fn_eval(table, 1.0) == 1.0
+
+
 def test_table_round_trip():
     fn = table_fn([(0.0, 0.0), (2.0, 1.0), (5.0, 1.5)])
     back = ScalarFn.from_dict(fn.to_dict())
