@@ -93,21 +93,20 @@ def step(env: EnvironmentSpec, state: PopulationState, pi,
     """
     if env.noise_active and rng is None:
         raise ValueError("environment has noise configured; step needs an rng")
-    *_, viewer, provider = _step_one(env, state, pi, rng)
-    return PopulationState(t=state.t + 1, viewer=viewer, provider=provider)
+    *_, x = _step_one(env, state, pi, rng)
+    return PopulationState(t=state.t + 1, viewer=x[:env.K], provider=x[env.K:])
 
 
 def _step_one(env: EnvironmentSpec, state: PopulationState, pi, rng):
-    """(q, s, e, welfare, next viewer, next provider) of `pi` deployed at
-    `state`, by _step_cells with one cell and one row of noise from `rng`;
-    raises that cell's failure."""
-    rows, failed = _checked(env, state, pi), {}
+    """(q, (s, e), welfare, next x) of `pi` deployed at `state`, by
+    _step_cells with one cell and one row of noise from `rng`; raises that
+    cell's failure."""
+    (rows, x), failed = _stacked(env, state, pi), {}
     noise = _noise_factors(env, rng, 1) if env.noise_active else None
-    q, s, e, w, viewer, provider = _step_cells(
-        env, state.t, state.viewer[None], state.provider[None], lambda q: rows, noise, failed)
+    q, se, w, next_x = _step_cells(env, state.t, x[None], lambda q: rows, noise, failed)
     if failed:
         raise failed[0]
-    return q[0], s[0], e[0], float(w[0]), viewer[0], provider[0]
+    return q[0], se[0], float(w[0]), next_x[0]
 
 
 def _noise_factors(env: EnvironmentSpec, rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -118,58 +117,60 @@ def _noise_factors(env: EnvironmentSpec, rng: np.random.Generator, *shape: int) 
     return 1.0 + rng.normal(0.0, env.noise.relative_std, (*shape, env.K + env.L))
 
 
-def _step_cells(env: EnvironmentSpec, t: int, viewer: np.ndarray, provider: np.ndarray,
-                decide: Callable, noise: np.ndarray | None, failed: dict):
-    """The one step of the dynamics, for S cells at time t: populations
-    `viewer` (S, K) and `provider` (S, L), policy rows decide(q), (S, K, L) or
-    one (K, L) for all, at q = B + f(provider), _update, then the new
-    populations times the cells' noise factors `noise` (S, K + L), when given.
-    Returns (q, s, e, welfare, next viewer, next provider).
+def _step_cells(env: EnvironmentSpec, t: int, x: np.ndarray, decide: Callable,
+                noise: np.ndarray | None, failed: dict):
+    """The one step of the dynamics, for S cells at time t: stacked
+    populations x (S, K + L), policy rows decide(q), (S, K, L) or one (K, L)
+    for all, at q = B + f(provider), _update, then the new populations times
+    the cells' noise factors `noise` (S, K + L), when given.
+    Returns (q, (s, e) stacked, welfare, next x).
 
     After the update, a cell that fails a check (welfare, payoffs, new
     populations, in that order) gets its DivergenceError in `failed` (cell
     -> error) and then stays where it is, so the other cells go on.  One
-    finite sum of all of them passes every cell at once.
+    finite sum of the live cells' outputs passes all of them at once, so the
+    per-cell scans run only at a step where a live cell fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q = env.B + env.f_grid.value(provider)
+        q = env.B + env.f_grid.value(x[:, env.K:])
     rows = decide(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        s, e, w, new_viewer, new_provider = _update(env, q, rows, viewer, provider)
+        se, w, next_x = _update(env, q, rows, x)
         if noise is not None:
-            new_viewer *= noise[:, :env.K]
-            new_provider *= noise[:, env.K:]
-        total = w.sum() + s.sum() + e.sum() + new_viewer.sum() + new_provider.sum()
+            next_x *= noise
+        live = [c for c in range(len(x)) if c not in failed] if failed else slice(None)
+        total = w[live].sum() + se[live].sum() + next_x[live].sum()
     if not math.isfinite(total):    # any inf or nan makes the sum inf or nan
-        _fail_non_finite(failed, "welfare", t, viewer, provider, w)
-        _fail_non_finite(failed, "payoffs", t, viewer, provider, s, e)
-        _fail_non_finite(failed, "populations", t, viewer, provider, new_viewer, new_provider)
-    new_viewer, new_provider = np.maximum(new_viewer, 0.0), np.maximum(new_provider, 0.0)
+        _fail_non_finite(failed, "welfare", t, env.K, x, w)
+        _fail_non_finite(failed, "payoffs", t, env.K, x, se)
+        _fail_non_finite(failed, "populations", t, env.K, x, next_x)
+    next_x = np.maximum(next_x, 0.0)
     if failed:
         dead = list(failed)
-        new_viewer[dead], new_provider[dead] = viewer[dead], provider[dead]
-    return q, s, e, w, new_viewer, new_provider
+        next_x[dead] = x[dead]
+    return q, se, w, next_x
 
 
-def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, viewer: np.ndarray,
-            provider: np.ndarray):
-    """(s, e, welfare, next viewer, next provider) of the populations under
+def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, x: np.ndarray):
+    """((s, e) stacked, welfare, next x) of the stacked populations x under
     the policy rows at utilities q, before noise and clipping, over any
-    leading (cell) axes; called under np.errstate, the caller checks finiteness."""
-    s, e, w = _served(q, rows, viewer)
-    return (s, e, w, (1.0 - env.eta_viewer) * viewer + env.eta_viewer * env.viewer_curves._apply(s),
-            (1.0 - env.eta_provider) * provider + env.eta_provider * env.provider_curves._apply(e))
+    leading (cell) axes: one reference-curve pass on (s, e).  Called under
+    np.errstate; the caller checks finiteness."""
+    s, e, w = _served(q, rows, x[..., :env.K])
+    se = np.concatenate([s, e], axis=-1)
+    return se, w, (1.0 - env.eta) * x + env.eta * env.curves._apply(se)
 
 
-def _fail_non_finite(failed: dict, what: str, t: int, viewer, provider, *arrays) -> None:
-    """Fail every cell, not failed yet, whose rows of `arrays` are not all finite."""
+def _fail_non_finite(failed: dict, what: str, t: int, K: int, x, *arrays) -> None:
+    """Fail every cell, not failed yet, whose rows of `arrays` are not all
+    finite; its last state is its row of the stacked populations x, K viewers first."""
     if all(np.isfinite(a).all() for a in arrays):
         return
-    for c in range(len(viewer)):
+    for c in range(len(x)):
         if c not in failed and not all(np.isfinite(a[c]).all() for a in arrays):
             failed[c] = DivergenceError(
                 f"dynamics diverged: non-finite {what} after t={t}", residual=float("inf"),
-                last_state=PopulationState(t=t, viewer=viewer[c], provider=provider[c]))
+                last_state=PopulationState(t=t, viewer=x[c, :K], provider=x[c, K:]))
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,9 @@ def _lockstep_grid(env: EnvironmentSpec, policies: Sequence, T: int, init: Popul
     if env.noise_active:
         noise = np.tile(np.stack([_noise_factors(env, rng, T) for rng in rngs], axis=1),
                         (1, len(policies), 1))
-    viewer, provider, s, e = (np.empty((T, S, m)) for m in (K, L, K, L))
+    # the stacked populations and (s, e) of every step and cell; the per-side
+    # columns are views of them
+    x, se = np.empty((T, S, K + L)), np.empty((T, S, K + L))
     w, q, rows = np.empty((T, S)), np.empty((T, S, K, L)), np.empty((S, K, L))
     # a constant policy's column is its matrix broadcast over (T, cells)
     columns = [np.empty((T, n, K, L)) if fixed is None else np.broadcast_to(fixed, (T, n, K, L))
@@ -299,24 +302,24 @@ def _lockstep_grid(env: EnvironmentSpec, policies: Sequence, T: int, init: Popul
     for block, (fixed, _) in zip(blocks, deciders):
         if fixed is not None:
             rows[block] = fixed
-    viewer[0], provider[0] = init.viewer, init.provider
+    x[0, :, :K], x[0, :, K:] = init.viewer, init.provider
     failed: dict[int, BaseException] = {}
 
     def decide(q_i):        # the rows at step i of the loop below
         for block, (fixed, rule), column in zip(blocks, deciders, columns):
             if fixed is None:
-                rows[block] = column[i] = rule(t, viewer[i], provider[i], q_i, block, failed)
+                rows[block] = column[i] = rule(t, x[i], q_i, block, failed)
         return rows
 
     for i in range(T):
         t = init.t + i
-        q[i], s[i], e[i], w[i], next_viewer, next_provider = _step_cells(
-            env, t, viewer[i], provider[i], decide, None if noise is None else noise[i], failed)
+        q[i], se[i], w[i], next_x = _step_cells(
+            env, t, x[i], decide, None if noise is None else noise[i], failed)
         if len(failed) == S:
             break
         if i + 1 < T:
-            viewer[i + 1], provider[i + 1] = next_viewer, next_provider
-    for column in (viewer, provider, s, e, w, q, *columns):
+            x[i + 1] = next_x
+    for column in (x, se, w, q, *columns):
         column.flags.writeable = False
     t_column, digest = _readonly(np.arange(init.t, init.t + T)), env.digest()
     results = []
@@ -324,29 +327,29 @@ def _lockstep_grid(env: EnvironmentSpec, policies: Sequence, T: int, init: Popul
         for j, seed in enumerate(seeds):
             c = block.start + j % n
             results.append(failed[c] if c in failed else Trajectory(
-                table=TrajectoryTable(t=t_column, lambda_viewer=viewer[:, c],
-                                      lambda_provider=provider[:, c], s=s[:, c], e=e[:, c],
-                                      welfare=w[:, c]),
+                table=TrajectoryTable(t=t_column, lambda_viewer=x[:, c, :K],
+                                      lambda_provider=x[:, c, K:], s=se[:, c, :K],
+                                      e=se[:, c, K:], welfare=w[:, c]),
                 q=q[:, c], policy=column[:, j % n], env_digest=digest, seed=seed, init=init))
     return results
 
 
 def _decider(env: EnvironmentSpec, policy):
-    """(fixed, rule(t, viewer, provider, q, block, failed) -> rows of the
-    cells in `block`): `fixed` is a constant policy's checked rows and rule
-    None, else fixed is None.  A rule that raises, or returns an invalid
-    policy, for a cell fails that cell."""
+    """(fixed, rule(t, x, q, block, failed) -> rows of the cells in `block`,
+    x the stacked populations): `fixed` is a constant policy's checked rows
+    and rule None, else fixed is None.  A rule that raises, or returns an
+    invalid policy, for a cell fails that cell."""
     if not callable(policy):
         return _policy_rows(policy, env.K, env.L), None
     if policy is myopic_greedy:
-        return None, lambda t, viewer, provider, q, block, failed: greedy_rows(q[block])
+        return None, lambda t, x, q, block, failed: greedy_rows(q[block])
 
-    def per_cell(t, viewer, provider, q, block, failed):
+    def per_cell(t, x, q, block, failed):
         rows = np.zeros(q[block].shape)
         for c in range(block.start, block.stop):
             try:
                 if c not in failed:
-                    state = PopulationState(t=t, viewer=viewer[c], provider=provider[c])
+                    state = PopulationState(t=t, viewer=x[c, :env.K], provider=x[c, env.K:])
                     rows[c - block.start] = _checked(env, state, policy(env, state))
             except Exception as err:
                 failed[c] = err
@@ -398,7 +401,7 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     rows, x = _stacked(env, init, pi, "find_fixed_point")
     t, K = init.t, env.K            # t is x's timestep; F(x) is at t + 1
     fx = _image(env, rows, x, t)
-    evals, residual = 1, float(np.max(np.abs(fx - x)))
+    evals, residual = 1, float(np.abs(fx - x).max())
     rate = None                     # the last residual ratio, while below 1
     wait, backoff = 0, 1            # plain steps before the next Newton trial
     successor = None                # the Newton step from x, once a Newton step lands there
@@ -421,14 +424,14 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
         x, t, successor = fx, t + 1, None
         fx = _image(env, rows, x, t)
         evals += 1
-        previous, residual = residual, float(np.max(np.abs(fx - x)))
+        previous, residual = residual, float(np.abs(fx - x).max())
         rate = residual / previous if residual < previous else None
     if 0.0 < residual and evals < max_iter:
         with np.errstate(all="ignore"):
             y = successor if successor is not None else _newton_point(
                 _LinearizedMap(env, rows, x, fx == 0.0), x, fx)
         fy = None if y is None else _image(env, rows, y, strict=False)
-        if fy is not None and np.max(np.abs(fy - y)) <= residual:
+        if fy is not None and np.abs(fy - y).max() <= residual:
             x = y
     return PopulationState(t=0, viewer=x[:K], provider=x[K:])
 
@@ -443,51 +446,47 @@ def _guarded_newton(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, fx: n
     with np.errstate(all="ignore"):
         linearized = None if successor is not None else _LinearizedMap(env, rows, x, fx == 0.0)
         y = successor if linearized is None else _newton_point(linearized, x, fx)
-        if (y is None or np.max(np.abs(y - x)) > 2.0 * residual / (1.0 - rate)
+        if (y is None or np.abs(y - x).max() > 2.0 * residual / (1.0 - rate)
                 or linearized is not None and not linearized.coupling_contracts()):
             return None
         fy = _image(env, rows, y, strict=False)
         if fy is None:
             return None
-        residual_y = float(np.max(np.abs(fy - y)))
+        residual_y = float(np.abs(fy - y).max())
         if residual_y > residual / 2:
             return None
         at_y = _LinearizedMap(env, rows, y, fy == 0.0)
         if not at_y.coupling_contracts():
             return None
         z = _newton_point(at_y, y, fy)
-        if z is None or np.max(np.abs(z - y)) > np.max(np.abs(y - x)) / 2:
+        if z is None or np.abs(z - y).max() > np.abs(y - x).max() / 2:
             return None
     return y, fy, residual_y, z
 
 
 def _newton_point(linearized: _LinearizedMap, x: np.ndarray, fx: np.ndarray) -> np.ndarray | None:
-    """x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J from
+    """x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J - I from
     `linearized`; None when J - I is singular or the step is not finite."""
-    jac = linearized.jacobian()
     try:
-        delta = np.linalg.solve(jac - np.eye(len(jac)), fx - x)
+        delta = np.linalg.solve(linearized.jacobian(minus_identity=True), fx - x)
     except np.linalg.LinAlgError:
         return None
     y = np.maximum(x - delta, 0.0)
-    return y if np.all(np.isfinite(y)) else None
+    return y if np.isfinite(y).all() else None
 
 
 def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, strict=True):
     """F(x) of the finite stacked populations x: _update, unbatched and noiseless,
     clipped at 0.  One test covers the welfare, payoffs and F(x); when it fails,
     raises the DivergenceError _step_cells would at time t (None if not `strict`)."""
-    viewer, provider = x[:env.K], x[env.K:]
     with np.errstate(over="ignore", invalid="ignore"):
-        s, e, w, new_viewer, new_provider = _update(
-            env, env.B + env.f_grid._apply(provider), rows, viewer, provider)
-        checked = np.concatenate([[w], s, e, new_viewer, new_provider])
-        fx = checked[1 + len(x):]
-        if math.isfinite(checked.sum()):    # any inf or nan makes the sum inf or nan
+        se, w, fx = _update(env, env.B + env.f_grid._apply(x[env.K:]), rows, x)
+        checked = np.concatenate([[w], se, fx])
+        if math.isfinite(np.add.reduce(checked)):   # any inf or nan makes the sum inf or nan
             return np.maximum(fx, 0.0)
     failed: dict[int, BaseException] = {}
-    for what, arrays in (("welfare", [w]), ("payoffs", [s, e]), ("populations", [fx])):
-        _fail_non_finite(failed, what, t, viewer[None], provider[None], *(a[None] for a in arrays))
+    for what, a in (("welfare", w), ("payoffs", se), ("populations", fx)):
+        _fail_non_finite(failed, what, t, env.K, x[None], a[None])
     if failed and strict:
         raise failed[0]
     return None if failed else np.maximum(fx, 0.0)
@@ -512,7 +511,7 @@ def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | 
 def fixed_point_residual(env: EnvironmentSpec, pi, at: PopulationState) -> float:
     """Max-norm distance between `at` and its image under the noiseless map."""
     rows, x = _stacked(env, at, pi, "fixed_point_residual")
-    return float(np.max(np.abs(_image(env, rows, x, at.t) - x)))
+    return float(np.abs(_image(env, rows, x, at.t) - x).max())
 
 
 def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationState],
@@ -539,11 +538,11 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
         except ConvergenceError:
             continue
         x = np.concatenate([fp.viewer, fp.provider])
-        a = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian() - np.eye(len(x))
+        a = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian(minus_identity=True)
         norm = float(np.linalg.norm(a, np.inf))
         lower = tol / norm if norm > 0.0 else 0.0
         radius = cache(lambda a=a: tol * float(np.linalg.norm(np.linalg.pinv(a), np.inf)))
-        gaps = [(np.max(np.abs(x - other)), low, r) for _, other, low, r in found]
+        gaps = [(np.abs(x - other).max(), low, r) for _, other, low, r in found]
         if (not any(gap <= (lower + low) / 2 for gap, low, _ in gaps)
                 and all(gap > radius() + r() for gap, _, r in gaps)):
             found.append((fp, x, lower, radius))
@@ -589,22 +588,23 @@ class _LinearizedMap:
 
     def __init__(self, env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray,
                  clipped: np.ndarray | None = None):
-        self.env, self.rows = env, rows
-        f, self.df = env.f_grid.value_and_deriv(x[env.K:])      # f_{k,l}, f_{k,l}' at provider_l
-        s, e, _ = _served(env.B + f, rows, x[:env.K])
-        self.dv = env.viewer_curves.value_and_deriv(s)[1]       # lambda_bar_k' at s_k
-        self.dc = env.provider_curves.value_and_deriv(e)[1]     # lambda_bar_l' at e_l
-        self.eta_v, self.eta_p = env.eta_viewer, env.eta_provider
+        self.env, self.rows, K = env, rows, env.K
+        f, self.df = env.f_grid.value_and_deriv(x[K:])          # f_{k,l}, f_{k,l}' at provider_l
+        s, e, _ = _served(env.B + f, rows, x[:K])
+        # lambda_bar_k' at s_k, then lambda_bar_l' at e_l, and the rates, stacked as x
+        self.slopes, self.eta = env.curves.value_and_deriv(np.concatenate([s, e]))[1], env.eta
         if clipped is not None:
-            cv, cp = clipped[:env.K], clipped[env.K:]
-            self.dv, self.dc = np.where(cv, 0.0, self.dv), np.where(cp, 0.0, self.dc)
-            self.eta_v, self.eta_p = np.where(cv, 1.0, self.eta_v), np.where(cp, 1.0, self.eta_p)
-        self.A12 = (self.eta_v * self.dv)[:, None] * rows * self.df
-        self.A21 = (self.eta_p * self.dc)[:, None] * rows.T
+            self.slopes = np.where(clipped, 0.0, self.slopes)
+            self.eta = np.where(clipped, 1.0, self.eta)
+        rated = self.eta * self.slopes
+        self.A12 = rated[:K, None] * rows * self.df
+        self.A21 = rated[K:, None] * rows.T
 
-    def jacobian(self) -> np.ndarray:
-        K = self.env.K
-        jac = np.diag(np.concatenate([1.0 - self.eta_v, 1.0 - self.eta_p]))
+    def jacobian(self, minus_identity: bool = False) -> np.ndarray:
+        """J, or J - I built directly: the diagonal (1 - eta) - 1, the
+        subtraction's value, not -eta, which can differ in the last bit."""
+        K, diagonal = self.env.K, 1.0 - self.eta
+        jac = np.diag(diagonal - 1.0 if minus_identity else diagonal)
         jac[:K, K:], jac[K:, :K] = self.A12, self.A21
         return jac
 
@@ -622,14 +622,14 @@ class _LinearizedMap:
 
     def coupling_contracts(self) -> bool:
         """rho(J) < 1, decided as rho(G12 G21) < 1 by one solve (see jacobian_eigenvalues)."""
-        if np.any(self.eta_v == 0.0) or np.any(self.eta_p == 0.0):
+        if (self.eta == 0.0).any():
             return False        # a group that never moves: J has the eigenvalue 1
-        G12 = self.dv[:, None] * self.rows * self.df
-        G21 = self.dc[:, None] * self.rows.T
         K, L = self.env.K, self.env.L
+        G12 = self.slopes[:K, None] * self.rows * self.df
+        G21 = self.slopes[K:, None] * self.rows.T
         i_minus_c = np.eye(min(K, L)) - (G12 @ G21 if K <= L else G21 @ G12)
         try:
-            return bool(np.all(np.linalg.solve(i_minus_c, np.ones(min(K, L))) > 0.0))
+            return bool((np.linalg.solve(i_minus_c, np.ones(min(K, L))) > 0.0).all())
         except np.linalg.LinAlgError:
             return False        # I - C is singular: C has the eigenvalue 1
 
@@ -697,14 +697,14 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     """
     _check_tol(tol)
     rows, x = _stacked(env, at, pi, "jacobian_eigenvalues")
-    residual = float(np.max(np.abs(_image(env, rows, x, at.t) - x)))
+    residual = float(np.abs(_image(env, rows, x, at.t) - x).max())
     if residual > 10 * tol:
         raise FixedPointPreconditionError(
             f"state is not a fixed point: residual {residual:.3e} > {10 * tol:.1e}")
     linearized = _LinearizedMap(env, rows, x)
     eigs = np.linalg.eigvals(linearized.jacobian())
     analytic = linearized.closed_form_spectrum() if _one_rate_per_side(env) else None
-    rho = float(np.max(np.abs(eigs)))
+    rho = float(np.abs(eigs).max())
     return StabilityReport(fixed_point=at, eigenvalues=eigs, analytic_eigenvalues=analytic,
                            spectral_radius=rho, stable=bool(rho < 1.0),
                            sufficient_condition_holds=linearized.coupling_contracts(),

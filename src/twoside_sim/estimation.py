@@ -372,9 +372,10 @@ class SimulatorBlackbox:
         """Deploy a policy for one step; returns the step observed at the
         pre-step state, then advances the hidden state (as rollout does)."""
         pi, state = validate_policy(pi), self._state
-        q, s, e, w, viewer, provider = _step_one(self._env, state, pi, self._rng)
-        self._state = PopulationState(t=state.t + 1, viewer=viewer, provider=provider)
-        return TrajectoryStep(state=state, policy=pi, payoffs=Payoffs(s=s, e=e, q=q), welfare=w)
+        q, se, w, x = _step_one(self._env, state, pi, self._rng)
+        self._state = PopulationState(t=state.t + 1, viewer=x[:self.K], provider=x[self.K:])
+        return TrajectoryStep(state=state, policy=pi, welfare=w,
+                              payoffs=Payoffs(s=se[:self.K], e=se[self.K:], q=q))
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,8 @@ def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScen
                                                   PopulationState | None]:
     """The environment and init of a config read with _ENVIRONMENT_KEYS: an
     'environment' block {'synthetic': {...}} or {'inline': {...}}, and an
-    optional 'init' block with K viewer and L provider entries."""
+    'init' block with K viewer and L provider entries, optional for a
+    synthetic environment and required for an inline one."""
     blocks = _read(d["environment"], "environment",
                    {"synthetic": (None, None), "inline": (None, None)})
     if (blocks["synthetic"] is None) == (blocks["inline"] is None):
@@ -127,6 +128,8 @@ def load_environment(d: dict[str, Any]) -> tuple[EnvironmentSpec | SyntheticScen
         environment = _from_config("inline environment", EnvironmentSpec.from_dict,
                                    blocks["inline"])
     init = None
+    if d["init"] is None and isinstance(environment, EnvironmentSpec):
+        raise ExperimentConfigError("inline environments need an explicit init")
     if d["init"] is not None:
         init = _from_config("init", PopulationState, t=0, **_read(
             d["init"], "init", dict.fromkeys(("viewer", "provider"), (None, MISSING))))
@@ -141,12 +144,11 @@ def resolve_environment(environment: EnvironmentSpec | SyntheticScenarioConfig,
                         init: PopulationState | None
                         ) -> tuple[EnvironmentSpec, PopulationState]:
     """Generate a synthetic environment and, without an explicit init, sample
-    the scenario's initial state; an inline environment needs an init."""
+    the scenario's initial state; an inline environment comes with its init
+    (load_environment and ExperimentConfig refuse one without)."""
     if isinstance(environment, SyntheticScenarioConfig):
         return (gen_synthetic(environment),
                 init if init is not None else sample_initial_state(environment))
-    if init is None:
-        raise ExperimentConfigError("inline environments need an explicit init")
     return environment, init
 
 

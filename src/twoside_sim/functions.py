@@ -141,7 +141,8 @@ def scaled_logistic(gain: float, scale: float, shift: float) -> ScalarFn:
 
 
 def table_fn(knots: list[tuple[float, float]]) -> ScalarFn:
-    return ScalarFn("table", {"knots": [(_float(x), _float(y)) for x, y in knots]})
+    pairs = _converted(lambda k: [(float(x), float(y)) for x, y in k], knots)
+    return ScalarFn("table", {"knots": pairs})
 
 
 def weighted_sigmoid_sum(weights, max_values, taus) -> ScalarFn:
@@ -150,22 +151,24 @@ def weighted_sigmoid_sum(weights, max_values, taus) -> ScalarFn:
         "weights": _floats(weights), "max_values": _floats(max_values), "taus": _floats(taus)})
 
 
-# A number float() cannot hold, an int past the largest float, is kept as
-# given, and so are values that are not one flat list of numbers, so that the
-# kind's parameter check refuses them by name, as from_dict does.
+# A value the helper cannot convert to floats (None, a string that is not a
+# number, an int past the largest float, knots that are not pairs, values that
+# are not one flat list of numbers) is kept as given, so that the kind's
+# parameter check refuses it by name, as from_dict does.
 
-def _float(value):
+def _converted(convert, value):
     try:
-        return float(value)
-    except OverflowError:
+        return convert(value)
+    except (OverflowError, TypeError, ValueError):
         return value
 
 
+def _float(value):
+    return _converted(float, value)
+
+
 def _floats(values):
-    try:
-        return [float(v) for v in np.asarray(values, dtype=float)]
-    except (OverflowError, TypeError, ValueError):
-        return values
+    return _converted(lambda v: [float(x) for x in np.asarray(v, dtype=float)], values)
 
 
 # ---------------------------------------------------------------------------

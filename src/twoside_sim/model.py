@@ -64,9 +64,10 @@ class EnvironmentSpec:
     noise: NoiseSpec | None = None
     seed: int = 0
     # Array views of the curves, built once in __post_init__ and read by every
-    # evaluation.
-    viewer_curves: FnVector = field(init=False, repr=False, compare=False)
-    provider_curves: FnVector = field(init=False, repr=False, compare=False)
+    # evaluation: the reference curves and rates of both sides, stacked viewer
+    # first as the populations x = (viewer, provider) are, and the f grid.
+    curves: FnVector = field(init=False, repr=False, compare=False)
+    eta: np.ndarray = field(init=False, repr=False, compare=False)
     f_grid: FnGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,8 +100,10 @@ class EnvironmentSpec:
                 raise SpecValidationError(f"{name} entries must lie in [0, 1]")
         if self.seed < 0:
             raise SpecValidationError("seed must be a non-negative integer")
-        object.__setattr__(self, "viewer_curves", FnVector(self.lambda_bar_viewer))
-        object.__setattr__(self, "provider_curves", FnVector(self.lambda_bar_provider))
+        object.__setattr__(self, "curves",
+                           FnVector(self.lambda_bar_viewer + self.lambda_bar_provider))
+        object.__setattr__(self, "eta", _readonly(np.concatenate([self.eta_viewer,
+                                                                  self.eta_provider])))
         object.__setattr__(self, "f_grid", FnGrid(self.f))
 
     @property

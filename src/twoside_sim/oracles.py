@@ -34,10 +34,9 @@ def game_utilities(env: EnvironmentSpec, pi, state: PopulationState) -> tuple[np
     v_l = provider_l * lambda_bar_l(e_l) - provider_l^2 / 2
     """
     p = payoffs(env, state, pi)
-    ref_viewer = env.viewer_curves.value(p.s)
-    ref_provider = env.provider_curves.value(p.e)
-    u = state.viewer * ref_viewer - state.viewer ** 2 / 2.0
-    v = state.provider * ref_provider - state.provider ** 2 / 2.0
+    ref = env.curves.value(np.concatenate([p.s, p.e]))     # lambda_bar(s), then lambda_bar(e)
+    u = state.viewer * ref[:env.K] - state.viewer ** 2 / 2.0
+    v = state.provider * ref[env.K:] - state.provider ** 2 / 2.0
     return u, v
 
 
@@ -52,8 +51,8 @@ def gradient_ascent_update(env: EnvironmentSpec, pi, state: PopulationState,
     result is clipped at zero like the dynamics.
     """
     p = payoffs(env, state, pi)
-    du = env.viewer_curves.value(p.s) - state.viewer
-    dv = env.provider_curves.value(p.e) - state.provider
+    ref = env.curves.value(np.concatenate([p.s, p.e]))
+    du, dv = ref[:env.K] - state.viewer, ref[env.K:] - state.provider
     if rates is None:
         rate_viewer, rate_provider = env.eta_viewer, env.eta_provider
     else:

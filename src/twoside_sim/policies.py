@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import _finite_vector
+from .functions import FnVector, _finite_vector
 from .kinds import ExperimentConfigError, _check_kinds
 from .model import (EnvironmentSpec, PolicyMatrix, PolicyValidationError, PopulationState,
                     _policy_rows, greedy_rows, validate_policy)
@@ -74,20 +74,19 @@ def softmax_myopic(env: EnvironmentSpec, reference_exposure: np.ndarray,
     e = np.asarray(reference_exposure, dtype=float)
     if e.shape != (env.L,):
         raise ValueError(f"reference_exposure must have length L={env.L}")
-    return validate_policy(_softened_myopic(env, e, gamma, _finite_vector)[-1])
+    ref_provider = FnVector(env.lambda_bar_provider).value(e)
+    return validate_policy(_softened_myopic(env, ref_provider, gamma, _finite_vector)[-1])
 
 
-def _softened_myopic(env: EnvironmentSpec, e: np.ndarray, gamma: float, check):
-    """(ref_provider, d_provider, w, df, pi_soft): the reference provider
-    populations lambda_bar(e) and their slopes, the anticipated utilities
-    w = B + f(lambda_bar(e)) and the slopes of f there, taken in the same
-    kernel passes as the values, and the softened myopic policy
-    softmax(gamma * w).  Each kernel input passes through check(x, n), which
-    returns x or raises."""
-    ref_provider, d_provider = env.provider_curves._apply_both(check(e, env.L))
+def _softened_myopic(env: EnvironmentSpec, ref_provider: np.ndarray, gamma: float, check):
+    """(w, df, pi_soft) at the reference provider populations ref_provider =
+    lambda_bar(e): the anticipated utilities w = B + f(ref_provider) and the
+    slopes of f there, taken in the same kernel pass as the values, and the
+    softened myopic policy softmax(gamma * w).  ref_provider passes through
+    check(x, n), which returns x or raises."""
     f_ref, df = env.f_grid._apply_both(check(ref_provider, env.L))
     w = env.B + f_ref
-    return ref_provider, d_provider, w, df, row_softmax(gamma * w)
+    return w, df, row_softmax(gamma * w)
 
 
 def interpolate(pi_lookahead, pi_myopic, beta: float) -> PolicyMatrix:
@@ -120,12 +119,15 @@ class _Lookahead:
         self.viewer, self.q = state.viewer, _utilities(env, state)
 
     def objective(self, rows: np.ndarray, check) -> float:
-        env = self.env
-        self.s = np.add.reduce(rows * self.q, axis=1)
-        self.e = rows.T @ self.viewer
-        self.big_lambda, self.d_viewer = env.viewer_curves._apply_both(check(self.s, env.K))
-        (self.ref_provider, self.d_provider, self.w, self.df,
-         self.pi_soft) = _softened_myopic(env, self.e, self.gamma, check)
+        env, K = self.env, self.env.K
+        s = np.add.reduce(rows * self.q, axis=1)
+        e = rows.T @ self.viewer
+        # one reference-curve pass on x = (s, e): lambda_bar(s), lambda_bar(e) and their slopes
+        self.x = np.concatenate([check(s, K), check(e, env.L)])
+        ref, slopes = env.curves._apply_both(self.x)
+        self.big_lambda, self.ref_provider = ref[:K], ref[K:]
+        self.d_viewer, self.d_provider = slopes[:K], slopes[K:]
+        self.w, self.df, self.pi_soft = _softened_myopic(env, self.ref_provider, self.gamma, check)
         self.w_mean = np.add.reduce(self.pi_soft * self.w, axis=1)
         return float(self.big_lambda @ self.w_mean)
 
@@ -226,10 +228,11 @@ def _ascend(look: _Lookahead, config: LookaheadConfig) -> tuple[np.ndarray, _Asc
     """optimize_lookahead's ascent: the best iterate's rows and the account.
 
     Each iterate makes one unchecked forward pass and one scalar finiteness
-    test of its objective and its curve inputs s, e and lambda_bar(e).  When
-    that fails, the checked pass is rerun: it raises the FunctionDomainError
-    of a non-finite curve input; else the objective is not finite, an
-    OptimizationError (or a finite sum overflowed, and the ascent goes on).
+    test of its objective and its curve inputs x = (s, e) and lambda_bar(e).
+    When that fails, the checked pass is rerun: it raises the
+    FunctionDomainError of a non-finite curve input; else the objective is
+    not finite, an OptimizationError (or a finite sum overflowed, and the
+    ascent goes on).
     """
     init = 0.9 * greedy_rows(look.q) + 0.1 * uniform_policy(look.env.K, look.env.L).rows
     theta = np.log(init)
@@ -240,8 +243,7 @@ def _ascend(look: _Lookahead, config: LookaheadConfig) -> tuple[np.ndarray, _Asc
         for it in range(config.iterations + 1):
             pi = row_softmax(theta)
             obj = look.objective(pi, _unchecked)
-            if not math.isfinite(obj + np.add.reduce(look.s) + np.add.reduce(look.e)
-                                 + np.add.reduce(look.ref_provider)):
+            if not math.isfinite(obj + np.add.reduce(look.x) + np.add.reduce(look.ref_provider)):
                 look.objective(pi, _finite_vector)
                 if not math.isfinite(obj):
                     raise OptimizationError(

@@ -12,9 +12,10 @@ import dataclasses
 
 import numpy as np
 
-from twoside_sim import (EnvironmentSpec, InteractionLog, NoiseSpec, PopulationState, linear_fn,
-                         saturating_exp, scaled_logistic, sigmoid_half,
-                         weighted_sigmoid_sum)
+from twoside_sim import (EnvironmentSpec, InteractionLog, NoiseSpec, PopulationState, fn_deriv,
+                         fn_eval, linear_fn, saturating_exp, scaled_logistic, sigmoid_half,
+                         table_fn, weighted_sigmoid_sum)
+from twoside_sim.functions import FnVector
 
 SMOOTH_KINDS = ("linear", "sigmoid_half", "saturating_exp", "scaled_logistic",
                 "weighted_sigmoid_sum")
@@ -118,14 +119,15 @@ def reference_profile(t, yc, log_rate):
 
 
 def reference_lookahead(env: EnvironmentSpec, state: PopulationState, rows, gamma: float):
-    """(objective, gradient) of the look-ahead at `rows` through the checked
-    public curve calls, written apart from the package's forward pass as the
+    """(objective, gradient) of the look-ahead at `rows`, each reference curve
+    evaluated on its own by fn_eval / fn_deriv and f by the checked public
+    grid call, written apart from the package's forward pass as the
     reference it is tested against."""
     q = env.B + env.f_grid.value(state.provider)
     s = (rows * q).sum(axis=1)
     e = rows.T @ state.viewer
-    big_lambda, d_viewer = env.viewer_curves.value_and_deriv(s)
-    ref_provider, d_provider = env.provider_curves.value_and_deriv(e)
+    big_lambda, d_viewer = per_curve(env.lambda_bar_viewer, s)
+    ref_provider, d_provider = per_curve(env.lambda_bar_provider, e)
     f_ref, df = env.f_grid.value_and_deriv(ref_provider)
     w = env.B + f_ref
     logits = gamma * w
@@ -136,6 +138,115 @@ def reference_lookahead(env: EnvironmentSpec, state: PopulationState, rows, gamm
            * (1.0 + gamma * (w - w_mean[:, None]))).sum(axis=0)
     gradient = (d_viewer * w_mean)[:, None] * q + np.outer(state.viewer, d_provider * col)
     return float(big_lambda @ w_mean), gradient
+
+
+def per_curve(fns, x):
+    """(fns[i](x[i]), fns[i]'(x[i])) for every i, one fn_eval and one fn_deriv per curve."""
+    return (np.array([fn_eval(fn, v) for fn, v in zip(fns, x)]),
+            np.array([fn_deriv(fn, v) for fn, v in zip(fns, x)]))
+
+
+# The one-step map and its linearization with each side's reference curves
+# and rates kept apart, a FnVector and a curve pass per side: the reference
+# the stacked evaluators of dynamics are tested against.
+
+def reference_update(env: EnvironmentSpec, q, rows, viewer, provider):
+    """(s, e, welfare, next viewer, next provider) before noise and clipping,
+    over any leading (cell) axes; called under np.errstate."""
+    s = (rows * q).sum(axis=-1)
+    e = np.matmul(viewer[..., None, :], rows)[..., 0, :]
+    w = np.matmul(viewer[..., None, :], s[..., None])[..., 0, 0]
+    viewer_curves, provider_curves = (FnVector(env.lambda_bar_viewer),
+                                      FnVector(env.lambda_bar_provider))
+    return (s, e, w,
+            (1.0 - env.eta_viewer) * viewer + env.eta_viewer * viewer_curves._apply(s),
+            (1.0 - env.eta_provider) * provider + env.eta_provider * provider_curves._apply(e))
+
+
+def reference_step_cells(env: EnvironmentSpec, viewer, provider, rows, noise=None):
+    """(q, s, e, welfare, next viewer, next provider, the cells whose outputs
+    are not all finite) of S cells, `rows` (S, K, L), `noise` (S, K + L) or
+    None; a failed cell keeps its populations."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = env.B + env.f_grid.value(provider)
+        s, e, w, new_viewer, new_provider = reference_update(env, q, rows, viewer, provider)
+        if noise is not None:
+            new_viewer *= noise[:, :env.K]
+            new_provider *= noise[:, env.K:]
+    failed = [c for c in range(len(viewer)) if not all(
+        np.isfinite(a[c]).all() for a in (w, s, e, new_viewer, new_provider))]
+    new_viewer, new_provider = np.maximum(new_viewer, 0.0), np.maximum(new_provider, 0.0)
+    new_viewer[failed], new_provider[failed] = viewer[failed], provider[failed]
+    return q, s, e, w, new_viewer, new_provider, failed
+
+
+def reference_linearization(env: EnvironmentSpec, rows, x, clipped=None):
+    """(J, dv, dc, df): the Jacobian of the noiseless map at x = (viewer,
+    provider), the slopes of each side's reference curves and those of f,
+    with the rows of the `clipped` groups zeroed (a rate of 1 and slopes of 0)."""
+    K = env.K
+    f, df = env.f_grid.value_and_deriv(x[K:])
+    s = (rows * (env.B + f)).sum(axis=-1)
+    e = x[:K] @ rows
+    dv = FnVector(env.lambda_bar_viewer).value_and_deriv(s)[1]
+    dc = FnVector(env.lambda_bar_provider).value_and_deriv(e)[1]
+    eta_v, eta_p = env.eta_viewer, env.eta_provider
+    if clipped is not None:
+        cv, cp = clipped[:K], clipped[K:]
+        dv, dc = np.where(cv, 0.0, dv), np.where(cp, 0.0, dc)
+        eta_v, eta_p = np.where(cv, 1.0, eta_v), np.where(cp, 1.0, eta_p)
+    jac = np.diag(np.concatenate([1.0 - eta_v, 1.0 - eta_p]))
+    jac[:K, K:] = (eta_v * dv)[:, None] * rows * df
+    jac[K:, :K] = (eta_p * dc)[:, None] * rows.T
+    return jac, dv, dc, df
+
+
+def reference_contracts(env: EnvironmentSpec, rows, dv, dc, df) -> bool:
+    """rho(G12 G21) < 1 by the one solve of _LinearizedMap.coupling_contracts,
+    from the per-side slopes (every rate positive)."""
+    K, L = env.K, env.L
+    G12, G21 = dv[:, None] * rows * df, dc[:, None] * rows.T
+    i_minus_c = np.eye(min(K, L)) - (G12 @ G21 if K <= L else G21 @ G12)
+    try:
+        return bool(np.all(np.linalg.solve(i_minus_c, np.ones(min(K, L))) > 0.0))
+    except np.linalg.LinAlgError:
+        return False
+
+
+MIXED_KINDS = ("table", "linear", "saturating_exp", "scaled_logistic")
+
+
+def mixed_fn(rng: np.random.Generator, kind: str):
+    """A curve of `kind`, one of MIXED_KINDS, with random parameters."""
+    if kind == "table":
+        xs = np.cumsum(rng.uniform(0.5, 10.0, 4)) - 5.0
+        return table_fn(list(zip(xs, np.cumsum(rng.uniform(0.0, 8.0, 4)))))
+    if kind == "linear":
+        return linear_fn(rng.uniform(0.0, 2.0), rng.uniform(0.0, 3.0))
+    if kind == "saturating_exp":
+        return saturating_exp(rng.uniform(0.5, 20.0), rng.uniform(0.01, 0.5),
+                              rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0))
+    return scaled_logistic(rng.uniform(1.0, 30.0), rng.uniform(0.05, 1.0), rng.uniform(-5.0, 10.0))
+
+
+def mixed_env(seed: int, noise_std: float = 0.0) -> EnvironmentSpec:
+    """random_env(seed), at least 2 x 2, with its reference curves redrawn so
+    that each side mixes kinds and the two sides' kinds differ: with the
+    MIXED_KINDS in a random order (a, b, c, d), the viewer side cycles
+    through (a, b, c) and the provider side through (d, c, b), so a and d
+    are each on one side alone and, from three groups a side, b and c on both."""
+    env = random_env(seed, noise_std=noise_std)
+    rng = np.random.default_rng([seed, 11])
+    K, L = max(env.K, 2), max(env.L, 2)
+    a, b, c, d = (str(kind) for kind in rng.permutation(MIXED_KINDS))
+    kinds = [(a, b, c)[i % 3] for i in range(K)] + [(d, c, b)[i % 3] for i in range(L)]
+    return EnvironmentSpec(
+        K=K, L=L, B=rng.uniform(0.0, 5.0, (K, L)),
+        f=tuple(tuple(env.f[k % env.K][l % env.L] for l in range(L)) for k in range(K)),
+        lambda_bar_viewer=tuple(mixed_fn(rng, kind) for kind in kinds[:K]),
+        lambda_bar_provider=tuple(mixed_fn(rng, kind) for kind in kinds[K:]),
+        eta_viewer=rng.uniform(0.2, 0.9, K), eta_provider=rng.uniform(0.2, 0.9, L),
+        noise=env.noise, seed=seed)
 
 
 def random_env(seed: int, max_dim: int = 5, noise_std: float = 0.0) -> EnvironmentSpec:

@@ -16,13 +16,16 @@ from twoside_sim import (ClosedFormDomainError, ConvergenceError,
                          find_fixed_point, fixed_point_residual, fn_deriv,
                          fn_eval, game_utilities, gen_synthetic, gradient_ascent_update,
                          interpolate, jacobian_eigenvalues, linear_fn, linear_ne,
+                         lookahead_gradient, lookahead_objective,
                          linear_welfare, lockstep_rollouts, myopic_greedy,
                          parse_trajectory_csv, payoffs, rollout, saturating_exp, scaled_logistic, step, table_fn,
                          three_equilibria_env,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
                          trajectory_to_csv, validate_policy, welfare)
 
-from conftest import assert_columns_stack_steps, random_env, random_policy, random_state
+from conftest import (assert_bitwise_equal, assert_columns_stack_steps, mixed_env,
+                      random_env, random_policy, random_state, reference_contracts,
+                      reference_linearization, reference_lookahead, reference_step_cells)
 
 
 def linear_env(K, L, slopes_v, slopes_p, f_slopes, B, eta_v, eta_p,
@@ -327,9 +330,50 @@ def test_fixed_point_search_builds_one_population_state(monkeypatch):
 def one_cell_image(env, rows, x, t=0):
     """F(x) by the noiseless one-cell _step_cells: the point, or the cell's error."""
     failed = {}
-    *_, viewer, provider = dynamics._step_cells(env, t, x[None, :env.K], x[None, env.K:],
-                                                lambda q: rows, None, failed)
-    return failed[0] if failed else np.concatenate([viewer[0], provider[0]])
+    *_, next_x = dynamics._step_cells(env, t, x[None], lambda q: rows, None, failed)
+    return failed[0] if failed else next_x[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), cells=st.integers(1, 4),
+       scale=st.sampled_from([0.5, 20.0, 1e3]), t=st.integers(0, 5))
+def test_stacked_evaluators_equal_the_per_side_reference_bit_for_bit(seed, cells, scale, t):
+    """Noisy environments whose reference curves mix kinds, some on one side
+    only and some on both: the one stacked curve pass of every evaluator
+    equals a pass per side, bit for bit, cell by cell."""
+    env = mixed_env(seed, noise_std=0.3)
+    K, L = env.K, env.L
+    kinds = [{fn.kind for fn in side} for side in (env.lambda_bar_viewer, env.lambda_bar_provider)]
+    assert len(kinds[0]) > 1 and len(kinds[1]) > 1 and kinds[0] != kinds[1]
+    rng = np.random.default_rng([seed, 5])
+    x = rng.uniform(0.0, scale, (cells, K + L))
+    rows = np.stack([random_policy(seed + c, K, L) for c in range(cells)])
+    noise = dynamics._noise_factors(env, rng, cells)
+    failed = {}
+    q, se, w, next_x = dynamics._step_cells(env, t, x, lambda q: rows, noise, failed)
+    *want, want_failed = reference_step_cells(env, x[:, :K], x[:, K:], rows, noise)
+    for got, ref in zip((q, se[:, :K], se[:, K:], w, next_x[:, :K], next_x[:, K:]), want):
+        assert_bitwise_equal(got, ref)
+    assert sorted(failed) == want_failed
+    for c in range(cells):
+        image = dynamics._image(env, rows[c], x[c], t, strict=False)
+        *_, v, p, gone = reference_step_cells(env, x[c:c + 1, :K], x[c:c + 1, K:], rows[c:c + 1])
+        if gone:
+            assert image is None
+            continue
+        assert_bitwise_equal(image, np.concatenate([v[0], p[0]]))
+        for clipped in (None, image == 0.0, rng.random(K + L) < 0.3):
+            linearized = dynamics._LinearizedMap(env, rows[c], x[c], clipped)
+            jac, dv, dc, df = reference_linearization(env, rows[c], x[c], clipped)
+            assert_bitwise_equal(linearized.jacobian(), jac)
+            # the Newton steps' J - I, built directly, is the subtraction's
+            assert_bitwise_equal(linearized.jacobian(minus_identity=True), jac - np.eye(K + L))
+            assert linearized.coupling_contracts() == reference_contracts(env, rows[c], dv, dc, df)
+        state = PopulationState(t=t, viewer=x[c, :K], provider=x[c, K:])
+        for gamma in (0.5, 2.0):
+            objective, gradient = reference_lookahead(env, state, rows[c], gamma)
+            assert_bitwise_equal(lookahead_objective(env, state, rows[c], gamma), objective)
+            assert_bitwise_equal(lookahead_gradient(env, state, rows[c], gamma), gradient)
 
 
 def assert_same_error(got, want):

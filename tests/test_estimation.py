@@ -70,7 +70,7 @@ def test_recover_reference_inverts_the_update(seed):
     nxt = step(env, state, pi)
     from twoside_sim.dynamics import payoffs
     p = payoffs(env, state, pi)
-    truth = env.viewer_curves.value(p.s)
+    truth = env.curves.value(np.concatenate([p.s, p.e]))[:env.K]
     for k in range(env.K):
         eta = float(env.eta_viewer[k])
         if eta == 0 or nxt.viewer[k] == 0.0:   # clipped or unidentifiable steps excluded

@@ -22,7 +22,7 @@ from twoside_sim import (DivergenceError, EnvironmentSpec, ExperimentConfig,
                          parse_trajectory_csv, payoffs, regret_report_to_csv, rollout,
                          run_experiment, sample_initial_state, SpecValidationError, step,
                          suite_summary, table_fn, trajectory_to_csv, uniform_policy, welfare)
-from twoside_sim import dynamics
+from twoside_sim import dynamics, experiment
 
 
 def scenario(**over):
@@ -199,13 +199,30 @@ def test_config_from_dict_synthetic_defaults_horizon(tmp_path):
     assert cfg.T == 7 and cfg.seeds == (1, 2)
     with pytest.raises(ExperimentConfigError, match="environment"):
         ExperimentConfig.from_dict({"policies": [], "T": 3})
+    env = random_env(2, max_dim=2)
     inline = {
-        "environment": {"inline": random_env(2, max_dim=2).to_dict()},
+        "environment": {"inline": env.to_dict()},
         "policies": [{"name": "u", "kind": "uniform"}],
         "outputs": str(tmp_path),
     }
-    with pytest.raises(ExperimentConfigError, match="T"):
+    with pytest.raises(ExperimentConfigError, match="explicit init"):
         ExperimentConfig.from_dict(inline)
+    inline["init"] = {"viewer": [1.0] * env.K, "provider": [1.0] * env.L}
+    with pytest.raises(ExperimentConfigError, match="T is required"):
+        ExperimentConfig.from_dict(inline)
+
+
+def test_an_inline_environment_without_init_is_refused_once_per_path(tmp_path):
+    """The reader refuses it before any other check, the constructor refuses
+    it for a Python caller, and resolving a checked config checks nothing more."""
+    env = random_env(2, max_dim=2)
+    with pytest.raises(ExperimentConfigError, match="inline environments need an explicit init"):
+        experiment.load_environment({"environment": {"inline": env.to_dict()}, "init": None})
+    with pytest.raises(ExperimentConfigError, match="inline environments need an explicit init"):
+        ExperimentConfig(environment=env, policies=(PolicySpec(name="u", kind="uniform"),),
+                         T=3, seeds=(0,), outputs=str(tmp_path))
+    resolved, init = experiment.resolve_environment(env, None)
+    assert resolved is env and init is None
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +392,38 @@ def test_divergence_raises_the_first_failed_cell_in_config_order(tmp_path):
     for name, seed in written:
         assert ((tmp_path / f"trajectory_{name}_{seed}.csv").read_text()
                 == trajectory_to_csv(serial[name, seed]))
+
+
+def test_failed_cells_do_not_rerun_the_per_cell_scans(monkeypatch):
+    """A failed cell stays put with non-finite outputs; it is left out of the
+    step's one-sum test, so the scans run only at the steps where a live cell
+    fails, and every cell's result is the one it has run alone."""
+    env = diverging_env()
+    init = PopulationState(t=0, viewer=[1.0], provider=[1.0, 1.0])
+    specs = (PolicySpec(name="eps", kind="epsilon_greedy", epsilon=0.0),
+             PolicySpec(name="uni", kind="uniform"), PolicySpec(name="myo", kind="myopic"))
+    seeds, T = (0, 6, 5, 1), 234
+    lone = {}
+    for spec in specs:
+        for seed in seeds:
+            try:
+                lone[spec.name, seed] = rollout(env, build_policy(env, spec), T, init, seed=seed)
+            except DivergenceError as err:
+                lone[spec.name, seed] = err
+    fail_steps = {run.last_state.t for run in lone.values() if not isinstance(run, Trajectory)}
+    assert fail_steps == {156, 158, 159, 225, 231, 233}
+    scans, scan = [], dynamics._fail_non_finite
+
+    def counted(failed, what, t, *args):
+        scans.append(t)
+        return scan(failed, what, t, *args)
+
+    monkeypatch.setattr(dynamics, "_fail_non_finite", counted)
+    grid = dynamics._lockstep_grid(env, [build_policy(env, spec) for spec in specs], T, init,
+                                   seeds)
+    assert set(scans) == fail_steps and len(scans) == 3 * len(fail_steps)
+    for key, got in zip(lone, grid):
+        assert_same_run(got, lone[key])
 
 
 def assert_same_run(got, want):

@@ -195,6 +195,25 @@ def test_helpers_refuse_an_int_past_the_float_range_as_from_dict_does(make, args
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("make,args,kind,params", [
+    (table_fn, ([[0, 1], [1]],), "table", {"knots": [[0, 1], [1]]}),
+    (table_fn, ([(0, 1, 2), (1, 2, 3)],), "table", {"knots": [(0, 1, 2), (1, 2, 3)]}),
+    (linear_fn, (None,), "linear", {"slope": None, "intercept": 0.0}),
+    (saturating_exp, (None, 1, 1, 1), "saturating_exp", {"a0": None, "a1": 1, "a2": 1, "a3": 1}),
+    (sigmoid_half, ("x", 1.0), "sigmoid_half", {"max": "x", "tau": 1.0}),
+    (scaled_logistic, ("a", 1, 1), "scaled_logistic", {"gain": "a", "scale": 1, "shift": 1}),
+], ids=["ragged-knots", "triple-knots", "linear-none", "saturating-none", "sigmoid-string",
+        "logistic-string"])
+def test_helpers_refuse_what_float_cannot_convert_as_from_dict_does(make, args, kind, params):
+    """A value float() refuses reaches the kind's check, which names the kind."""
+    with pytest.raises(FunctionConfigError) as want:
+        ScalarFn.from_dict({"kind": kind, "params": params})
+    with pytest.raises(FunctionConfigError) as got:
+        make(*args)
+    assert str(got.value) == str(want.value)
+    assert kind in str(got.value)
+
+
 def test_helpers_refuse_a_list_of_lists_as_from_dict_does():
     params = {"weights": [[1.0]], "max_values": [[1.0]], "taus": [[1.0]]}
     with pytest.raises(FunctionConfigError) as want:
@@ -372,9 +391,8 @@ def test_batched_rows_equal_unbatched_calls(seed, batch):
     mixed = [random_fn(rng) for _ in range(3)] + [table_fn([(0.0, 0.0), (5.0, 2.0)])]
     mixed_grid = [mixed, mixed[::-1]]     # a table in every row: the cell path
     synthetic = gen_synthetic(SyntheticScenarioConfig(K=3, L=4, d=3, seed=seed % 97))
-    kernels = [(env.viewer_curves, env.K), (env.provider_curves, env.L),
-               (env.f_grid, env.L), (FnVector(mixed), 4), (FnGrid(mixed_grid), 4),
-               (synthetic.f_grid, 4), (FnVector(each), 6), (FnGrid([each, each[::-1]]), 6)]
+    kernels = [(env.curves, env.K + env.L), (env.f_grid, env.L), (FnVector(mixed), 4),
+               (FnGrid(mixed_grid), 4), (synthetic.f_grid, 4), (FnVector(each), 6), (FnGrid([each, each[::-1]]), 6)]
     kernels += [(FnVector([fn, fn]), 2) for fn in each]    # one kind: the single-group path
     for kernel, n in kernels:
         x = rng.uniform(-20.0, 60.0, batch + (n,))

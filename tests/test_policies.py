@@ -177,7 +177,9 @@ def table_arguments(env, state, rows, h=1e-3):
                 moved[l] += delta * state.viewer[k]
                 exposures.append(moved)
     exposures = np.array(exposures)
-    ref_provider = np.array([env.provider_curves.value(x) for x in exposures])
+    # the provider slice of the stacked curves, at s = 0 and each exposure
+    satisfied = np.zeros((len(exposures), env.K))
+    ref_provider = env.curves.value(np.hstack([satisfied, exposures]))[:, env.K:]
     return [(env.f[-1][0], np.append(ref_provider[:, 0], state.provider[0])),
             (env.lambda_bar_provider[-1], exposures[:, -1])]
 
