@@ -9,11 +9,10 @@ from .model import (EnvironmentSpec, NoiseSpec, Payoffs, PolicyMatrix,
                     PolicyValidationError, PopulationState,
                     SpecValidationError, epsilon_greedy, greedy_rows,
                     validate_policy)
-from .dynamics import (ClosedFormDomainError, ConvergenceError,
-                       DivergenceError, FixedPointPreconditionError,
-                       StabilityReport, Trajectory, TrajectoryStep,
-                       TrajectoryTable, assemble_jacobian,
-                       closed_form_eigenvalues, enumerate_fixed_points,
+from .dynamics import (ConvergenceError, DivergenceError,
+                       FixedPointPreconditionError, StabilityReport,
+                       Trajectory, TrajectoryStep, TrajectoryTable,
+                       assemble_jacobian, enumerate_fixed_points,
                        find_fixed_point, fixed_point_residual,
                        jacobian_eigenvalues, lockstep_rollouts,
                        parse_trajectory_csv, payoffs, rollout, step,

@@ -81,8 +81,8 @@ def decompose_regret(env: EnvironmentSpec, baseline: Trajectory,
     if len(baseline) != len(subject):
         raise PairingError(
             f"horizon mismatch: baseline {len(baseline)} vs subject {len(subject)}")
-    base_welfare = baseline.welfare_series()
-    subject_welfare = subject.welfare_series()
+    base_welfare = baseline.table.welfare
+    subject_welfare = subject.table.welfare
     best_at_baseline = _best_response_welfare(baseline)
     best_at_subject = _best_response_welfare(subject)
     total = base_welfare - subject_welfare

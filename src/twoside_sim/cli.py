@@ -26,7 +26,7 @@ from .estimation import (ExploreCommitConfig, SimulatorBlackbox,
 from .experiment import (_ENVIRONMENT_KEYS, ExperimentConfig, _from_config, load_environment,
                          resolve_environment, run_experiment)
 from .kinds import ExperimentConfigError, _fields_table, _read
-from .model import EnvironmentSpec, PopulationState, _policy_rows, epsilon_greedy
+from .model import PopulationState, _policy_rows, epsilon_greedy
 from .policies import LookaheadConfig
 from .oracles import (LinearGameParams, THREE_EQUILIBRIA_INITS,
                       counterexample_welfare, linear_env, linear_ne,
@@ -68,10 +68,6 @@ def _emit(record, args, filename: str) -> None:
         sys.stdout.write(text)
 
 
-def _environment(cfg: dict) -> tuple[EnvironmentSpec, PopulationState]:
-    return resolve_environment(*load_environment(cfg))
-
-
 def _command_config(args, table: dict) -> dict:
     """The --config JSON of a subcommand, read by `table` (see kinds._read)."""
     command = " ".join(filter(None, (args.command, getattr(args, "oracle_cmd", None))))
@@ -91,7 +87,7 @@ def _state_record(state: PopulationState) -> dict:
 def cmd_gen(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     scen = SyntheticScenarioConfig.from_dict(cfg)
-    env = gen_synthetic(scen if args.seed is None else replace(scen, seed=args.seed))
+    env = gen_synthetic(scen)
     text = env.to_json() + "\n"
     if args.out:
         out_dir = Path(args.out)
@@ -106,8 +102,8 @@ def cmd_run(args) -> int:
     if not args.config:
         raise ExperimentConfigError("run requires --config")
     config = ExperimentConfig.from_dict(_load_json(args.config))
-    config = replace(config, **({"outputs": args.out} if args.out else {}),
-                     **({} if args.seed is None else {"seeds": (args.seed,)}))
+    if args.out:
+        config = replace(config, outputs=args.out)
     summary = run_experiment(config)
     if not args.quiet:
         sys.stdout.write(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
@@ -136,7 +132,7 @@ def _preset_cases(args):
         raise ExperimentConfigError("either --preset or --config is required")
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, "policy": (None, MISSING),
                                  "tol": (None, 1e-10), "max_iter": (None, 100000)})
-    env, init = _environment(cfg)
+    env, init = resolve_environment(*load_environment(cfg))
     policy = _from_config("policy", _policy_rows, cfg["policy"], env.K, env.L)
     _from_config(f"{args.command} config", _check_tol, cfg["tol"], cfg["max_iter"])
     return env, policy, {"init": init}, cfg["tol"], cfg["max_iter"]
@@ -184,12 +180,11 @@ def cmd_estimate(args) -> int:
     etc_keys = _fields_table(ExploreCommitConfig)
     cfg = _command_config(args, {**_ENVIRONMENT_KEYS, **etc_keys, "lookahead": (None, None),
                                  "seed": (None, 0), "b_known": (bool, True)})
-    env, init = _environment(cfg)
+    env, init = resolve_environment(*load_environment(cfg))
     etc = ExploreCommitConfig(**{k: cfg[k] for k in etc_keys})
     lookahead = None if cfg["lookahead"] is None else LookaheadConfig(
         **_read(cfg["lookahead"], "lookahead", _fields_table(LookaheadConfig)))
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    blackbox = _from_config("estimate config", SimulatorBlackbox, env, init, seed=seed)
+    blackbox = _from_config("estimate config", SimulatorBlackbox, env, init, seed=cfg["seed"])
     traj, fitted = explore_then_commit(blackbox, etc, lookahead, b_known=cfg["b_known"])
     if args.out:
         out_dir = Path(args.out)
@@ -273,17 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON config file")
         return outputs(p)
 
-    def seeded(p):
-        configured(p).add_argument("--seed", type=int, help="seed override")
-
-    seeded(sub.add_parser("gen", help="generate a synthetic environment"))
-    seeded(sub.add_parser("run", help="run an experiment config: trajectories, "
-                                      "pairwise regret and summary"))
+    configured(sub.add_parser("gen", help="generate a synthetic environment"))
+    configured(sub.add_parser("run", help="run an experiment config: trajectories, "
+                                          "pairwise regret and summary"))
     for name in ("fixed-point", "stability"):
         p = configured(sub.add_parser(name, help=f"{name.replace('-', ' ')} analysis"))
         p.add_argument("--preset", help="built-in instance (sigmoid-triple)")
         p.add_argument("--init", help="preset initial condition (low|mid|high)")
-    seeded(sub.add_parser("estimate", help="explore-then-commit estimation"))
+    configured(sub.add_parser("estimate", help="explore-then-commit estimation"))
 
     oracle = sub.add_parser("oracle", help="closed-form oracle evaluations")
     osub = oracle.add_subparsers(dest="oracle_cmd", required=True)

@@ -21,8 +21,8 @@ import numpy as np
 from .functions import _row_dots
 from .kinds import _is
 from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    SpecValidationError, _frozen, _policy_rows, _readonly, greedy_rows,
-                    validate_policy)
+                    SpecValidationError, _check_seed, _frozen, _policy_rows, _readonly,
+                    greedy_rows, validate_policy)
 from .policies import myopic_greedy
 
 
@@ -44,10 +44,6 @@ class DivergenceError(ConvergenceError):
 
 class FixedPointPreconditionError(ValueError):
     """An operation requiring a fixed point was handed a non-stationary state."""
-
-
-class ClosedFormDomainError(ValueError):
-    """The closed-form spectrum does not apply to this environment."""
 
 
 def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
@@ -231,9 +227,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.table.t)
 
-    def welfare_series(self) -> np.ndarray:
-        return self.table.welfare
-
     def cumulative_welfare(self) -> float:
         return float(self.table.welfare.sum())
 
@@ -248,40 +241,34 @@ def rollout(env: EnvironmentSpec, policy_rule, T: int, init: PopulationState,
     range.
     """
     seed = env.seed if seed is None else seed
-    (run,) = lockstep_rollouts(env, policy_rule, T, init, [seed])
+    (run,) = lockstep_rollouts(env, [policy_rule], T, init, [seed])
     if not isinstance(run, Trajectory):
         raise run
     return run
 
 
-def lockstep_rollouts(env: EnvironmentSpec, policy, T: int, init: PopulationState,
+def lockstep_rollouts(env: EnvironmentSpec, policies: Sequence, T: int, init: PopulationState,
                       seeds: Sequence[int]) -> list:
-    """Run one policy from `init` for T steps on every seed at once: the
-    one-policy case of _lockstep_grid, one _step_cells call per step.
-
-    `policy` is a matrix (checked once and broadcast), myopic_greedy (the
-    greedy rows of the step's own q), or a rule (env, state) -> policy
-    asked cell by cell.  Cell i's noise comes from a generator seeded with
-    seeds[i], and its result is what rollout gives on seeds[i] alone, bit
-    for bit: its Trajectory, or the exception that ended it.  Without noise
-    every seed gives the same run, so one cell is stepped for all of them.
-    """
-    return _lockstep_grid(env, [policy], T, init, seeds)
-
-
-def _lockstep_grid(env: EnvironmentSpec, policies: Sequence, T: int, init: PopulationState,
-                   seeds: Sequence[int]) -> list:
     """Every (policy, seed) cell from `init` for T steps, one _step_cells call
     per step for the whole grid; the results policy-major, (p, i) at
-    p * len(seeds) + i, each as lockstep_rollouts describes it.
+    p * len(seeds) + i.
 
-    The cells are laid out policy-major, each policy deciding for its own
-    block.  Each cell's noise is drawn once, as a (T, K + L) block from its
-    seed's generator.  Without noise a cell's run does not depend on its
-    seed, so each block is one cell and every seed's result is built from it.
+    A policy is a matrix (checked once and broadcast), myopic_greedy (the
+    greedy rows of the step's own q), or a rule (env, state) -> policy asked
+    cell by cell.  Cell (p, i)'s result is what rollout gives on policies[p]
+    and seeds[i] alone, bit for bit: its Trajectory, or the exception that
+    ended it.  Its noise is drawn once, as a (T, K + L) block from seeds[i]'s
+    generator; without noise a run does not depend on its seed, so each
+    policy steps one cell and every seed's result is built from it.  T must
+    be an integer >= 1 and the seeds non-empty and non-negative integers,
+    else SpecValidationError before any step.
     """
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
+    if not (_is(T, int) and T >= 1):
+        raise SpecValidationError(f"horizon T must be an integer >= 1, got {T!r}")
+    if not len(seeds):
+        raise SpecValidationError("seeds must be non-empty")
+    for seed in seeds:
+        _check_seed(seed)
     deciders = [_decider(env, policy) for policy in policies]
     _checked(env, init, None)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -559,8 +546,8 @@ class StabilityReport:
 
     ``eigenvalues`` is the numerically computed spectrum of the assembled
     Jacobian and is what ``stable`` is judged on.  ``analytic_eigenvalues``
-    is the exact closed-form spectrum (see closed_form_eigenvalues), or None
-    when the rates differ within a side and no closed form exists.
+    is the exact closed-form spectrum (see _LinearizedMap.closed_form_spectrum),
+    or None when the rates differ within a side and no closed form exists.
     ``sufficient_condition_holds`` is the rate-free test rho(G12 G21) < 1 (see
     jacobian_eigenvalues); it agrees with ``stable`` up to round-off.
     """
@@ -577,7 +564,7 @@ class StabilityReport:
 class _LinearizedMap:
     """The curve slopes at x = (viewer, provider) under the policy `rows`,
     and the off-diagonal Jacobian blocks (A12, A21) built from them: the one
-    pass that assemble_jacobian, closed_form_eigenvalues, the stability test
+    pass that assemble_jacobian, the closed-form spectrum, the stability test
     and the Newton steps of find_fixed_point each need, and that
     jacobian_eigenvalues shares among them.
 
@@ -608,11 +595,27 @@ class _LinearizedMap:
         jac[:K, K:], jac[K:, :K] = self.A12, self.A21
         return jac
 
-    def closed_form_spectrum(self) -> np.ndarray:
-        """closed_form_eigenvalues; the caller checks one rate per side."""
+    def closed_form_spectrum(self) -> np.ndarray | None:
+        """The exact spectrum of J when each side has one rate, else None.
+
+        With a = 1 - eta_viewer and b = 1 - eta_provider the same for every
+        group of a side, J = [[a I, A12], [A21, b I]], and (x, y) is an
+        eigenvector for lambda exactly when (lambda - a)(lambda - b) x =
+        A12 A21 x.  So the spectrum is
+
+            (a + b)/2 +/- sqrt(((a - b)/2)^2 + sigma),   sigma in eig(A12 A21)
+
+        (eig(A21 A12) when K > L), plus |K - L| copies of b (L > K) or a
+        (K > L).  Only the min(K, L)-square coupling product goes through an
+        eigensolver; J itself never does.  The result is real when every
+        entry is.  When the rates differ within a side the characteristic
+        polynomial has degree K + L with no closed form, and the result is None.
+        """
         env = self.env
-        K, L = env.K, env.L
-        a, b = 1.0 - env.eta_viewer[0], 1.0 - env.eta_provider[0]
+        K, L, eta_v, eta_p = env.K, env.L, env.eta_viewer, env.eta_provider
+        if (eta_v != eta_v[0]).any() or (eta_p != eta_p[0]).any():
+            return None
+        a, b = 1.0 - eta_v[0], 1.0 - eta_p[0]
         coupling = self.A12 @ self.A21 if K <= L else self.A21 @ self.A12
         sigma = np.linalg.eigvals(coupling).astype(complex)
         root = np.sqrt(((a - b) / 2.0) ** 2 + sigma)
@@ -646,34 +649,6 @@ def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarr
     return _LinearizedMap(env, *_stacked(env, at, pi)).jacobian()
 
 
-def _one_rate_per_side(env: EnvironmentSpec) -> bool:
-    eta_v, eta_p = env.eta_viewer, env.eta_provider
-    return not (np.any(eta_v != eta_v[0]) or np.any(eta_p != eta_p[0]))
-
-
-def closed_form_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
-    """The exact Jacobian spectrum at `at` when each side has one rate.
-
-    With a = 1 - eta_viewer and b = 1 - eta_provider the same for every group
-    of a side, J = [[a I, A12], [A21, b I]], and (x, y) is an eigenvector for
-    lambda exactly when (lambda - a)(lambda - b) x = A12 A21 x.  So the
-    spectrum is
-
-        (a + b)/2 +/- sqrt(((a - b)/2)^2 + sigma),   sigma in eig(A12 A21)
-
-    (eig(A21 A12) when K > L), plus |K - L| copies of b (L > K) or a (K > L).
-    Only the min(K, L)-square coupling product goes through an eigensolver;
-    J itself never does.  The result is real when every entry is.
-
-    Raises ClosedFormDomainError when the rates differ within a side: the
-    characteristic polynomial then has degree K + L with no closed form.
-    """
-    if not _one_rate_per_side(env):
-        raise ClosedFormDomainError(
-            "closed-form spectrum needs one reactiveness rate per side")
-    return _LinearizedMap(env, *_stacked(env, at, pi)).closed_form_spectrum()
-
-
 def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
                          tol: float = 1e-10) -> StabilityReport:
     """Stability analysis at a fixed point.
@@ -703,9 +678,9 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
             f"state is not a fixed point: residual {residual:.3e} > {10 * tol:.1e}")
     linearized = _LinearizedMap(env, rows, x)
     eigs = np.linalg.eigvals(linearized.jacobian())
-    analytic = linearized.closed_form_spectrum() if _one_rate_per_side(env) else None
     rho = float(np.abs(eigs).max())
-    return StabilityReport(fixed_point=at, eigenvalues=eigs, analytic_eigenvalues=analytic,
+    return StabilityReport(fixed_point=at, eigenvalues=eigs,
+                           analytic_eigenvalues=linearized.closed_form_spectrum(),
                            spectral_radius=rho, stable=bool(rho < 1.0),
                            sufficient_condition_holds=linearized.coupling_contracts(),
                            residual=residual)
@@ -754,7 +729,7 @@ def _parse_csv(text: str, what: str, extra) -> tuple[TrajectoryTable, np.ndarray
     """Parse a CSV with the trajectory columns followed by the columns named
     extra(K, L); returns the trajectory table and the extra columns."""
     lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     K = sum(1 for h in header if h.startswith("lambda_u_"))
     L = sum(1 for h in header if h.startswith("lambda_c_"))
     expected = trajectory_header(K, L)

@@ -19,9 +19,9 @@ import numpy as np
 from .dynamics import (Trajectory, TrajectoryStep, TrajectoryTable, _csv_text, _parse_csv,
                        _step_one, trajectory_header)
 from .functions import ScalarFn, fn_eval, saturating_exp
-from .kinds import ExperimentConfigError, _check_kinds, _is
-from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState,
-                    SpecValidationError, _readonly, epsilon_greedy, validate_policy)
+from .kinds import ExperimentConfigError, _check_kinds
+from .model import (EnvironmentSpec, Payoffs, PolicyMatrix, PopulationState, _check_seed,
+                    _readonly, epsilon_greedy, validate_policy)
 from .policies import LookaheadConfig, interpolate, myopic_greedy, optimize_lookahead
 
 
@@ -215,6 +215,9 @@ class InteractionLog:
             raise ValueError("steps must be consecutive in t with no gaps")
         if self.q.shape != (len(t), *self.table.s.shape[1:], *self.table.e.shape[1:]):
             raise ValueError(f"q has shape {self.q.shape}, expected (T, K, L)")
+        for name, side in (("eta_viewer", self.table.s), ("eta_provider", self.table.e)):
+            if getattr(self, name).shape != side.shape[1:]:
+                raise ValueError(f"{name} must have one rate per group, {side.shape[1]}")
 
     def __len__(self) -> int:
         return len(self.table.t)
@@ -285,8 +288,7 @@ class FittedDynamics:
             b_known=d.get("b_known", True),
         )
 
-    def surrogate_env(self, B: np.ndarray | None, eta_viewer, eta_provider,
-                      seed: int = 0) -> EnvironmentSpec:
+    def surrogate_env(self, B: np.ndarray | None, eta_viewer, eta_provider) -> EnvironmentSpec:
         """EnvironmentSpec whose dynamics are the fitted curves.
 
         When base utilities were unknown during fitting they are absorbed in
@@ -303,7 +305,6 @@ class FittedDynamics:
             lambda_bar_provider=tuple(f.fn for f in self.lambda_bar_provider_hat),
             eta_viewer=np.asarray(eta_viewer, dtype=float),
             eta_provider=np.asarray(eta_provider, dtype=float),
-            seed=seed,
         )
 
 
@@ -348,8 +349,7 @@ class SimulatorBlackbox:
     """
 
     def __init__(self, env: EnvironmentSpec, init: PopulationState, seed: int = 0):
-        if not _is(seed, int):
-            raise SpecValidationError(f"seed must be an integer, got {seed!r}")
+        _check_seed(seed)
         self._env = env
         self._init = init
         self.seed = int(seed)

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summary
-from .dynamics import Trajectory, _lockstep_grid, trajectory_to_csv
+from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
 from .functions import FunctionConfigError
 from .kinds import ExperimentConfigError, _check_kinds, _fields_table, _read
 from .model import EnvironmentSpec, PopulationState, SpecValidationError, epsilon_greedy
@@ -177,9 +177,6 @@ class ExperimentConfig:
         if isinstance(self.environment, EnvironmentSpec) and self.init is None:
             raise ExperimentConfigError("inline environments need an explicit init")
 
-    def resolve(self) -> tuple[EnvironmentSpec, PopulationState]:
-        return resolve_environment(self.environment, self.init)
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
         c = _read(d, "experiment config", {
@@ -198,11 +195,11 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
     """Run every (policy, seed) cell, write per-cell CSVs, and return the
     summary (also written as summary.json)."""
-    env, init = config.resolve()
+    env, init = resolve_environment(config.environment, config.init)
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = _lockstep_grid(env, [build_policy(env, spec) for spec in config.policies],
-                          config.T, init, config.seeds)
+    runs = lockstep_rollouts(env, [build_policy(env, spec) for spec in config.policies],
+                             config.T, init, config.seeds)
 
     results: dict[tuple[str, int], Trajectory] = {}
     for (spec, seed), traj in zip(product(config.policies, config.seeds), runs):
@@ -230,7 +227,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Any]:
                 "final_provider_total": float(tab.lambda_provider[-1].sum()),
                 "cumulative_welfare": traj.cumulative_welfare(),
             }
-            welfare_means.append(traj.welfare_series().mean())
+            welfare_means.append(tab.welfare.mean())
         summary["policies"][spec.name] = {
             "per_seed": per_seed,
             "mean_welfare": float(np.mean(welfare_means)),

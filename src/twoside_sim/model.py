@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field
 import numpy as np
 
 from .functions import FnGrid, FnVector, ScalarFn
-from .kinds import _check_kinds, _fields_table, _read
+from .kinds import _check_kinds, _fields_table, _is, _read
 
 ROW_SUM_TOL = 1e-9
 
@@ -25,6 +25,12 @@ class SpecValidationError(ValueError):
 
 class PolicyValidationError(SpecValidationError):
     """A matrix is not a valid row-stochastic allocation policy."""
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer (see kinds._is)."""
+    if not (_is(seed, int) and seed >= 0):
+        raise SpecValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,7 @@ class EnvironmentSpec:
                 raise SpecValidationError(f"{name} must have length {n}")
             if np.any(eta < 0) or np.any(eta > 1):
                 raise SpecValidationError(f"{name} entries must lie in [0, 1]")
-        if self.seed < 0:
-            raise SpecValidationError("seed must be a non-negative integer")
+        _check_seed(self.seed)
         object.__setattr__(self, "curves",
                            FnVector(self.lambda_bar_viewer + self.lambda_bar_provider))
         object.__setattr__(self, "eta", _readonly(np.concatenate([self.eta_viewer,
@@ -142,8 +147,8 @@ class EnvironmentSpec:
             e[key] = tuple(map(ScalarFn.from_dict, e[key]))
         return cls(**e)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "EnvironmentSpec":

@@ -40,26 +40,20 @@ def game_utilities(env: EnvironmentSpec, pi, state: PopulationState) -> tuple[np
     return u, v
 
 
-def gradient_ascent_update(env: EnvironmentSpec, pi, state: PopulationState,
-                           rates: tuple[np.ndarray, np.ndarray] | None = None) -> PopulationState:
+def gradient_ascent_update(env: EnvironmentSpec, pi, state: PopulationState) -> PopulationState:
     """One gradient-ascent step of each group on its own utility.
 
     The own-population partials are analytic: d u_k / d viewer_k =
     lambda_bar_k(s_k) - viewer_k (satisfaction does not depend on the viewer's
-    own population), and symmetrically for providers.  With rates equal to the
-    reactiveness rates this coincides with the population dynamics map; the
+    own population), and symmetrically for providers.  Its step sizes are the
+    reactiveness rates, so it coincides with the population dynamics map; the
     result is clipped at zero like the dynamics.
     """
     p = payoffs(env, state, pi)
     ref = env.curves.value(np.concatenate([p.s, p.e]))
     du, dv = ref[:env.K] - state.viewer, ref[env.K:] - state.provider
-    if rates is None:
-        rate_viewer, rate_provider = env.eta_viewer, env.eta_provider
-    else:
-        rate_viewer = np.asarray(rates[0], dtype=float)
-        rate_provider = np.asarray(rates[1], dtype=float)
-    new_viewer = state.viewer + rate_viewer * du
-    new_provider = state.provider + rate_provider * dv
+    new_viewer = state.viewer + env.eta_viewer * du
+    new_provider = state.provider + env.eta_provider * dv
     return PopulationState(t=state.t + 1,
                            viewer=np.maximum(new_viewer, 0.0),
                            provider=np.maximum(new_provider, 0.0))

@@ -97,8 +97,8 @@ def test_gen_deterministic_and_seed_override(tmp_path, capsys):
     assert run_cli(capsys, ["gen", "--config", cfg, "--out", str(b), "--quiet"])[0] == 0
     assert (a / "environment.json").read_bytes() == (b / "environment.json").read_bytes()
     c = tmp_path / "c"
-    assert run_cli(capsys, ["gen", "--config", cfg, "--out", str(c), "--seed", "99",
-                            "--quiet"])[0] == 0
+    cfg = write_json(tmp_path, "scen99.json", scenario_dict(seed=99))
+    assert run_cli(capsys, ["gen", "--config", cfg, "--out", str(c), "--quiet"])[0] == 0
     assert (c / "environment.json").read_bytes() != (a / "environment.json").read_bytes()
 
 
@@ -415,7 +415,7 @@ def test_run_regret_is_the_suite_of_its_own_trajectories(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, ["run", "--config", cfg, "--out", str(out)])
     assert code == 0
     config = experiment.ExperimentConfig.from_dict(payload)
-    env, init = config.resolve()
+    env, init = experiment.resolve_environment(config.environment, config.init)
     trajectories = {}
     for spec in config.policies:
         traj = rollout(env, experiment.build_policy(env, spec), config.T, init, seed=5)
@@ -684,6 +684,10 @@ UNREAD_FLAGS = [
     ("stability-init-and-config",
      ["stability", "--config", "{cfg}", "--init", "mid"], FIXED_POINT_CONFIG, "config"),
     ("fixed-point-init-alone", ["fixed-point", "--init", "mid"], None, "config"),
+    ("gen-seed", ["gen", "--config", "{cfg}", "--seed", "3"], scenario_dict(), "usage"),
+    ("run-seed", ["run", "--config", "{cfg}", "--seed", "3"], RUN_CONFIG, "usage"),
+    ("estimate-seed", ["estimate", "--config", "{cfg}", "--seed", "3"],
+     MISSPELLED_KEYS["estimate"][1], "usage"),
     ("fixed-point-seed",
      ["fixed-point", "--preset", "sigmoid-triple", "--seed", "3"], None, "usage"),
     ("stability-seed",

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import twoside_sim.dynamics as dynamics
-from twoside_sim import (ClosedFormDomainError, ConvergenceError,
-                         DivergenceError, EnvironmentSpec,
+from twoside_sim import (ConvergenceError, DivergenceError, EnvironmentSpec,
                          FixedPointPreconditionError, FunctionDomainError, LinearGameParams,
-                         NoiseSpec, PolicyValidationError, PopulationState, SpecValidationError,
-                         SyntheticScenarioConfig, assemble_jacobian, closed_form_eigenvalues,
+                         NoiseSpec, PolicyValidationError, PopulationState, SimulatorBlackbox,
+                         SpecValidationError, SyntheticScenarioConfig, assemble_jacobian,
                          enumerate_fixed_points, epsilon_greedy,
                          find_fixed_point, fixed_point_residual, fn_deriv,
                          fn_eval, game_utilities, gen_synthetic, gradient_ascent_update,
                          interpolate, jacobian_eigenvalues, linear_fn, linear_ne,
                          lookahead_gradient, lookahead_objective,
                          linear_welfare, lockstep_rollouts, myopic_greedy,
-                         parse_trajectory_csv, payoffs, rollout, saturating_exp, scaled_logistic, step, table_fn,
+                         parse_interaction_csv, parse_trajectory_csv, payoffs, rollout,
+                         saturating_exp, scaled_logistic, step, table_fn,
                          three_equilibria_env,
                          THREE_EQUILIBRIA_INITS, trajectory_header,
                          trajectory_to_csv, validate_policy, welfare)
@@ -193,9 +193,9 @@ def test_rollout_records_welfare_before_update():
     for rec in traj.steps:
         p = payoffs(env, rec.state, rec.policy)
         assert rec.welfare == welfare(rec.state, p)
-    np.testing.assert_allclose(traj.welfare_series(),
+    np.testing.assert_allclose(traj.table.welfare,
                                [rec.welfare for rec in traj.steps])
-    assert traj.cumulative_welfare() == pytest.approx(traj.welfare_series().sum())
+    assert traj.cumulative_welfare() == pytest.approx(traj.table.welfare.sum())
 
 
 @settings(max_examples=20, deadline=None)
@@ -232,6 +232,28 @@ def test_rollout_propagates_policy_rule_errors():
         rollout(env, bad_rule, 3, init)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3", -1])
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+def test_runs_refuse_a_horizon_or_seed_that_is_not_a_non_negative_integer(bad, noise_std):
+    env = random_env(4, max_dim=2, noise_std=noise_std)
+    init = random_state(4, env)
+    asked = []
+
+    def rule(e, s):     # records every step taken
+        asked.append(s.t)
+        return np.full((e.K, e.L), 1.0 / e.L)
+
+    for call, field in ((lambda: rollout(env, rule, bad, init), "horizon T"),
+                        (lambda: rollout(env, rule, 3, init, seed=bad), "seed"),
+                        (lambda: lockstep_rollouts(env, [rule], 3, init, [0, bad]), "seed"),
+                        (lambda: SimulatorBlackbox(env, init, seed=bad), "seed")):
+        with pytest.raises(SpecValidationError, match=f"^{field} must be .*integer"):
+            call()
+    with pytest.raises(SpecValidationError, match="seeds must be non-empty"):
+        lockstep_rollouts(env, [rule], 3, init, [])
+    assert asked == []
+
+
 # --- the policy check: every call that takes a policy ---
 
 CHECK_ENV = linear_env(2, 1, [0.5, 0.5], [0.5], [[0.1], [0.1]], B=[[1.0], [0.5]],
@@ -255,7 +277,6 @@ POLICY_CALLS = {
     "enumerate_fixed_points no inits": lambda pi: enumerate_fixed_points(CHECK_ENV, pi, []),
     "fixed_point_residual": lambda pi: fixed_point_residual(CHECK_ENV, pi, CHECK_AT),
     "assemble_jacobian": lambda pi: assemble_jacobian(CHECK_ENV, pi, CHECK_AT),
-    "closed_form_eigenvalues": lambda pi: closed_form_eigenvalues(CHECK_ENV, pi, CHECK_AT),
     "jacobian_eigenvalues": at_fixed_point(jacobian_eigenvalues),
     "game_utilities": lambda pi: game_utilities(CHECK_ENV, pi, CHECK_AT),
     "gradient_ascent_update": lambda pi: gradient_ascent_update(CHECK_ENV, pi, CHECK_AT),
@@ -530,7 +551,7 @@ def test_lockstep_cells_equal_rollouts_of_each_seed():
         return myopic_greedy(e, s)
 
     for policy in (random_policy(11, env.K, env.L), myopic_greedy, rule):
-        runs = lockstep_rollouts(env, policy, 5, init, seeds)
+        runs = lockstep_rollouts(env, [policy], 5, init, seeds)
         for seed, run in zip(seeds, runs):
             try:
                 want = rollout(env, policy, 5, init, seed=seed)
@@ -817,7 +838,7 @@ def test_fully_reactive_viewer_block_eigenvalues_vanish():
     pi = validate_policy([[1.0], [1.0]])
     fp = find_fixed_point(env, pi, PopulationState(t=0, viewer=[0.1, 0.1], provider=[0.1]),
                           1e-12, 100000)
-    analytic = closed_form_eigenvalues(env, pi, fp)
+    analytic = jacobian_eigenvalues(env, pi, fp).analytic_eigenvalues
     dense = np.linalg.eigvals(assemble_jacobian(env, pi, fp))
     # K - L = 1 leftover eigenvalue equal to 1 - eta_viewer = 0, exactly
     assert list(analytic).count(0.0) == 1
@@ -831,7 +852,7 @@ def test_constant_population_effect_zeroes_coupling_eigenvalues():
     pi = validate_policy([[0.5, 0.5], [0.5, 0.5]])
     fp = find_fixed_point(env, pi, PopulationState(t=0, viewer=[1.0, 1.0], provider=[1.0, 1.0]),
                           1e-12, 100000)
-    analytic = closed_form_eigenvalues(env, pi, fp)
+    analytic = jacobian_eigenvalues(env, pi, fp).analytic_eigenvalues
     # no coupling (sigma = 0): the spectrum is {1 - eta_viewer} u {1 - eta_provider}
     expected = np.concatenate([1.0 - env.eta_viewer, 1.0 - env.eta_provider])
     np.testing.assert_allclose(np.sort(analytic), np.sort(expected), atol=1e-15)
@@ -885,7 +906,8 @@ def test_closed_form_matches_dense_spectrum_with_one_rate_per_side(seed):
     env = EnvironmentSpec.from_dict(d)
     state = random_state(seed, env)
     pi = random_policy(seed, env.K, env.L)
-    analytic = np.asarray(closed_form_eigenvalues(env, pi, state), dtype=complex)
+    linearized = dynamics._LinearizedMap(env, *dynamics._stacked(env, state, pi))
+    analytic = np.asarray(linearized.closed_form_spectrum(), dtype=complex)
     dense = np.linalg.eigvals(assemble_jacobian(env, pi, state))
     assert analytic.shape == (env.K + env.L,)
     # pair the spectra by minimum-cost assignment: sorting mispairs eigenvalues
@@ -901,8 +923,8 @@ def test_closed_form_refuses_per_group_rates():
     pi = validate_policy([[1.0], [1.0]])
     fp = find_fixed_point(env, pi, PopulationState(t=0, viewer=[0.1, 0.1], provider=[0.1]),
                           1e-12, 100000)
-    with pytest.raises(ClosedFormDomainError):
-        closed_form_eigenvalues(env, pi, fp)
+    linearized = dynamics._LinearizedMap(env, *dynamics._stacked(env, fp, pi))
+    assert linearized.closed_form_spectrum() is None
     rep = jacobian_eigenvalues(env, pi, fp)
     assert rep.analytic_eigenvalues is None
     assert rep.eigenvalues.shape == (3,)
@@ -1023,7 +1045,7 @@ def test_trajectory_csv_round_trip_is_exact():
     assert lines[0] == ",".join(trajectory_header(1, 1))
     assert "\r" not in text
     table = parse_trajectory_csv(text)
-    np.testing.assert_array_equal(table.welfare, traj.welfare_series())
+    np.testing.assert_array_equal(table.welfare, traj.table.welfare)
     np.testing.assert_array_equal(table.lambda_viewer[:, 0],
                                   [rec.state.viewer[0] for rec in traj.steps])
     np.testing.assert_array_equal(table.lambda_provider[:, 0],
@@ -1039,6 +1061,11 @@ def test_trajectory_header_layout():
 def test_parse_rejects_wrong_header():
     with pytest.raises(ValueError):
         parse_trajectory_csv("a,b,c\n1,2,3\n")
+    # empty text has no header at all: the same refusal
+    with pytest.raises(ValueError, match="unexpected trajectory CSV header"):
+        parse_trajectory_csv("")
+    with pytest.raises(ValueError, match="unexpected interaction CSV header"):
+        parse_interaction_csv("", [0.5], [0.5])
 
 
 def test_table_functions_are_usable_in_dynamics():

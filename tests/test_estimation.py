@@ -335,6 +335,19 @@ def test_log_rejects_time_gaps():
                        eta_provider=env.eta_provider)
 
 
+def test_log_refuses_rates_that_are_not_one_per_group():
+    env = EnvironmentSpec(K=1, L=1, B=[[1.0]], f=((linear_fn(0.1),),),
+                          lambda_bar_viewer=(linear_fn(0.5, 1.0),),
+                          lambda_bar_provider=(linear_fn(0.5, 1.0),),
+                          eta_viewer=[0.5], eta_provider=[0.5])
+    traj = rollout(env, [[1.0]], 4, PopulationState(t=0, viewer=[1.0], provider=[1.0]))
+    for eta_viewer, eta_provider, field in (([0.5], [0.5, 0.2], "eta_provider"),
+                                            ([], [], "eta_viewer"),
+                                            ([[0.5]], [0.5], "eta_viewer")):
+        with pytest.raises(ValueError, match=f"^{field} must have one rate per group"):
+            InteractionLog.from_trajectory(traj, eta_viewer, eta_provider)
+
+
 # --- full dynamics fitting ---
 
 
@@ -412,12 +425,6 @@ def test_blackbox_observes_before_advancing():
     box.reset()
     again = box.step(pi)
     np.testing.assert_array_equal(again.payoffs.s, rec.payoffs.s)
-
-
-@pytest.mark.parametrize("seed", [2.7, True, "3"])
-def test_blackbox_refuses_a_seed_that_is_not_an_integer(seed):
-    with pytest.raises(ValueError, match="seed"):
-        SimulatorBlackbox(sat_env(), START, seed=seed)
 
 
 def test_blackbox_reset_reproduces_noisy_runs():

@@ -419,8 +419,7 @@ def test_failed_cells_do_not_rerun_the_per_cell_scans(monkeypatch):
         return scan(failed, what, t, *args)
 
     monkeypatch.setattr(dynamics, "_fail_non_finite", counted)
-    grid = dynamics._lockstep_grid(env, [build_policy(env, spec) for spec in specs], T, init,
-                                   seeds)
+    grid = lockstep_rollouts(env, [build_policy(env, spec) for spec in specs], T, init, seeds)
     assert set(scans) == fail_steps and len(scans) == 3 * len(fail_steps)
     for key, got in zip(lone, grid):
         assert_same_run(got, lone[key])
@@ -460,8 +459,7 @@ def test_mixed_noisy_grid_steps_every_cell_as_its_lone_rollout(tmp_path):
     failed = [key for key, run in lone.items() if not isinstance(run, Trajectory)]
     assert failed == [("myopic", 1), ("lookahead", 1)]
     assert isinstance(lone["myopic", 1], DivergenceError)
-    grid = dynamics._lockstep_grid(env, [build_policy(env, spec) for spec in specs], T, init,
-                                   seeds)
+    grid = lockstep_rollouts(env, [build_policy(env, spec) for spec in specs], T, init, seeds)
     for key, got in zip(lone, grid):
         assert_same_run(got, lone[key])
     with pytest.raises(DivergenceError) as exc:
@@ -509,7 +507,7 @@ def test_a_noiseless_grid_steps_one_cell_per_policy(monkeypatch):
     assert_run_equals_reference(env, init, specs, 8, (0, 3))
     # run_experiment's calls, then the reference's one-cell step() calls
     assert cells[:8] == [len(specs)] * 8 and set(cells[8:]) == {1}
-    runs = lockstep_rollouts(env, build_policy(env, specs[1]), 8, init, (0, 3))
+    runs = lockstep_rollouts(env, [build_policy(env, specs[1])], 8, init, (0, 3))
     assert [run.seed for run in runs] == [0, 3]
 
 

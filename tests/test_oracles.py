@@ -74,15 +74,6 @@ def test_ascent_step_equals_dynamics_step(seed):
     assert via_ascent.t == via_dynamics.t == state.t + 1
 
 
-def test_ascent_with_zero_rates_is_identity():
-    env = id_env([[1.0]])
-    state = PopulationState(t=3, viewer=[2.0], provider=[3.0])
-    out = gradient_ascent_update(env, [[1.0]], state,
-                                 rates=(np.zeros(1), np.zeros(1)))
-    np.testing.assert_array_equal(out.viewer, state.viewer)
-    np.testing.assert_array_equal(out.provider, state.provider)
-
-
 # --- linear closed forms ---
 
 
