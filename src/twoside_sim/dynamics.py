@@ -50,7 +50,7 @@ def payoffs(env: EnvironmentSpec, state: PopulationState, pi) -> Payoffs:
     """Utilities q = B + f(provider pops), satisfaction s, exposure e."""
     rows = _checked(env, state, pi)
     q = env.B + env.f_grid.value(state.provider)
-    s, e, _ = _served(q, rows, state.viewer)
+    s, e = _served(q, rows, state.viewer)
     return Payoffs(s=s, e=e, q=q)
 
 
@@ -63,11 +63,10 @@ def _checked(env: EnvironmentSpec, state: PopulationState, pi) -> np.ndarray | N
 
 
 def _served(q: np.ndarray, rows: np.ndarray, viewer: np.ndarray):
-    """s_k = sum_l rows_kl q_kl, e = rows^T viewer and the welfare viewer . s,
-    over any leading (cell) axes; each cell equals its unbatched computation
-    bit for bit (the same pairwise sums and BLAS dots)."""
-    s = (rows * q).sum(axis=-1)
-    return s, np.matmul(viewer[..., None, :], rows)[..., 0, :], _row_dots(viewer, s)
+    """s_k = sum_l rows_kl q_kl and e = rows^T viewer, over any leading
+    (cell) axes; each cell equals its unbatched computation bit for bit (the
+    same pairwise sums and BLAS dots)."""
+    return (rows * q).sum(axis=-1), np.matmul(viewer[..., None, :], rows)[..., 0, :]
 
 
 def welfare(state: PopulationState, p: Payoffs) -> float:
@@ -131,7 +130,7 @@ def _step_cells(env: EnvironmentSpec, t: int, x: np.ndarray, decide: Callable,
         q = env.B + env.f_grid.value(x[:, env.K:])
     rows = decide(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        se, w, next_x = _update(env, q, rows, x)
+        se, w, next_x, _ = _update(env, q, rows, x)
         if noise is not None:
             next_x *= noise
         live = [c for c in range(len(x)) if c not in failed] if failed else slice(None)
@@ -147,26 +146,33 @@ def _step_cells(env: EnvironmentSpec, t: int, x: np.ndarray, decide: Callable,
     return q, se, w, next_x
 
 
-def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, x: np.ndarray):
-    """((s, e) stacked, welfare, next x) of the stacked populations x under
-    the policy rows at utilities q, before noise and clipping, over any
-    leading (cell) axes: one reference-curve pass on (s, e).  Called under
-    np.errstate; the caller checks finiteness."""
-    s, e, w = _served(q, rows, x[..., :env.K])
+def _update(env: EnvironmentSpec, q: np.ndarray, rows: np.ndarray, x: np.ndarray,
+            slopes: bool = False):
+    """((s, e) stacked, welfare, next x, the reference curves' slopes at
+    (s, e) with `slopes`, else None) of the stacked populations x under the
+    policy rows at utilities q, before noise and clipping, over any leading
+    (cell) axes: one reference-curve pass on (s, e), whose values do not
+    depend on `slopes`.  Called under np.errstate; the caller checks
+    finiteness."""
+    viewer = x[..., :env.K]
+    s, e = _served(q, rows, viewer)
     se = np.concatenate([s, e], axis=-1)
-    return se, w, (1.0 - env.eta) * x + env.eta * env.curves._apply(se)
+    reference, dc = env.curves._apply_both(se) if slopes else (env.curves._apply(se), None)
+    return se, _row_dots(viewer, s), (1.0 - env.eta) * x + env.eta * reference, dc
 
 
-def _fail_non_finite(failed: dict, what: str, t: int, K: int, x, *arrays) -> None:
+def _fail_non_finite(failed: dict, what: str, t, K: int, x, *arrays) -> None:
     """Fail every cell, not failed yet, whose rows of `arrays` are not all
-    finite; its last state is its row of the stacked populations x, K viewers first."""
+    finite; its last state is its row of the stacked populations x, K
+    viewers first, at time t (t[cell] when t is a list)."""
     if all(np.isfinite(a).all() for a in arrays):
         return
     for c in range(len(x)):
         if c not in failed and not all(np.isfinite(a[c]).all() for a in arrays):
+            at = t[c] if isinstance(t, list) else t
             failed[c] = DivergenceError(
-                f"dynamics diverged: non-finite {what} after t={t}", residual=float("inf"),
-                last_state=PopulationState(t=t, viewer=x[c, :K], provider=x[c, K:]))
+                f"dynamics diverged: non-finite {what} after t={at}", residual=float("inf"),
+                last_state=PopulationState(t=at, viewer=x[c, :K], provider=x[c, K:]))
 
 
 @dataclass(frozen=True)
@@ -260,11 +266,13 @@ def lockstep_rollouts(env: EnvironmentSpec, policies: Sequence, T: int, init: Po
     ended it.  Its noise is drawn once, as a (T, K + L) block from seeds[i]'s
     generator; without noise a run does not depend on its seed, so each
     policy steps one cell and every seed's result is built from it.  T must
-    be an integer >= 1 and the seeds non-empty and non-negative integers,
-    else SpecValidationError before any step.
+    be an integer >= 1, the policies non-empty and the seeds non-empty and
+    non-negative integers, else SpecValidationError before any step.
     """
     if not (_is(T, int) and T >= 1):
         raise SpecValidationError(f"horizon T must be an integer >= 1, got {T!r}")
+    if not len(policies):
+        raise SpecValidationError("policies must be non-empty")
     if not len(seeds):
         raise SpecValidationError("seeds must be non-empty")
     for seed in seeds:
@@ -374,109 +382,294 @@ def find_fixed_point(env: EnvironmentSpec, pi, init: PopulationState,
     The returned residual is at most tol.  A map whose residual never falls
     never reaches Newton, so it behaves as plain iteration does.
 
-    The search runs on the stacked populations x = (viewer, provider), `pi`
-    checked once, and makes a PopulationState only for the returned point
-    (t = 0: an equilibrium has no meaningful timestep index) and an error's
-    last_state.  The returned point depends on the initial condition when
-    several fixed points exist.  max_iter bounds the evaluations of F, each
-    Newton trial counted as one.  Raises ConvergenceError when they run out,
-    or its DivergenceError subclass as soon as a plain iterate overflows;
-    SpecValidationError when tol is not a finite number >= 0 or max_iter is
-    not an integer.
+    The search is _search from one start: it runs on the stacked populations
+    x = (viewer, provider), `pi` checked once, and makes a PopulationState
+    only for the returned point (t = 0: an equilibrium has no meaningful
+    timestep index) and an error's last_state.  The returned point depends
+    on the initial condition when several fixed points exist.  max_iter
+    bounds the evaluations of F, each Newton trial counted as one.  Raises
+    ConvergenceError when they run out, or its DivergenceError subclass as
+    soon as a plain iterate overflows; SpecValidationError when tol is not a
+    finite number >= 0 or max_iter is not an integer.
     """
     _check_tol(tol, max_iter)
     rows, x = _stacked(env, init, pi, "find_fixed_point")
-    t, K = init.t, env.K            # t is x's timestep; F(x) is at t + 1
-    fx = _image(env, rows, x, t)
-    evals, residual = 1, float(np.abs(fx - x).max())
-    rate = None                     # the last residual ratio, while below 1
-    wait, backoff = 0, 1            # plain steps before the next Newton trial
-    successor = None                # the Newton step from x, once a Newton step lands there
-    while residual > tol:
-        if evals >= max_iter:
-            raise ConvergenceError(
-                f"no fixed point within {max_iter} iterations "
-                f"(last residual {residual:.3e})", residual=residual,
-                last_state=PopulationState(t=t + 1, viewer=fx[:K], provider=fx[K:]))
-        if rate is not None and wait == 0:
-            evals += 1
-            trial = _guarded_newton(env, rows, x, fx, residual, rate, successor)
-            if trial is not None:
-                (x, fx, residual, successor), t = trial, t + 1
-                continue
-            wait, backoff = backoff, 2 * backoff
-            if evals >= max_iter:
-                continue
-        wait = max(wait - 1, 0)
-        x, t, successor = fx, t + 1, None
-        fx = _image(env, rows, x, t)
-        evals += 1
-        previous, residual = residual, float(np.abs(fx - x).max())
-        rate = residual / previous if residual < previous else None
-    if 0.0 < residual and evals < max_iter:
-        with np.errstate(all="ignore"):
-            y = successor if successor is not None else _newton_point(
-                _LinearizedMap(env, rows, x, fx == 0.0), x, fx)
-        fy = None if y is None else _image(env, rows, y, strict=False)
-        if fy is not None and np.abs(fy - y).max() <= residual:
-            x = y
-    return PopulationState(t=0, viewer=x[:K], provider=x[K:])
+    (point,) = _search(env, rows, [x], [init.t], tol, max_iter)
+    if isinstance(point, ConvergenceError):
+        raise point
+    return PopulationState(t=0, viewer=point[:env.K], provider=point[env.K:])
 
 
-def _guarded_newton(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, fx: np.ndarray,
-                    residual: float, rate: float, successor: np.ndarray | None):
-    """(y, F(y), |F(y) - y|, the Newton step z from y) for the Newton step y
-    from x when find_fixed_point keeps it, else None.  `successor`, when
-    given, is that y: the kept step that landed at x already solved for it,
-    from a linearization at x found attracting.  The guards are checked
-    cheapest first: the step's length before the contraction solve at x."""
+class _Start:
+    """One start of _search: its populations x and F(x), and the scalars of
+    find_fixed_point's loop as Python numbers.  `successor` is the Newton
+    step from x, once a kept Newton step lands at x; `slopes` are the slopes
+    at x (see _image), when the pass that gave F(x) took them."""
+
+    __slots__ = ("index", "t", "x", "fx", "evals", "residual", "rate", "wait", "backoff",
+                 "successor", "slopes")
+
+    def __init__(self, index: int, t: int, x: np.ndarray, fx: np.ndarray, residual: float):
+        self.index, self.t, self.x, self.fx = index, t, x, fx    # t is x's timestep
+        self.evals, self.residual = 1, residual
+        self.rate = None                # the last residual ratio, while below 1
+        self.wait, self.backoff = 0, 1  # plain steps before the next Newton trial
+        self.successor = self.slopes = None
+
+
+def _search(env: EnvironmentSpec, rows: np.ndarray, starts: list[np.ndarray], t: list[int],
+            tol: float, max_iter: int) -> list:
+    """find_fixed_point's search from every start, the stacked populations
+    in `starts` at the timesteps t, in lockstep: each start's point, or the
+    ConvergenceError that ended it, as a search from that start alone gives
+    it bit for bit.
+
+    Each round, the starts within tol take the polish (_polish), the starts
+    due a Newton trial take it (_newton_trials) and the rest take a plain
+    step (_plain_steps), each in batches (_batches).  A batch is one stacked
+    call of _image, _LinearizedMap and the solves; a batch of one start is
+    unstacked (see _stack).  A start that converges or fails leaves, and its
+    scalars stay Python numbers.
+    """
+    K, outcome = env.K, [None] * len(starts)
     with np.errstate(all="ignore"):
-        linearized = None if successor is not None else _LinearizedMap(env, rows, x, fx == 0.0)
-        y = successor if linearized is None else _newton_point(linearized, x, fx)
-        if (y is None or np.abs(y - x).max() > 2.0 * residual / (1.0 - rate)
-                or linearized is not None and not linearized.coupling_contracts()):
-            return None
-        fy = _image(env, rows, y, strict=False)
-        if fy is None:
-            return None
-        residual_y = float(np.abs(fy - y).max())
-        if residual_y > residual / 2:
-            return None
-        at_y = _LinearizedMap(env, rows, y, fy == 0.0)
-        if not at_y.coupling_contracts():
-            return None
-        z = _newton_point(at_y, y, fy)
-        if z is None or np.abs(z - y).max() > np.abs(y - x).max() / 2:
-            return None
-    return y, fy, residual_y, z
+        x, failed = _stack(starts), {}
+        fx = _image(env, rows, x, t, failed)
+        live = [_Start(i, t[i], xi, fxi, r) for i, (xi, fxi, r)
+                in enumerate(zip(_rows(x), _rows(fx), _gaps(fx, x))) if i not in failed]
+        for i, error in failed.items():
+            outcome[i] = error
+        while live:
+            done, due, plain, spent = [], [], [], False
+            for s in live:
+                if s.residual <= tol:
+                    done.append(s)
+                elif s.evals >= max_iter:
+                    spent = True
+                    outcome[s.index] = ConvergenceError(
+                        f"no fixed point within {max_iter} iterations "
+                        f"(last residual {s.residual:.3e})", residual=s.residual,
+                        last_state=PopulationState(t=s.t + 1, viewer=s.fx[:K], provider=s.fx[K:]))
+                elif s.rate is not None and s.wait == 0:
+                    s.evals += 1
+                    due.append(s)
+                else:
+                    plain.append(s)
+            for batch in _batches(done) if done else ():
+                for s, point in zip(batch, _polish(env, rows, batch, max_iter)):
+                    outcome[s.index] = point
+            for batch in _batches(due) if due else ():
+                for s in _newton_trials(env, rows, batch):
+                    s.wait, s.backoff = s.backoff, 2 * s.backoff
+                    if s.evals < max_iter:
+                        plain.append(s)
+            if (plain and _plain_steps(env, rows, plain, outcome)) or done or spent:
+                live = [s for s in live if outcome[s.index] is None]
+    return outcome
 
 
-def _newton_point(linearized: _LinearizedMap, x: np.ndarray, fx: np.ndarray) -> np.ndarray | None:
-    """x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J - I from
-    `linearized`; None when J - I is singular or the step is not finite."""
+def _batches(starts: list) -> list[list]:
+    """`starts` as batches for a Newton step: those that solve for it, then
+    those that have it as their successor, each batch non-empty."""
+    fresh = [s for s in starts if s.successor is None]
+    landed = [s for s in starts if s.successor is not None]
+    return [batch for batch in (fresh, landed) if batch]
+
+
+def _plain_steps(env: EnvironmentSpec, rows: np.ndarray, starts: list, outcome: list) -> bool:
+    """One plain step x <- F(x) of each of `starts`, as one _image; a start
+    whose new image overflows gets its DivergenceError in `outcome`.  Returns
+    whether one did."""
+    for s in starts:
+        s.wait, s.x, s.t, s.successor = max(s.wait - 1, 0), s.fx, s.t + 1, None
+    x, t, failed = _stack([s.x for s in starts]), [s.t for s in starts], {}
+    # a start left with no wait may take a Newton trial at x next: the pass
+    # then takes the slopes at x too, for its linearization
+    slopes = [None] * len(starts)
+    if 0 in [s.wait for s in starts]:
+        fx, (df, dc) = _image(env, rows, x, t, failed, slopes=True)
+        slopes = list(zip(_rows(df, 2), _rows(dc)))
+    else:
+        fx = _image(env, rows, x, t, failed)
+    for j, (s, fxj, residual) in enumerate(zip(starts, _rows(fx), _gaps(fx, x))):
+        if j in failed:
+            outcome[s.index] = failed[j]
+            continue
+        s.fx, s.slopes, s.evals = fxj, slopes[j], s.evals + 1
+        previous, s.residual = s.residual, residual
+        s.rate = residual / previous if residual < previous else None
+    return bool(failed)
+
+
+def _newton_trials(env: EnvironmentSpec, rows: np.ndarray, starts: list) -> list:
+    """find_fixed_point's Newton trial at each of `starts`, a batch of
+    _batches: a start whose Newton step y from x passes the guards moves to
+    y (x, F(x), residual and successor, the Newton step from y, and t + 1).
+    Returns the starts whose trial was rejected.  A start's `successor`,
+    when set, is y: the kept step that landed at x already solved for it,
+    from a linearization at x found attracting.  Each guard is one stacked
+    call over the starts it has yet to decide, cheapest first: the step's
+    length before the contraction solve at x."""
+    x, fx = _stack([s.x for s in starts]), _stack([s.fx for s in starts])
+    y, ok, at_x = _newton_from(env, rows, starts, x, fx)
+    lengths = _gaps(y, x)
+    ok = [o and length <= 2.0 * s.residual / (1.0 - s.rate)
+          for o, length, s in zip(ok, lengths, starts)]
+    tested = [j for j, o in enumerate(ok) if o]
+    if at_x is not None and tested:
+        at_x = at_x if len(tested) == len(starts) else at_x[tested]
+        for j, contracts in zip(tested, _listed(at_x.coupling_contracts())):
+            ok[j] = contracts
+    todo, y, lengths = _keep(ok, starts, y, lengths)
+    if todo:
+        failed = {}
+        fy, (df, dc) = _image(env, rows, y, 0, failed, slopes=True)
+        residual_y = _gaps(fy, y)
+        ok = [j not in failed and r <= s.residual / 2
+              for j, (s, r) in enumerate(zip(todo, residual_y))]
+        todo, y, fy, df, dc, residual_y, lengths = _keep(ok, todo, y, fy, df, dc, residual_y,
+                                                         lengths)
+    if todo:
+        at_y = _LinearizedMap(env, rows, y, fy == 0.0, (df, dc))
+        todo, y, fy, df, dc, residual_y, lengths, at_y = _keep(
+            _listed(at_y.coupling_contracts()), todo, y, fy, df, dc, residual_y, lengths, at_y)
+    moved = set()
+    if todo:
+        z, ok = _newton_points(at_y, y, fy)
+        for s, o, yi, fyi, slopes, r, zi, step, length in zip(
+                todo, ok, _rows(y), _rows(fy), zip(_rows(df, 2), _rows(dc)), residual_y,
+                _rows(z), _gaps(z, y), lengths):
+            if o and step <= length / 2:
+                s.x, s.fx, s.slopes, s.residual, s.successor = yi, fyi, slopes, r, zi
+                s.t += 1
+                moved.add(s.index)
+    return [s for s in starts if s.index not in moved]
+
+
+def _polish(env: EnvironmentSpec, rows: np.ndarray, starts: list, max_iter: int) -> list:
+    """find_fixed_point's returned point for each of `starts`, each within
+    tol: the Newton step y from x unless it raises the residual, else x."""
+    points = [s.x for s in starts]
+    idx = [j for j, s in enumerate(starts) if 0.0 < s.residual and s.evals < max_iter]
+    if not idx:
+        return points
+    due = [starts[j] for j in idx]
+    y, ok, _ = _newton_from(env, rows, due, _stack([s.x for s in due]),
+                            _stack([s.fx for s in due]))
+    idx, y = _keep(ok, idx, y)
+    if idx:
+        failed = {}
+        fy = _image(env, rows, y, 0, failed)
+        for j, (i, yi, residual) in enumerate(zip(idx, _rows(y), _gaps(fy, y))):
+            if j not in failed and residual <= starts[i].residual:
+                points[i] = yi
+    return points
+
+
+def _newton_from(env: EnvironmentSpec, rows: np.ndarray, starts: list, x: np.ndarray,
+                 fx: np.ndarray):
+    """(y, ok, at_x) for a batch of _batches: the Newton step y (stacked)
+    from each start's x, its `successor` when set (ok everywhere, at_x None),
+    else solved for from the linearization at_x at x, ok False where that
+    solve failed (see _newton_points)."""
+    if starts[0].successor is not None:
+        return _stack([s.successor for s in starts]), [True] * len(starts), None
+    slopes = [s.slopes for s in starts]     # taken by the pass that gave F(x), if it did
+    slopes = None if None in slopes else (_stack([df for df, _ in slopes]),
+                                          _stack([dc for _, dc in slopes]))
+    at_x = _LinearizedMap(env, rows, x, fx == 0.0, slopes)
+    return (*_newton_points(at_x, x, fx), at_x)
+
+
+def _newton_points(linearized: _LinearizedMap, x: np.ndarray, fx: np.ndarray):
+    """(x - (J - I)^-1 (F(x) - x), clipped at 0 like the map, with J - I from
+    `linearized`; whether each row's step is finite, False also where J - I
+    is singular)."""
+    y = np.maximum(x - _solve(linearized.jacobian(minus_identity=True), fx - x), 0.0)
+    return y, _listed(np.logical_and.reduce(np.isfinite(y), axis=-1).tolist())
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of a y = b, or of each system a[i] y = b[i] of the stacks
+    a (S, n, n) and b (S, n) by one stacked np.linalg.solve, each its lone
+    solve bit for bit.  When one system is singular, each is solved alone,
+    and the singular ones solve to nan."""
     try:
-        delta = np.linalg.solve(linearized.jacobian(minus_identity=True), fx - x)
+        return np.linalg.solve(a, b) if b.ndim == 1 else np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    y = np.maximum(x - delta, 0.0)
-    return y if np.isfinite(y).all() else None
+        y = np.full(b.shape, np.nan)
+        for i in np.ndindex(b.shape[:-1]):
+            try:
+                y[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return y
 
 
-def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t: int = 0, strict=True):
-    """F(x) of the finite stacked populations x: _update, unbatched and noiseless,
-    clipped at 0.  One test covers the welfare, payoffs and F(x); when it fails,
-    raises the DivergenceError _step_cells would at time t (None if not `strict`)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        se, w, fx = _update(env, env.B + env.f_grid._apply(x[env.K:]), rows, x)
-        checked = np.concatenate([[w], se, fx])
-        if math.isfinite(np.add.reduce(checked)):   # any inf or nan makes the sum inf or nan
-            return np.maximum(fx, 0.0)
-    failed: dict[int, BaseException] = {}
+# A batch of the search holds one row per start, stacked (S, n), except that
+# one start's batch is its 1-d row: numpy broadcasts a leading axis of length
+# 1 more slowly than it runs the unbatched call.
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    return rows[0] if len(rows) == 1 else np.array(rows)
+
+
+def _rows(a: np.ndarray, core: int = 1):
+    """The per-start entries of a batch whose entries have `core` axes."""
+    return (a,) if a.ndim == core else a
+
+
+def _listed(values) -> list:
+    """A per-start answer (a bool or float for one start) as a list."""
+    return values if isinstance(values, list) else [values]
+
+
+def _gaps(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """max |a - b| of each start, as Python floats."""
+    gaps = np.maximum.reduce(np.abs(a - b), axis=-1).tolist()
+    return gaps if isinstance(gaps, list) else [gaps]
+
+
+def _keep(ok: list[bool], idx: list[int], *columns):
+    """(idx, *columns) at the entries where ok holds; a column is a batch
+    (an array or a _LinearizedMap) or a list, one entry per entry of idx."""
+    if all(ok):
+        return (idx, *columns)
+    sel = [j for j, o in enumerate(ok) if o]
+    if not sel:
+        return ([], *[None] * len(columns))
+    return ([idx[j] for j in sel],
+            *([c[j] for j in sel] if isinstance(c, list) else c[sel] for c in columns))
+
+
+def _image(env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray, t=0, failed=None,
+           slopes: bool = False):
+    """F(x) of the finite populations x, (K + L,) or stacked (S, K + L):
+    _update, noiseless, clipped at 0, each row its lone evaluation bit for
+    bit.  One test covers the welfare, payoffs and F(x) of every row.  A row
+    that fails it gets the DivergenceError _step_cells would give it at time
+    t (t[row] for a list), in `failed` (row -> error, its result then
+    meaningless), or raised when `failed` is None.  With `slopes`, returns
+    (F(x), the slopes at x that _LinearizedMap takes) from the same pass,
+    F(x) unchanged.  Called under np.errstate with overflow and invalid
+    ignored."""
+    f, df = env.f_grid._apply_both(x[..., env.K:]) if slopes else (
+        env.f_grid._apply(x[..., env.K:]), None)
+    se, w, fx, dc = _update(env, env.B + f, rows, x, slopes)
+    checked = np.concatenate([w[..., None], se, fx], axis=-1)
+    if math.isfinite(np.add.reduce(checked, None)):     # any inf or nan makes the sum inf or nan
+        fx = np.maximum(fx, 0.0)
+        return (fx, (df, dc)) if slopes else fx
+    errors: dict[int, BaseException] = {}
+    x = x.reshape(-1, x.shape[-1])
     for what, a in (("welfare", w), ("payoffs", se), ("populations", fx)):
-        _fail_non_finite(failed, what, t, env.K, x[None], a[None])
-    if failed and strict:
-        raise failed[0]
-    return None if failed else np.maximum(fx, 0.0)
+        _fail_non_finite(errors, what, t, env.K, x, a.reshape(len(x), -1))
+    if errors and failed is None:
+        raise errors[min(errors)]
+    if failed is not None:
+        failed.update(errors)
+    fx = np.maximum(fx, 0.0)
+    return (fx, (df, dc)) if slopes else fx
 
 
 def _check_tol(tol, max_iter: int = 1) -> None:
@@ -498,7 +691,8 @@ def _stacked(env: EnvironmentSpec, state: PopulationState, pi, noiseless: str | 
 def fixed_point_residual(env: EnvironmentSpec, pi, at: PopulationState) -> float:
     """Max-norm distance between `at` and its image under the noiseless map."""
     rows, x = _stacked(env, at, pi, "fixed_point_residual")
-    return float(np.abs(_image(env, rows, x, at.t) - x).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(_image(env, rows, x, at.t) - x).max())
 
 
 def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationState],
@@ -514,26 +708,35 @@ def enumerate_fixed_points(env: EnvironmentSpec, pi, inits: Sequence[PopulationS
     are skipped.  Points within half the sum of the lower bounds
     tol / ||J - I||_inf (half, for round-off) merge without a pseudo-inverse:
     (J - I)(J - I)^+ is a nonzero projector, so its norm is at least 1.
+
+    Every start is checked as find_fixed_point checks it, and then all are
+    searched at once by _search: each start's point is the one
+    find_fixed_point gives from it, bit for bit.
     """
     _check_tol(tol, max_iter)
-    pi = validate_policy(pi)        # checked once, before any start, then passed along
+    pi = validate_policy(pi)        # checked once, before any start
     rows = _policy_rows(pi, env.K, env.L)
-    found: list[tuple] = []         # (point, x, lower bound, radius() taken once)
-    for init in inits:
-        try:
-            fp = find_fixed_point(env, pi, init, tol=tol, max_iter=max_iter)
-        except ConvergenceError:
-            continue
-        x = np.concatenate([fp.viewer, fp.provider])
-        a = _LinearizedMap(env, rows, x, _image(env, rows, x) == 0.0).jacobian(minus_identity=True)
-        norm = float(np.linalg.norm(a, np.inf))
+    inits = list(inits)
+    starts = [_stacked(env, init, None, "find_fixed_point")[1] for init in inits]
+    points = [] if not starts else [
+        x for x in _search(env, rows, starts, [init.t for init in inits], tol, max_iter)
+        if not isinstance(x, ConvergenceError)]
+    if not points:
+        return []
+    x = _stack(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, slopes = _image(env, rows, x, slopes=True)
+    a = _LinearizedMap(env, rows, x, fx == 0.0, slopes).jacobian(minus_identity=True)
+    norms = _listed(np.linalg.norm(a, np.inf, axis=(-2, -1)).tolist())
+    found: list[tuple] = []         # (x, lower bound, radius() taken once)
+    for x, a, norm in zip(_rows(x), _rows(a, 2), norms):
         lower = tol / norm if norm > 0.0 else 0.0
         radius = cache(lambda a=a: tol * float(np.linalg.norm(np.linalg.pinv(a), np.inf)))
-        gaps = [(np.abs(x - other).max(), low, r) for _, other, low, r in found]
+        gaps = [(np.abs(x - other).max(), low, r) for other, low, r in found]
         if (not any(gap <= (lower + low) / 2 for gap, low, _ in gaps)
                 and all(gap > radius() + r() for gap, _, r in gaps)):
-            found.append((fp, x, lower, radius))
-    return [fp for fp, *_ in found]
+            found.append((x, lower, radius))
+    return [PopulationState(t=0, viewer=x[:env.K], provider=x[env.K:]) for x, *_ in found]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +765,7 @@ class StabilityReport:
 
 
 class _LinearizedMap:
-    """The curve slopes at x = (viewer, provider) under the policy `rows`,
+    """The curve slopes at the finite x = (viewer, provider) under the policy `rows`,
     and the off-diagonal Jacobian blocks (A12, A21) built from them: the one
     pass that assemble_jacobian, the closed-form spectrum, the stability test
     and the Newton steps of find_fixed_point each need, and that
@@ -571,28 +774,51 @@ class _LinearizedMap:
     `clipped` (viewer entries first) marks the groups whose update the map
     clips to 0 at x.  The map is locally constant there, so their rows of
     J are zeroed: they act as a rate of 1 and slopes of 0.
+
+    x may be stacked (S, K + L), one row per start: each row's map then
+    equals its lone linearization bit for bit, jacobian() and
+    coupling_contracts() answer per row, and map[rows] is the map at those
+    rows alone.  `slopes`, when given, are the slopes at x that
+    _image(slopes=True) returned, so that they are not evaluated again.
     """
 
+    _ROWED = ("df", "slopes", "eta", "A12", "A21")    # the attributes with one row per start
+
     def __init__(self, env: EnvironmentSpec, rows: np.ndarray, x: np.ndarray,
-                 clipped: np.ndarray | None = None):
+                 clipped: np.ndarray | None = None, slopes: tuple | None = None):
         self.env, self.rows, K = env, rows, env.K
-        f, self.df = env.f_grid.value_and_deriv(x[K:])          # f_{k,l}, f_{k,l}' at provider_l
-        s, e, _ = _served(env.B + f, rows, x[:K])
-        # lambda_bar_k' at s_k, then lambda_bar_l' at e_l, and the rates, stacked as x
-        self.slopes, self.eta = env.curves.value_and_deriv(np.concatenate([s, e]))[1], env.eta
+        if slopes is None:
+            f, df = env.f_grid._apply_both(x[..., K:])
+            s, e = _served(env.B + f, rows, x[..., :K])
+            slopes = df, env.curves.value_and_deriv(np.concatenate([s, e], axis=-1))[1]
+        # f_{k,l}' at provider_l; lambda_bar_k' at s_k, then lambda_bar_l' at
+        # e_l, and the rates, stacked as x
+        (self.df, self.slopes), self.eta = slopes, env.eta
         if clipped is not None:
             self.slopes = np.where(clipped, 0.0, self.slopes)
             self.eta = np.where(clipped, 1.0, self.eta)
+        elif x.ndim > 1:
+            self.eta = np.broadcast_to(self.eta, x.shape)
         rated = self.eta * self.slopes
-        self.A12 = rated[:K, None] * rows * self.df
-        self.A21 = rated[K:, None] * rows.T
+        self.A12 = rated[..., :K, None] * rows * self.df
+        self.A21 = rated[..., K:, None] * rows.T
+
+    def __getitem__(self, rows) -> _LinearizedMap:
+        part = object.__new__(_LinearizedMap)
+        part.env, part.rows = self.env, self.rows
+        for name in self._ROWED:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
     def jacobian(self, minus_identity: bool = False) -> np.ndarray:
         """J, or J - I built directly: the diagonal (1 - eta) - 1, the
         subtraction's value, not -eta, which can differ in the last bit."""
         K, diagonal = self.env.K, 1.0 - self.eta
-        jac = np.diag(diagonal - 1.0 if minus_identity else diagonal)
-        jac[:K, K:], jac[K:, :K] = self.A12, self.A21
+        n = diagonal.shape[-1]
+        jac = np.zeros(diagonal.shape + (n,))
+        jac.reshape(diagonal.shape[:-1] + (n * n,))[..., ::n + 1] = (
+            diagonal - 1.0 if minus_identity else diagonal)
+        jac[..., :K, K:], jac[..., K:, :K] = self.A12, self.A21
         return jac
 
     def closed_form_spectrum(self) -> np.ndarray | None:
@@ -623,18 +849,22 @@ class _LinearizedMap:
         eigs = np.concatenate([(a + b) / 2.0 + root, (a + b) / 2.0 - root, leftover])
         return eigs.real if not np.any(eigs.imag) else eigs
 
-    def coupling_contracts(self) -> bool:
-        """rho(J) < 1, decided as rho(G12 G21) < 1 by one solve (see jacobian_eigenvalues)."""
-        if (self.eta == 0.0).any():
-            return False        # a group that never moves: J has the eigenvalue 1
-        K, L = self.env.K, self.env.L
-        G12 = self.slopes[:K, None] * self.rows * self.df
-        G21 = self.slopes[K:, None] * self.rows.T
-        i_minus_c = np.eye(min(K, L)) - (G12 @ G21 if K <= L else G21 @ G12)
-        try:
-            return bool((np.linalg.solve(i_minus_c, np.ones(min(K, L))) > 0.0).all())
-        except np.linalg.LinAlgError:
-            return False        # I - C is singular: C has the eigenvalue 1
+    def coupling_contracts(self):
+        """rho(J) < 1, decided as rho(G12 G21) < 1 by one solve (see
+        jacobian_eigenvalues): a bool, or a list of them for stacked x."""
+        # a group that never moves gives J the eigenvalue 1
+        stuck = _listed(np.logical_or.reduce(self.eta == 0.0, axis=-1).tolist())
+        contracts = [False] * len(stuck)
+        if not all(stuck):
+            K, L = self.env.K, self.env.L
+            G12 = self.slopes[..., :K, None] * self.rows * self.df
+            G21 = self.slopes[..., K:, None] * self.rows.T
+            i_minus_c = np.eye(min(K, L)) - (G12 @ G21 if K <= L else G21 @ G12)
+            # a singular I - C (C has the eigenvalue 1) solves to nan, which is not > 0
+            solved = _solve(i_minus_c, np.ones(i_minus_c.shape[:-1])) > 0.0
+            contracts = [c and not s for c, s in zip(
+                _listed(np.logical_and.reduce(solved, axis=-1).tolist()), stuck)]
+        return contracts if self.slopes.ndim > 1 else contracts[0]
 
 
 def assemble_jacobian(env: EnvironmentSpec, pi, at: PopulationState) -> np.ndarray:
@@ -672,11 +902,13 @@ def jacobian_eigenvalues(env: EnvironmentSpec, pi, at: PopulationState,
     """
     _check_tol(tol)
     rows, x = _stacked(env, at, pi, "jacobian_eigenvalues")
-    residual = float(np.abs(_image(env, rows, x, at.t) - x).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, slopes = _image(env, rows, x, at.t, slopes=True)
+    residual = float(np.abs(fx - x).max())
     if residual > 10 * tol:
         raise FixedPointPreconditionError(
             f"state is not a fixed point: residual {residual:.3e} > {10 * tol:.1e}")
-    linearized = _LinearizedMap(env, rows, x)
+    linearized = _LinearizedMap(env, rows, x, slopes=slopes)
     eigs = np.linalg.eigvals(linearized.jacobian())
     rho = float(np.abs(eigs).max())
     return StabilityReport(fixed_point=at, eigenvalues=eigs,

@@ -26,7 +26,8 @@ from .analytics import empirical_regret_suite, regret_report_to_csv, suite_summa
 from .dynamics import Trajectory, lockstep_rollouts, trajectory_to_csv
 from .functions import FunctionConfigError
 from .kinds import ExperimentConfigError, _check_kinds, _fields_table, _read
-from .model import EnvironmentSpec, PopulationState, SpecValidationError, epsilon_greedy
+from .model import (EnvironmentSpec, PopulationState, SpecValidationError, _check_seed,
+                    epsilon_greedy)
 from .oracles import OracleDomainError
 from .policies import (LookaheadConfig, interpolate, myopic_greedy,
                        optimize_lookahead, uniform_policy)
@@ -172,6 +173,11 @@ class ExperimentConfig:
             raise ExperimentConfigError(f"duplicate policy names in {names}")
         if not self.seeds:
             raise ExperimentConfigError("seeds must be non-empty")
+        for seed in self.seeds:
+            try:
+                _check_seed(seed)
+            except SpecValidationError as err:
+                raise ExperimentConfigError(f"seeds: {err}") from None
         if self.T < 1:
             raise ExperimentConfigError("T must be >= 1")
         if isinstance(self.environment, EnvironmentSpec) and self.init is None:

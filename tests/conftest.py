@@ -213,6 +213,42 @@ def reference_contracts(env: EnvironmentSpec, rows, dv, dc, df) -> bool:
         return False
 
 
+def one_viewer_equilibria(env: EnvironmentSpec, rows, v_max: float, grid: int = 4001):
+    """The exact equilibria of an environment with one viewer group (K = 1)
+    under the policy rows (1, L), stacked (viewer, providers) one per row.
+
+    At an equilibrium every population equals its reference curve, clipped
+    at 0 as the map clips it, so provider l is lambda_p,l(pi_l v) and the
+    viewer v is a root of
+
+        g(v) = lambda_v(sum_l pi_l (B_l + f_l(lambda_p,l(pi_l v)))) - v.
+
+    Each sign change of g on a grid of [0, v_max] (v_max at least the
+    viewer curve's supremum) is refined by brentq to round-off; a root
+    where g touches 0 without changing sign is missed.
+    """
+    from scipy.optimize import brentq
+
+    pi = np.asarray(rows, dtype=float)[0]
+    L = len(pi)
+
+    def providers(v):
+        return [np.maximum(fn_eval(env.lambda_bar_provider[l], pi[l] * v), 0.0)
+                for l in range(L)]
+
+    def g(v):
+        s = sum(pi[l] * (env.B[0, l] + fn_eval(env.f[0][l], p))
+                for l, p in enumerate(providers(v)))
+        return np.maximum(fn_eval(env.lambda_bar_viewer[0], s), 0.0) - v
+
+    vs = np.linspace(0.0, v_max, grid)
+    gs = g(vs)
+    roots = [v for v, gv in zip(vs, gs) if gv == 0.0]
+    roots += [brentq(g, a, b, xtol=1e-15, rtol=1e-15)
+              for a, b, ga, gb in zip(vs, vs[1:], gs, gs[1:]) if ga * gb < 0.0]
+    return np.array([[v, *providers(v)] for v in sorted(roots)]).reshape(-1, 1 + L)
+
+
 MIXED_KINDS = ("table", "linear", "saturating_exp", "scaled_logistic")
 
 

@@ -67,6 +67,21 @@ def test_run_with_zero_horizon_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ExperimentConfigError"
 
 
+@pytest.mark.parametrize("seeds", [[-1], [0, -3]])
+def test_run_with_a_negative_seed_exits_2_before_writing(tmp_path, capsys, seeds):
+    cfg = write_json(tmp_path, "exp.json", {
+        "environment": {"synthetic": scenario_dict()},
+        "policies": [{"name": "u", "kind": "uniform"}],
+        "seeds": seeds,
+    })
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, ["run", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 2 and stdout == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ExperimentConfigError" and "seeds" in record["message"]
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["run", "--config", "/nonexistent/x.json"])
     assert code == 2

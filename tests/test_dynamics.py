@@ -24,8 +24,9 @@ from twoside_sim import (ConvergenceError, DivergenceError, EnvironmentSpec,
                          trajectory_to_csv, validate_policy, welfare)
 
 from conftest import (assert_bitwise_equal, assert_columns_stack_steps, mixed_env,
-                      random_env, random_policy, random_state, reference_contracts,
-                      reference_linearization, reference_lookahead, reference_step_cells)
+                      one_viewer_equilibria, random_env, random_policy, random_state,
+                      reference_contracts, reference_linearization, reference_lookahead,
+                      reference_step_cells)
 
 
 def linear_env(K, L, slopes_v, slopes_p, f_slopes, B, eta_v, eta_p,
@@ -251,6 +252,8 @@ def test_runs_refuse_a_horizon_or_seed_that_is_not_a_non_negative_integer(bad, n
             call()
     with pytest.raises(SpecValidationError, match="seeds must be non-empty"):
         lockstep_rollouts(env, [rule], 3, init, [])
+    with pytest.raises(SpecValidationError, match="policies must be non-empty"):
+        lockstep_rollouts(env, [], 3, init, [0])
     assert asked == []
 
 
@@ -348,6 +351,12 @@ def test_fixed_point_search_builds_one_population_state(monkeypatch):
     assert len(built) == 1 and built[0] is fp
 
 
+def quiet_image(env, rows, x, t=0, failed=None):
+    """dynamics._image under the np.errstate its callers set."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dynamics._image(env, rows, x, t, failed)
+
+
 def one_cell_image(env, rows, x, t=0):
     """F(x) by the noiseless one-cell _step_cells: the point, or the cell's error."""
     failed = {}
@@ -377,10 +386,11 @@ def test_stacked_evaluators_equal_the_per_side_reference_bit_for_bit(seed, cells
         assert_bitwise_equal(got, ref)
     assert sorted(failed) == want_failed
     for c in range(cells):
-        image = dynamics._image(env, rows[c], x[c], t, strict=False)
+        lone = {}
+        image = quiet_image(env, rows[c], x[c], t, lone)
         *_, v, p, gone = reference_step_cells(env, x[c:c + 1, :K], x[c:c + 1, K:], rows[c:c + 1])
+        assert sorted(lone) == gone
         if gone:
-            assert image is None
             continue
         assert_bitwise_equal(image, np.concatenate([v[0], p[0]]))
         for clipped in (None, image == 0.0, rng.random(K + L) < 0.3):
@@ -411,7 +421,7 @@ def test_image_is_the_one_cell_step_bit_for_bit(seed, scale, t):
     env = random_env(seed)
     rows = random_policy(seed, env.K, env.L)
     x = stacked(random_state(seed, env, scale=scale))
-    got, want = dynamics._image(env, rows, x, t), one_cell_image(env, rows, x, t)
+    got, want = quiet_image(env, rows, x, t), one_cell_image(env, rows, x, t)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -435,9 +445,11 @@ def test_image_raises_the_divergence_error_of_the_one_cell_step(what, env, x):
     want = one_cell_image(env, rows, x, t=3)
     assert isinstance(want, DivergenceError) and f"non-finite {what} after t=3" in str(want)
     with pytest.raises(DivergenceError) as got:
-        dynamics._image(env, rows, x, t=3)
+        quiet_image(env, rows, x, t=3)
     assert_same_error(got.value, want)
-    assert dynamics._image(env, rows, x, t=3, strict=False) is None
+    failed = {}
+    quiet_image(env, rows, x, t=3, failed=failed)
+    assert_same_error(failed[0], want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,11 +466,13 @@ def test_image_fails_where_the_one_cell_step_fails(seed):
     want = one_cell_image(env, rows, x)
     if isinstance(want, DivergenceError):
         with pytest.raises(DivergenceError) as got:
-            dynamics._image(env, rows, x)
+            quiet_image(env, rows, x)
         assert_same_error(got.value, want)
-        assert dynamics._image(env, rows, x, strict=False) is None
+        failed = {}
+        quiet_image(env, rows, x, failed=failed)
+        assert_same_error(failed[0], want)
     else:
-        assert np.array_equal(dynamics._image(env, rows, x), want)
+        assert np.array_equal(quiet_image(env, rows, x), want)
 
 
 def test_fixed_point_calls_never_take_the_rollout_step(monkeypatch):
@@ -770,6 +784,133 @@ def test_enumerate_takes_a_pseudo_inverse_only_for_an_open_comparison(monkeypatc
     inits = list(THREE_EQUILIBRIA_INITS.values()) * 2
     assert len(enumerate_fixed_points(three_equilibria_env(), [[1.0]], inits)) == 3
     assert len(calls) == 3
+
+
+# --- the lockstep search: every start of a multi-start search steps together ---
+
+
+def runaway_env(seed):
+    """Exponentially growing reference curves c (exp(r (x - a)) - 1) + b:
+    starts near 0 settle at a low equilibrium, starts far out overflow."""
+    rng = np.random.default_rng([seed, 43])
+    K, L = (int(n) for n in rng.integers(1, 4, 2))
+
+    def runaway():
+        c = rng.uniform(0.2, 1.0)
+        return saturating_exp(-c, -rng.uniform(0.5, 2.0), rng.uniform(2.0, 6.0), c)
+
+    return EnvironmentSpec(
+        K=K, L=L, B=rng.uniform(0.0, 1.0, (K, L)),
+        f=tuple(tuple(linear_fn(rng.uniform(0.1, 1.0)) for _ in range(L)) for _ in range(K)),
+        lambda_bar_viewer=tuple(runaway() for _ in range(K)),
+        lambda_bar_provider=tuple(runaway() for _ in range(L)),
+        eta_viewer=rng.uniform(0.1, 0.9, K), eta_provider=rng.uniform(0.1, 0.9, L))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(2, 6), runaway=st.booleans(),
+       max_iter=st.sampled_from([2, 5, 12, 40, 100000]))
+# starts that converge, overflow and run out of max_iter in one stack
+@example(seed=0, count=6, runaway=True, max_iter=5)
+@example(seed=52, count=6, runaway=True, max_iter=12)
+def test_lockstep_search_gives_each_start_its_lone_search_bit_for_bit(seed, count, runaway,
+                                                                        max_iter):
+    env = runaway_env(seed) if runaway else random_env(seed, max_dim=5)
+    rows = random_policy(seed, env.K, env.L)
+    rng = np.random.default_rng([seed, 47])
+    inits = [PopulationState(t=int(rng.integers(0, 4)), viewer=rng.uniform(0.0, scale, env.K),
+                             provider=rng.uniform(0.0, scale, env.L))
+             for scale in 10.0 ** rng.uniform(-2, 3, count)]
+    got = dynamics._search(env, rows, [stacked(init) for init in inits],
+                           [init.t for init in inits], 1e-10, max_iter)
+    assert len(got) == count
+    for init, outcome in zip(inits, got):
+        try:
+            want = find_fixed_point(env, rows, init, tol=1e-10, max_iter=max_iter)
+        except ConvergenceError as err:
+            assert_same_error(outcome, err)
+        else:
+            assert_bitwise_equal(outcome, stacked(want))
+
+
+def test_lockstep_examples_mix_every_outcome():
+    """The explicit examples above stack starts that converge with starts
+    that overflow or run out of max_iter."""
+    kinds = set()
+    for seed, runaway, max_iter in ((0, True, 5), (52, True, 12)):
+        env = runaway_env(seed) if runaway else random_env(seed, max_dim=5)
+        rows = random_policy(seed, env.K, env.L)
+        rng = np.random.default_rng([seed, 47])
+        starts = [np.concatenate([rng.uniform(0.0, scale, env.K), rng.uniform(0.0, scale, env.L)])
+                  for scale in 10.0 ** rng.uniform(-2, 3, 6)]
+        got = dynamics._search(env, rows, starts, [0] * 6, 1e-10, max_iter)
+        kinds |= {type(outcome).__name__ for outcome in got}
+    assert kinds == {"ndarray", "DivergenceError", "ConvergenceError"}
+
+
+def test_a_singular_system_fails_only_its_own_start_of_the_stack():
+    env = gen_synthetic(SyntheticScenarioConfig(K=5, L=5, d=5, eta=0.1, seed=0))
+    rows = epsilon_greedy(env.B, 0.1).rows
+    x = np.random.default_rng(3).uniform(0.0, 2.0, (3, 10))
+    with np.errstate(all="ignore"):
+        fx = dynamics._image(env, rows, x)
+        linearized = dynamics._LinearizedMap(env, rows, x, fx == 0.0)
+        singular = linearized.jacobian(minus_identity=True)
+        singular[1, 0] = 0.0        # a zero row in start 1's J - I
+
+        class Stub:
+            def jacobian(self, minus_identity):
+                return singular
+
+        y, ok = dynamics._newton_points(Stub(), x, fx)
+        assert ok == [True, False, True]     # start 1's Newton trial fails at its first guard
+        for i in (0, 2):
+            alone = dynamics._LinearizedMap(env, rows, x[i], fx[i] == 0.0)
+            want, want_ok = dynamics._newton_points(alone, x[i], fx[i])
+            assert want_ok == [True]
+            assert_bitwise_equal(y[i], want)
+
+
+# --- the exact equilibria of one viewer group ---
+
+
+def one_viewer_env(seed):
+    """(env, policy rows, the viewer curve's supremum, starts): one viewer
+    group and 1-3 providers with logistic reference curves, bistable about
+    one time in seven, as three_equilibria_env is."""
+    rng = np.random.default_rng([seed, 41])
+    L = int(rng.integers(1, 4))
+    gain = rng.uniform(0.5, 2.0)
+    env = EnvironmentSpec(
+        K=1, L=L, B=rng.uniform(0.0, 0.5, (1, L)),
+        f=(tuple(linear_fn(rng.uniform(0.5, 2.0)) for _ in range(L)),),
+        lambda_bar_viewer=(scaled_logistic(gain, rng.uniform(2.0, 12.0), rng.uniform(0.2, 1.5)),),
+        lambda_bar_provider=tuple(scaled_logistic(rng.uniform(0.5, 2.0), rng.uniform(2.0, 12.0),
+                                                  rng.uniform(0.0, 1.0)) for _ in range(L)),
+        eta_viewer=rng.uniform(0.1, 0.9, 1), eta_provider=rng.uniform(0.1, 0.9, L))
+    starts = [PopulationState(t=0, viewer=rng.uniform(0.0, gain, 1),
+                              provider=rng.uniform(0.0, 2.0, L)) for _ in range(6)]
+    return env, random_policy(seed, 1, L), gain, starts
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+@example(seed=4)        # bistable
+def test_enumerate_reports_only_equilibria_of_the_one_viewer_oracle(seed):
+    env, rows, gain, starts = one_viewer_env(seed)
+    roots = one_viewer_equilibria(env, rows, gain)
+    for fp in enumerate_fixed_points(env, rows, starts):
+        assert np.abs(roots - stacked(fp)).max(axis=1).min() <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the search reaches the attracting equilibria only; the unstable "
+                          "middle one of a bistable instance needs deflated Newton")
+def test_enumerate_reports_every_equilibrium_of_the_one_viewer_oracle():
+    for seed in range(40):
+        env, rows, gain, starts = one_viewer_env(seed)
+        roots = one_viewer_equilibria(env, rows, gain)
+        assert len(enumerate_fixed_points(env, rows, starts)) == len(roots), seed
 
 
 # --- stability analysis ---
