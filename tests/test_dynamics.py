@@ -807,22 +807,33 @@ def runaway_env(seed):
         eta_viewer=rng.uniform(0.1, 0.9, K), eta_provider=rng.uniform(0.1, 0.9, L))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), count=st.integers(2, 6), runaway=st.booleans(),
-       max_iter=st.sampled_from([2, 5, 12, 40, 100000]))
-# starts that converge, overflow and run out of max_iter in one stack
-@example(seed=0, count=6, runaway=True, max_iter=5)
-@example(seed=52, count=6, runaway=True, max_iter=12)
-def test_lockstep_search_gives_each_start_its_lone_search_bit_for_bit(seed, count, runaway,
-                                                                        max_iter):
+def lockstep_search(seed, count, runaway, max_iter):
+    """(env, policy rows, inits, the lockstep search's outcomes) for `count`
+    starts at scales 1e-2 to 1e3 and times 0 to 3, on a runaway_env or a
+    random_env."""
     env = runaway_env(seed) if runaway else random_env(seed, max_dim=5)
     rows = random_policy(seed, env.K, env.L)
     rng = np.random.default_rng([seed, 47])
     inits = [PopulationState(t=int(rng.integers(0, 4)), viewer=rng.uniform(0.0, scale, env.K),
                              provider=rng.uniform(0.0, scale, env.L))
              for scale in 10.0 ** rng.uniform(-2, 3, count)]
-    got = dynamics._search(env, rows, [stacked(init) for init in inits],
-                           [init.t for init in inits], 1e-10, max_iter)
+    return env, rows, inits, dynamics._search(env, rows, [stacked(init) for init in inits],
+                                              [init.t for init in inits], 1e-10, max_iter)
+
+
+# starts that converge, overflow and run out of max_iter in one stack
+MIXED_STACKS = [dict(seed=0, count=6, runaway=True, max_iter=5),
+                dict(seed=240, count=6, runaway=True, max_iter=12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(2, 6), runaway=st.booleans(),
+       max_iter=st.sampled_from([2, 5, 12, 40, 100000]))
+@example(**MIXED_STACKS[0])
+@example(**MIXED_STACKS[1])
+def test_lockstep_search_gives_each_start_its_lone_search_bit_for_bit(seed, count, runaway,
+                                                                        max_iter):
+    env, rows, inits, got = lockstep_search(seed, count, runaway, max_iter)
     assert len(got) == count
     for init, outcome in zip(inits, got):
         try:
@@ -833,19 +844,13 @@ def test_lockstep_search_gives_each_start_its_lone_search_bit_for_bit(seed, coun
             assert_bitwise_equal(outcome, stacked(want))
 
 
-def test_lockstep_examples_mix_every_outcome():
-    """The explicit examples above stack starts that converge with starts
-    that overflow or run out of max_iter."""
-    kinds = set()
-    for seed, runaway, max_iter in ((0, True, 5), (52, True, 12)):
-        env = runaway_env(seed) if runaway else random_env(seed, max_dim=5)
-        rows = random_policy(seed, env.K, env.L)
-        rng = np.random.default_rng([seed, 47])
-        starts = [np.concatenate([rng.uniform(0.0, scale, env.K), rng.uniform(0.0, scale, env.L)])
-                  for scale in 10.0 ** rng.uniform(-2, 3, 6)]
-        got = dynamics._search(env, rows, starts, [0] * 6, 1e-10, max_iter)
-        kinds |= {type(outcome).__name__ for outcome in got}
-    assert kinds == {"ndarray", "DivergenceError", "ConvergenceError"}
+@pytest.mark.parametrize("stack", MIXED_STACKS)
+def test_lockstep_examples_mix_every_outcome(stack):
+    """Each explicit example above stacks starts that converge with starts
+    that overflow and starts that run out of max_iter."""
+    *_, got = lockstep_search(**stack)
+    assert {type(outcome).__name__ for outcome in got} == {
+        "ndarray", "DivergenceError", "ConvergenceError"}
 
 
 def test_a_singular_system_fails_only_its_own_start_of_the_stack():
